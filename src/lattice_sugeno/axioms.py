@@ -32,7 +32,13 @@ from .errors import (
     NotAggregation,
 )
 from .lattice import Lattice
-from .relations import RelationKind, relation_check
+from .relations import (
+    PAIRWISE_KINDS,
+    RelationKind,
+    compatibility_table,
+    related_positions,
+    relation_check,
+)
 
 DOMAIN_LIMIT = 9  # exhaustive table enumeration caps |L|^n at this
 
@@ -160,7 +166,9 @@ def relation_pairs(lattice: Lattice, arity: int, kind: RelationKind,
                    limit: int = 10 ** 7) -> tuple:
     """All vector pairs (x, y), x lex <= y, standing in the relation.
 
-    The diagonal pairs (x, x) are included.  Results are cached on the
+    The diagonal pairs (x, x) are included.  Pairwise kinds are grown
+    from letter-compatibility bitsets in time proportional to the
+    output; the other kinds test every pair.  Results are cached on the
     lattice per (arity, kind) because the supremal/infimal axiom checks
     and the cost model hit the same enumeration repeatedly.
     """
@@ -174,12 +182,19 @@ def relation_pairs(lattice: Lattice, arity: int, kind: RelationKind,
             "%d vector pairs exceed the limit of %d"
             % (count * (count + 1) // 2, limit))
     vectors = list(itertools.product(range(lattice.size), repeat=arity))
-    pairs = []
-    for a in range(len(vectors)):
-        for b in range(a, len(vectors)):
-            if relation_check(lattice, kind, vectors[a], vectors[b]).holds:
-                pairs.append((vectors[a], vectors[b]))
-    result = tuple(pairs)
+    if kind in PAIRWISE_KINDS:
+        table = compatibility_table(lattice, kind)
+        result = tuple(
+            (x, vectors[b]) for a, x in enumerate(vectors)
+            for b in related_positions(table, lattice.size, x, a))
+    else:
+        pairs = []
+        for a in range(len(vectors)):
+            for b in range(a, len(vectors)):
+                if relation_check(lattice, kind, vectors[a],
+                                  vectors[b]).holds:
+                    pairs.append((vectors[a], vectors[b]))
+        result = tuple(pairs)
     lattice._pair_cache[key] = result
     return result
 
@@ -315,16 +330,51 @@ def characterization_report(f: FunctionTable) -> CheckReport:
                        pairs_checked_total=total)
 
 
-def _domain_order_matrix(lattice: Lattice, points: list) -> list:
-    """dom_leq[a][b] == points[a] <= points[b] componentwise."""
-    up = lattice._up
+def _earlier_bounds(lattice: Lattice, points: list) -> list:
+    """Per point of ``points`` (product order), the bitmasks of the
+    earlier points below it and of the earlier points above it.
+
+    Each is the AND, over coordinates, of the points whose coordinate
+    lies below (above) the point's own, cut to the earlier positions.
+    """
+    k, up = lattice.size, lattice._up
+    n = len(points[0])
+    # has[i][u]: the points whose coordinate i is u
+    has = [[0] * k for _ in range(n)]
+    for pos, x in enumerate(points):
+        for i, u in enumerate(x):
+            has[i][u] |= 1 << pos
+    below = [[0] * k for _ in range(n)]
+    above = [[0] * k for _ in range(n)]
+    for i in range(n):
+        for u in range(k):
+            for v in range(k):
+                if up[u] >> v & 1:
+                    below[i][v] |= has[i][u]
+                    above[i][u] |= has[i][v]
     out = []
-    for x in points:
-        row = []
-        for y in points:
-            row.append(all(up[a] >> b & 1 for a, b in zip(x, y)))
-        out.append(row)
+    for pos, x in enumerate(points):
+        lo = hi = (1 << pos) - 1
+        for i, v in enumerate(x):
+            lo &= below[i][v]
+            hi &= above[i][v]
+        out.append((lo, hi))
     return out
+
+
+def _interval(lattice: Lattice, values: list, lo: int, hi: int) -> tuple:
+    """(join of values over the set bits of lo, meet over those of hi)."""
+    join_t, meet_t = lattice._join, lattice._meet
+    floor, ceil = lattice.bottom, lattice.top
+    while lo:
+        low = lo & -lo
+        lo ^= low
+        floor = join_t[floor][values[low.bit_length() - 1]]
+    while hi:
+        low = hi & -hi
+        hi ^= low
+        ceil = meet_t[ceil][values[low.bit_length() - 1]]
+    return floor, ceil
 
 
 def enumerate_aggregations(lattice: Lattice, arity: int,
@@ -344,7 +394,7 @@ def enumerate_aggregations(lattice: Lattice, arity: int,
             "domain of %d points exceeds the exhaustive cap of %d"
             % (count, domain_limit))
     points = list(itertools.product(range(lattice.size), repeat=arity))
-    dom_leq = _domain_order_matrix(lattice, points)
+    bounds = _earlier_bounds(lattice, points)
     bottom_pos = points.index((lattice.bottom,) * arity)
     top_pos = points.index((lattice.top,) * arity)
     up = lattice._up
@@ -360,16 +410,9 @@ def enumerate_aggregations(lattice: Lattice, arity: int,
             candidates = (lattice.top,)
         else:
             candidates = range(lattice.size)
+        floor, ceil = _interval(lattice, values, *bounds[pos])
         for v in candidates:
-            ok = True
-            for q in range(pos):
-                if dom_leq[q][pos] and not up[values[q]] >> v & 1:
-                    ok = False
-                    break
-                if dom_leq[pos][q] and not up[v] >> values[q] & 1:
-                    ok = False
-                    break
-            if ok:
+            if up[floor] >> v & 1 and up[v] >> ceil & 1:
                 values[pos] = v
                 yield from extend(pos + 1)
         values[pos] = lattice.bottom
@@ -389,7 +432,7 @@ def sample_aggregations(lattice: Lattice, arity: int, count: int,
     """
     rng = random.Random(seed)
     points = list(itertools.product(range(lattice.size), repeat=arity))
-    dom_leq = _domain_order_matrix(lattice, points)
+    bounds = _earlier_bounds(lattice, points)
     total = len(points)
     bottom_pos = points.index((lattice.bottom,) * arity)
     top_pos = points.index((lattice.top,) * arity)
@@ -404,13 +447,7 @@ def sample_aggregations(lattice: Lattice, arity: int, count: int,
             if pos == top_pos:
                 values[pos] = lattice.top
                 continue
-            floor = lattice.bottom
-            ceil = lattice.top
-            for q in range(pos):
-                if dom_leq[q][pos]:
-                    floor = lattice._join[floor][values[q]]
-                if dom_leq[pos][q]:
-                    ceil = lattice._meet[ceil][values[q]]
+            floor, ceil = _interval(lattice, values, *bounds[pos])
             candidates = [v for v in range(lattice.size)
                           if up[floor] >> v & 1 and up[v] >> ceil & 1]
             values[pos] = rng.choice(candidates)

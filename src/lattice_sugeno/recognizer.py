@@ -76,10 +76,20 @@ def recover_capacity(f: FunctionTable) -> Capacity:
     """The only capacity f can be an integral of: its values at the
     characteristic vectors.  Monotonicity and the boundary values of f
     make the result a valid capacity."""
+    _gate(f)
+    return _read_capacity(f)
+
+
+def _gate(f: FunctionTable) -> None:
     gate = axiom_check(f, AxiomKind.MONOTONE_BOUNDARY)
     if not gate.holds:
         raise NotAggregation("table %s is not an aggregation function"
                              % f.name, witness=gate.witness)
+
+
+def _read_capacity(f: FunctionTable) -> Capacity:
+    """f's values at the characteristic vectors; f must have passed the
+    aggregation gate."""
     lattice, n = f.lattice, f.arity
     values = [f(characteristic_vector(lattice, n, mask))
               for mask in range(1 << n)]
@@ -112,10 +122,7 @@ def recognize(f: FunctionTable,
     side in lexicographic (c, x) order, so refusal witnesses are
     deterministic.
     """
-    gate = axiom_check(f, AxiomKind.MONOTONE_BOUNDARY)
-    if not gate.holds:
-        raise NotAggregation("table %s is not an aggregation function"
-                             % f.name, witness=gate.witness)
+    _gate(f)
 
     forms = (SugenoForm.SUP_OF_MEETS, SugenoForm.INF_OF_JOINS)
     if not is_distributive(f.lattice):
@@ -138,7 +145,7 @@ def recognize(f: FunctionTable,
             if not res.holds:
                 return RecognitionResult(method, False, None,
                                          (tag,) + res.witness, checked, 0)
-        m = recover_capacity(f)
+        m = _read_capacity(f)
         witness, points = _verify_pointwise(f, m, forms)
         if witness is not None:
             return RecognitionResult(method, False, None, witness,
@@ -146,7 +153,7 @@ def recognize(f: FunctionTable,
         return RecognitionResult(method, True, m, None, checked, points)
 
     if method is RecognitionMethod.DIRECT_COMPARISON:
-        m = recover_capacity(f)
+        m = _read_capacity(f)
         witness, points = _verify_pointwise(f, m, forms)
         if witness is not None:
             return RecognitionResult(method, False, None, witness,

@@ -165,11 +165,93 @@ def all_vectors(lattice: Lattice, n: int,
     return itertools.product(range(lattice.size), repeat=n)
 
 
+def compatibility_table(lattice: Lattice, kind: RelationKind) -> list:
+    """Letter compatibility of a pairwise kind, as bitsets.
+
+    A vector pair (x, y) is a word of letters (x_i, y_i).  Entry
+    ``[a * k + b][c]`` is a k-bit mask with bit d set when letter (a, b)
+    at some coordinate and letter (c, d) at a later one satisfy the
+    kind's identity; (x, y) is related exactly when every two of its
+    letters are compatible.  Costs k^4 identity evaluations.
+    """
+    k = lattice.size
+    table = []
+    for a in range(k):
+        for b in range(k):
+            row = []
+            for c in range(k):
+                mask = 0
+                for d in range(k):
+                    if _pair_identity(lattice, kind, a, c, b, d):
+                        mask |= 1 << d
+                row.append(mask)
+            table.append(row)
+    return table
+
+
+def related_positions(table: list, k: int, x: tuple,
+                      floor: int = 0) -> list:
+    """Mixed-radix positions of the y related to x, in increasing order.
+
+    ``table`` is a compatibility_table over k elements.  y is grown one
+    coordinate at a time: the values allowed at coordinate j are the
+    AND of the table rows of the letters already chosen, so only
+    prefixes of related vectors are visited.  Positions below
+    ``floor`` are pruned as soon as their prefix falls below floor's.
+    """
+    n = len(x)
+    # (prefix position, allowed-value masks of the coordinates still open)
+    frontier = [(0, ((1 << k) - 1,) * n)]
+    for j in range(n - 1):
+        later = x[j + 1:]
+        lo = floor // k ** (n - 1 - j)
+        letters = table[x[j] * k:(x[j] + 1) * k]
+        grown = []
+        for pos, masks in frontier:
+            allowed = masks[0]
+            rest = masks[1:]
+            base = pos * k
+            while allowed:
+                low = allowed & -allowed
+                allowed ^= low
+                d = low.bit_length() - 1
+                if base + d >= lo:
+                    row = letters[d]
+                    grown.append((base + d, tuple(
+                        [m & row[c] for m, c in zip(rest, later)])))
+        frontier = grown
+    out = []
+    for pos, (allowed,) in frontier:
+        base = pos * k
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            if base + low.bit_length() - 1 >= floor:
+                out.append(base + low.bit_length() - 1)
+    return out
+
+
+def _decode(pos: int, k: int, n: int) -> tuple:
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        pos, out[i] = divmod(pos, k)
+    return tuple(out)
+
+
 def relation_region(lattice: Lattice, kind: RelationKind,
                     x: Sequence[int], limit: int = 10 ** 7) -> tuple:
-    """All vectors y standing in the relation to x, in product order."""
+    """All vectors y standing in the relation to x, in product order.
+
+    Pairwise kinds are enumerated in time proportional to the region.
+    """
     x = check_vector(lattice, x)
-    return tuple(y for y in all_vectors(lattice, len(x), limit)
+    vectors = all_vectors(lattice, len(x), limit)  # raises past the limit
+    if kind in PAIRWISE_KINDS:
+        k = lattice.size
+        table = compatibility_table(lattice, kind)
+        return tuple(_decode(pos, k, len(x))
+                     for pos in related_positions(table, k, x))
+    return tuple(y for y in vectors
                  if relation_check(lattice, kind, x, y).holds)
 
 

@@ -229,10 +229,14 @@ def suite_region_closure(lattice: Lattice, arity: int,
     """example1: at arity 2 on a chain, the g-comonotone region around
     any x is exactly the union of the comonotone region and the
     comparable region; at arity 3 the union is strictly smaller for
-    some x."""
+    some x, which needs a chain of at least four elements."""
     if not _is_chain(lattice):
         raise ValueError("example1 applies to chains; %s is not a chain"
                          % lattice.name)
+    if arity == 3 and lattice.size < 4:
+        raise ValueError("example1 at arity 3 needs a chain of at least "
+                         "four elements; %s has %d"
+                         % (lattice.name, lattice.size))
     vectors = _vectors(lattice, arity, limit)
     if arity == 2:
         cases = 0

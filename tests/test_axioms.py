@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -409,3 +410,91 @@ def test_median_table_is_an_integral_satisfier(chain3):
     report = characterization_report(median_table(chain3))
     assert report.consistent
     assert report.condition_verdicts() == (True,) * 7
+
+
+# -- the order-mask filling against the dense-matrix algorithm it replaced --
+
+
+def _dense_order_matrix(L, points):
+    return [[all(L.leq(a, b) for a, b in zip(x, y)) for y in points]
+            for x in points]
+
+
+def _dense_sample(L, arity, count, seed):
+    """The sampler as it was with a dense |L|^n x |L|^n order matrix."""
+    rng = random.Random(seed)
+    points = list(itertools.product(range(L.size), repeat=arity))
+    dom_leq = _dense_order_matrix(L, points)
+    bottom_pos = points.index((L.bottom,) * arity)
+    top_pos = points.index((L.top,) * arity)
+    out = []
+    for _ in range(count):
+        values = [L.bottom] * len(points)
+        for pos in range(len(points)):
+            if pos in (bottom_pos, top_pos):
+                values[pos] = L.bottom if pos == bottom_pos else L.top
+                continue
+            floor, ceil = L.bottom, L.top
+            for q in range(pos):
+                if dom_leq[q][pos]:
+                    floor = L.join(floor, values[q])
+                if dom_leq[pos][q]:
+                    ceil = L.meet(ceil, values[q])
+            values[pos] = rng.choice([v for v in range(L.size)
+                                      if L.leq(floor, v) and L.leq(v, ceil)])
+        out.append(tuple(values))
+    return out
+
+
+def _dense_enumerate(L, arity):
+    """The exhaustive search as it was with the dense order matrix."""
+    points = list(itertools.product(range(L.size), repeat=arity))
+    dom_leq = _dense_order_matrix(L, points)
+    fixed = {points.index((L.bottom,) * arity): L.bottom,
+             points.index((L.top,) * arity): L.top}
+    values = [L.bottom] * len(points)
+    out = []
+
+    def extend(pos):
+        if pos == len(points):
+            out.append(tuple(values))
+            return
+        for v in ((fixed[pos],) if pos in fixed else range(L.size)):
+            if all(not (dom_leq[q][pos] and not L.leq(values[q], v))
+                   and not (dom_leq[pos][q] and not L.leq(v, values[q]))
+                   for q in range(pos)):
+                values[pos] = v
+                extend(pos + 1)
+        values[pos] = L.bottom
+
+    extend(0)
+    return out
+
+
+def _pinned_lattice(spec):
+    if spec == "unsorted-N5":
+        # element indices that are no linear extension of the order, so
+        # that earlier points can lie above later ones
+        return ls.from_covers("unsorted-N5", ["1", "b", "c", "0", "a"],
+                              [("0", "a"), ("a", "b"), ("b", "1"),
+                               ("0", "c"), ("c", "1")])
+    return ls.build_lattice(spec)
+
+
+@pytest.mark.parametrize("spec,arity,seed", [
+    ("boolean:2", 3, 7), ("chain:4", 3, 7), ("builtin:N5", 3, 7),
+    ("builtin:M3", 3, 11), ("chain:3", 2, 7), ("chain:5", 3, 2),
+    ("prod:chain:2xchain:3", 2, 0), ("unsorted-N5", 3, 7)])
+def test_samples_pinned_to_the_dense_algorithm(spec, arity, seed):
+    L = _pinned_lattice(spec)
+    ours = [f.values for f in sample_aggregations(L, arity, 6, seed)]
+    assert ours == _dense_sample(L, arity, 6, seed)
+
+
+@pytest.mark.parametrize("spec,arity", [
+    ("chain:3", 2), ("chain:2", 3), ("builtin:N5", 1), ("builtin:M3", 1),
+    ("chain:9", 1), ("unsorted-N5", 1)])
+def test_enumeration_pinned_to_the_dense_algorithm(spec, arity):
+    L = _pinned_lattice(spec)
+    ours = [f.values for f in enumerate_aggregations(L, arity)]
+    assert ours == _dense_enumerate(L, arity)

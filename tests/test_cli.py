@@ -245,6 +245,29 @@ def test_suite_all_reports_the_census_divergence(capsys):
     assert "example1: pass (81 cases)" in lines
 
 
+def test_suite_all_skips_example1_on_a_short_chain_at_arity_three(capsys):
+    code, out, _ = run(capsys, "theorem-suite", "all",
+                       "--lattice", "chain:3", "--arity", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert "example1: skip (0 cases)" in lines
+    assert ("  skipped: example1 at arity 3 needs a chain of at least four "
+            "elements; chain3 has 3") in lines
+    code, _, err = run(capsys, "theorem-suite", "example1",
+                       "--lattice", "chain:2", "--arity", "3")
+    assert code == 2
+    assert "at least four elements" in err
+
+
+def test_suite_example1_witness_on_the_four_chain(capsys):
+    code, out, _ = run(capsys, "theorem-suite", "example1",
+                       "--lattice", "chain:4", "--arity", "3")
+    assert code == 0
+    assert out == ("example1: pass (487 cases)\n"
+                   "  strictness witness: y=(2,1,2) is g-comonotone with "
+                   "x=(0,1,3) yet neither comonotone nor comparable\n")
+
+
 # -- bench --------------------------------------------------------------
 
 

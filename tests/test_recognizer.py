@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import lattice_sugeno as ls
+import lattice_sugeno.recognizer as recognizer_module
 from lattice_sugeno import (
     AxiomKind,
     FunctionTable,
@@ -167,6 +168,26 @@ def test_pointwise_recheck_always_runs_and_never_disagrees(chain3, chain4):
                 res = recognize(f)
                 assert res.accepted
                 assert res.verification_points == 2 * L.size ** arity
+
+
+@pytest.mark.parametrize("method", list(RecognitionMethod))
+def test_recognize_runs_the_aggregation_gate_once(chain3, monkeypatch,
+                                                  method):
+    gates = []
+
+    def counting(f, kind, *args, **kwargs):
+        gates.append(kind is AxiomKind.MONOTONE_BOUNDARY)
+        return axiom_check(f, kind, *args, **kwargs)
+
+    monkeypatch.setattr(recognizer_module, "axiom_check", counting)
+    m = validate_capacity(chain3, 2, (0, 1, 1, 2))
+    for f in (sugeno_table(m), h_table(chain3)):
+        gates.clear()
+        recognize(f, method)
+        assert sum(gates) == 1
+    gates.clear()
+    assert recover_capacity(sugeno_table(m)).values == m.values
+    assert sum(gates) == 1
 
 
 def test_gate_rejects_non_aggregations(chain3):

@@ -16,7 +16,10 @@ from lattice_sugeno import (
     relation_region,
 )
 
+from lattice_sugeno.axioms import relation_pairs
+
 from _oracles import (
+    RefLattice,
     ref_boolean,
     ref_chain,
     ref_comonotone,
@@ -26,6 +29,7 @@ from _oracles import (
     ref_g_com,
     ref_m3,
     ref_n5,
+    ref_product,
     ref_subsetwise_join,
     ref_subsetwise_meet,
 )
@@ -436,3 +440,92 @@ def test_symmetry_property(which, arity, data):
     y = tuple(data.draw(st.integers(0, L.size - 1)) for _ in range(arity))
     kind = data.draw(st.sampled_from(KINDS))
     assert relation_holds(L, kind, x, y) == relation_holds(L, kind, y, x)
+
+
+# -- the output-sensitive engine of the pairwise kinds ----------------------
+
+PAIRWISE = [RelationKind.COMONOTONE, RelationKind.G_COMONOTONE,
+            RelationKind.DUAL_G_COMONOTONE]
+
+_ENGINE_ZOO = {
+    "chain1": (ls.chain(1), ref_chain(1)),
+    "chain3": (ls.chain(3), ref_chain(3)),
+    "chain4": (ls.chain(4), ref_chain(4)),
+    "boolean2": (ls.boolean_lattice(2), ref_boolean(2)),
+    "prod23": (ls.product([ls.chain(2), ls.chain(3)]),
+               ref_product([ref_chain(2), ref_chain(3)])),
+    "N5": (ls.n5(), ref_n5()),
+    "M3": (ls.m3(), ref_m3()),
+}
+
+
+def _brute_pairs(ref, kind, arity):
+    vectors = list(itertools.product(range(ref.size), repeat=arity))
+    return tuple((x, y) for a, x in enumerate(vectors) for y in vectors[a:]
+                 if _REF[kind](ref, x, y))
+
+
+def _brute_region(ref, kind, x):
+    return tuple(y for y in itertools.product(range(ref.size),
+                                              repeat=len(x))
+                 if _REF[kind](ref, x, y))
+
+
+@pytest.mark.parametrize("kind", PAIRWISE, ids=lambda k: k.value)
+@pytest.mark.parametrize("name,arity", [
+    (name, arity) for name in _ENGINE_ZOO for arity in (1, 2, 3)
+    if _ENGINE_ZOO[name][0].size ** arity <= 125])
+def test_engine_matches_oracle(name, arity, kind):
+    """relation_pairs and every region equal the definitional sweep, in
+    value and in order; arity 1 has no coordinate pair, so every pair is
+    related."""
+    L, ref = _ENGINE_ZOO[name]
+    pairs = relation_pairs(L, arity, kind)
+    assert pairs == _brute_pairs(ref, kind, arity)
+    if arity == 1:
+        assert len(pairs) == L.size * (L.size + 1) // 2
+    for x in itertools.product(range(L.size), repeat=arity):
+        assert relation_region(L, kind, x) == _brute_region(ref, kind, x)
+
+
+def test_relation_pairs_share_one_tuple_per_vector(chain4):
+    """Every y is the product-order vector object itself, not a copy:
+    the pair list holds one tuple per vector however many pairs use it."""
+    for kind in PAIRWISE:
+        pairs = relation_pairs(chain4, 3, kind)
+        assert len({id(v) for pair in pairs for v in pair}) == 4 ** 3
+
+
+def _closure_lattice(family):
+    """The subsets of {0, 1, 2} in ``family`` closed under intersection,
+    plus the full set, ordered by inclusion: always a lattice, and N5,
+    M3 and their relatives all arise this way.  Returns the package
+    lattice built by from_covers and an independent reference."""
+    sets = {frozenset(range(3))}
+    for mask in family:
+        sets.add(frozenset(i for i in range(3) if mask >> i & 1))
+    grown = True
+    while grown:
+        meets = {a & b for a in sets for b in sets}
+        grown = not meets <= sets
+        sets |= meets
+    sets = sorted(sets, key=lambda s: (len(s), sorted(s)))
+    names = ["s" + "".join(map(str, sorted(s))) for s in sets]
+    covers = [(names[a], names[b])
+              for a in range(len(sets)) for b in range(len(sets))
+              if sets[a] < sets[b]
+              and not any(sets[a] < c < sets[b] for c in sets)]
+    L = ls.from_covers("closure", names, covers)
+    return L, RefLattice(len(sets), lambda a, b: sets[a] <= sets[b])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(0, 7)), st.integers(1, 3),
+       st.sampled_from(PAIRWISE), st.data())
+def test_engine_matches_oracle_on_random_lattices(family, arity, kind, data):
+    L, ref = _closure_lattice(family)
+    if L.size ** arity > 216:
+        arity = 2
+    assert relation_pairs(L, arity, kind) == _brute_pairs(ref, kind, arity)
+    x = tuple(data.draw(st.integers(0, L.size - 1)) for _ in range(arity))
+    assert relation_region(L, kind, x) == _brute_region(ref, kind, x)
