@@ -11,7 +11,6 @@ from .errors import (
     ArityMismatch,
     BoundaryViolation,
     CyclicOrder,
-    EmptyIndexSet,
     EnumerationTooLarge,
     Error,
     InvalidCapacity,
@@ -22,21 +21,15 @@ from .errors import (
     NotALattice,
     NotDistributive,
     ParseError,
-    SoundnessCheckFailed,
     UnknownElement,
 )
 from .lattice import (
-    BirkhoffForm,
     Lattice,
-    TwoFamily,
-    birkhoff,
     boolean_lattice,
     chain,
-    distributive_expansion_check,
     distributivity_witness,
     from_covers,
     is_distributive,
-    join_irreducibles,
     m3,
     n5,
     product,
@@ -50,7 +43,6 @@ from .relations import (
     relation_check,
     relation_holds,
     relation_region,
-    region_report,
 )
 from .capacity import (
     Capacity,

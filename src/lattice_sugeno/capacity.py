@@ -20,9 +20,8 @@ from typing import Iterator, Sequence
 from .errors import (
     ArityMismatch,
     BoundaryViolation,
-    EnumerationTooLarge,
-    InvalidCapacity,
     MonotonicityViolation,
+    guard_size,
 )
 from .lattice import Lattice
 from .relations import check_vector
@@ -31,13 +30,6 @@ from .relations import check_vector
 class SugenoForm(Enum):
     SUP_OF_MEETS = "sup"
     INF_OF_JOINS = "inf"
-
-    @classmethod
-    def from_token(cls, token: str) -> "SugenoForm":
-        for form in cls:
-            if form.value == token:
-                return form
-        raise ValueError("unknown form %r (choose sup or inf)" % (token,))
 
 
 class Capacity:
@@ -165,22 +157,15 @@ def sugeno(m: Capacity, x: Sequence[int],
     raise ValueError("unknown form: %r" % (form,))
 
 
-def _monotone_fill(lattice: Lattice, arity: int,
-                   pick) -> tuple:
-    """Assign subset values in mask order; pick(mask, floor_candidates)
-    chooses among the elements above every already-fixed lower cover."""
-    size = 1 << arity
-    values = [lattice.bottom] * size
-    values[size - 1] = lattice.top
-    for mask in range(1, size - 1):
-        floor = lattice.bottom
-        for i in range(arity):
-            if mask >> i & 1:
-                floor = lattice._join[floor][values[mask & ~(1 << i)]]
-        candidates = [v for v in range(lattice.size)
-                      if lattice._up[floor] >> v & 1]
-        values[mask] = pick(mask, candidates)
-    return tuple(values)
+def _candidates(lattice: Lattice, values: list, mask: int,
+                arity: int) -> list:
+    """The elements, in order, above the join of the values already
+    fixed at the lower covers of mask: its monotone choices."""
+    floor = lattice.bottom
+    for i in range(arity):
+        if mask >> i & 1:
+            floor = lattice._join[floor][values[mask & ~(1 << i)]]
+    return [v for v in range(lattice.size) if lattice._up[floor] >> v & 1]
 
 
 def enumerate_capacities(lattice: Lattice, arity: int,
@@ -194,26 +179,18 @@ def enumerate_capacities(lattice: Lattice, arity: int,
     """
     if arity < 1:
         raise ArityMismatch("capacity arity must be at least 1")
-    free = (1 << arity) - 2
-    if lattice.size ** free > limit:
-        raise EnumerationTooLarge(
-            "%d^%d candidate tables exceed the limit of %d"
-            % (lattice.size, free, limit))
+    guard_size(lattice.size, (1 << arity) - 2, "candidate tables", limit)
     size = 1 << arity
     values = [lattice.bottom] * size
     values[size - 1] = lattice.top
-    up = lattice._up
 
     def extend(mask: int) -> Iterator[Capacity]:
         if mask == size - 1:
             yield Capacity(lattice, arity, tuple(values))
             return
-        covers = [values[mask & ~(1 << i)] for i in range(arity)
-                  if mask >> i & 1]
-        for v in range(lattice.size):
-            if all(up[c] >> v & 1 for c in covers):
-                values[mask] = v
-                yield from extend(mask + 1)
+        for v in _candidates(lattice, values, mask, arity):
+            values[mask] = v
+            yield from extend(mask + 1)
         values[mask] = lattice.bottom
 
     return extend(1)
@@ -228,9 +205,13 @@ def sample_capacities(lattice: Lattice, arity: int, count: int,
     uniform distribution over capacities, but deterministic per seed.
     """
     rng = random.Random(seed)
+    size = 1 << arity
     out = []
     for k in range(count):
-        values = _monotone_fill(lattice, arity,
-                                lambda mask, cands: rng.choice(cands))
+        values = [lattice.bottom] * size
+        values[size - 1] = lattice.top
+        for mask in range(1, size - 1):
+            values[mask] = rng.choice(
+                _candidates(lattice, values, mask, arity))
         out.append(Capacity(lattice, arity, values, name="sample%d" % k))
     return out

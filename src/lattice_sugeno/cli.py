@@ -24,16 +24,17 @@ from .errors import (
     NotDistributive,
     ParseError,
     UnknownElement,
+    guard_size,
 )
 from .fileio import (
     build_lattice,
-    format_capacity,
     format_lattice,
     format_table,
     format_vector,
     parse_capacity,
     parse_table,
     parse_vector,
+    read_text,
     render_check_report,
     render_recognition,
 )
@@ -49,16 +50,8 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _read(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise ParseError("cannot read file: %s" % exc, path) from None
-
-
 def _load_table(args, lattice):
-    f = parse_table(_read(args.table), lattice, path=args.table)
+    f = parse_table(read_text(args.table), lattice, path=args.table)
     if args.arity is not None and f.arity != args.arity:
         raise ParseError("table arity %d does not match --arity %d"
                          % (f.arity, args.arity), args.table)
@@ -66,7 +59,7 @@ def _load_table(args, lattice):
 
 
 def _load_capacity(args, lattice):
-    m = parse_capacity(_read(args.capacity), lattice, path=args.capacity)
+    m = parse_capacity(read_text(args.capacity), lattice, path=args.capacity)
     if args.arity is not None and m.arity != args.arity:
         raise ParseError("capacity arity %d does not match --arity %d"
                          % (m.arity, args.arity), args.capacity)
@@ -104,7 +97,7 @@ def _witness_text(lattice, kind, witness) -> str:
 
 def cmd_relations(args) -> int:
     lattice = build_lattice(args.lattice)
-    kind = RelationKind.from_token(args.kind)
+    kind = RelationKind(args.kind)
     x = parse_vector(args.x, lattice, where="--x")
     y = parse_vector(args.y, lattice, where="--y")
     result = relation_check(lattice, kind, x, y)
@@ -117,7 +110,7 @@ def cmd_relations(args) -> int:
 
 def cmd_region(args) -> int:
     lattice = build_lattice(args.lattice)
-    kind = RelationKind.from_token(args.kind)
+    kind = RelationKind(args.kind)
     x = parse_vector(args.x, lattice, where="--x")
     region = relation_region(lattice, kind, x, limit=args.limit)
     print("region %s around %s: %d vectors"
@@ -132,7 +125,7 @@ def cmd_sugeno(args) -> int:
     m = _load_capacity(args, lattice)
     x = parse_vector(args.x, lattice, where="--x")
     if args.form is not None:
-        form = SugenoForm.from_token(args.form)
+        form = SugenoForm(args.form)
         value = sugeno(m, x, form)
         label = ("sup_of_meets" if form is SugenoForm.SUP_OF_MEETS
                  else "inf_of_joins")
@@ -165,7 +158,7 @@ def cmd_axioms(args) -> int:
 def cmd_recognize(args) -> int:
     lattice = build_lattice(args.lattice)
     f = _load_table(args, lattice)
-    method = RecognitionMethod.from_token(args.method)
+    method = RecognitionMethod(args.method)
     try:
         result = recognize(f, method,
                            allow_nondistributive=args.allow_nondistributive)
@@ -196,14 +189,23 @@ def cmd_bench(args) -> int:
         else:
             # integral of the plain maximum: top on every nonempty subset
             arity = args.arity if args.arity is not None else 2
+            guard_size(2, arity, "subsets", args.limit)
             size = 1 << arity
             m = Capacity(lattice, arity,
                          [lattice.bottom] + [lattice.top] * (size - 1),
                          name="max")
+        guard_size(lattice.size, m.arity, "points", args.limit)
         f = sugeno_table(m)
     model = run_bench(f)
     print(format_cost_report([model]))
     return 0
+
+
+def _positive(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            "expected a positive integer, got %r" % text)
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,9 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lattice", required=True,
                        help="chain:<k>, boolean:<m>, prod:<s>x<s>, "
                             "builtin:N5, builtin:M3, file:<path>")
-        p.add_argument("--arity", type=int, default=arity_default)
+        p.add_argument("--arity", type=_positive, default=arity_default)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--limit", type=int, default=10 ** 7)
+        p.add_argument("--limit", type=_positive, default=10 ** 7)
 
     p = sub.add_parser("lattice-validate",
                        help="build a lattice and check its laws")
@@ -249,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--capacity", required=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--form", choices=["sup", "inf"])
+    p.add_argument("--form", choices=[f.value for f in SugenoForm])
     p.add_argument("--emit-table", action="store_true",
                    help="also print the full integral table")
     p.set_defaults(func=cmd_sugeno)
@@ -263,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decide whether a table is an integral")
     common(p)
     p.add_argument("--table", required=True)
-    p.add_argument("--method", choices=["boolean", "direct"],
-                   default="boolean")
+    p.add_argument("--method", default="boolean",
+                   choices=[m.value for m in RecognitionMethod])
     p.add_argument("--allow-nondistributive", action="store_true")
     p.set_defaults(func=cmd_recognize)
 

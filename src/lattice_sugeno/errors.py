@@ -37,10 +37,6 @@ class NotDistributive(Error):
         self.witness = witness
 
 
-class EmptyIndexSet(Error):
-    """An operation that needs a nonempty index set received an empty one."""
-
-
 class ArityMismatch(Error):
     """Two objects that must share an arity do not."""
 
@@ -51,6 +47,17 @@ class LatticeMismatch(Error):
 
 class EnumerationTooLarge(Error):
     """An exhaustive enumeration would exceed the configured limit."""
+
+
+def guard_size(base: int, exp: int, things: str, limit: int = 10 ** 7):
+    """Raise EnumerationTooLarge when base^exp exceeds limit.
+
+    Past limit's bit length the power is never built: base >= 2 makes
+    it larger than limit already.
+    """
+    if base > 1 and exp > limit.bit_length() or base ** exp > limit:
+        raise EnumerationTooLarge("%d^%d %s exceed the limit of %d"
+                                  % (base, exp, things, limit))
 
 
 class InvalidCapacity(Error):
@@ -84,10 +91,6 @@ class NotAggregation(Error):
     def __init__(self, message: str, witness: tuple | None = None):
         super().__init__(message)
         self.witness = witness
-
-
-class SoundnessCheckFailed(Error):
-    """An internal cross-verification failed; this indicates a bug."""
 
 
 class ParseError(Error):

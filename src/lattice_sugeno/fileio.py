@@ -7,30 +7,54 @@ text.  Every formatter here is the inverse of the matching parser, so
 emitted files re-parse to equal values.
 """
 
+import re
 from typing import Sequence
 
 from .axioms import AxiomKind, CheckReport, FunctionTable, characterization_label
 from .capacity import Capacity, format_subset, validate_capacity
-from .errors import LatticeMismatch, ParseError
+from .errors import LatticeMismatch, ParseError, guard_size
 from .lattice import Lattice, chain, boolean_lattice, from_covers, m3, n5, product
 from .recognizer import RecognitionResult
+from .relations import decode, encode
+
+
+def read_text(path: str) -> str:
+    """A file's text; an unreadable file is a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ParseError("cannot read file: %s" % exc, path) from None
 
 
 # -- lattice specs and files -------------------------------------------
+
+# the x between two factors of a prod: spec
+_NEXT_FACTOR = re.compile(r"x(?=(?:chain|boolean|builtin|file):)")
 
 
 def build_lattice(spec: str) -> Lattice:
     """Resolve a lattice spec string.
 
     Accepted forms: chain:<k>, boolean:<m>, prod:<spec>x<spec>[x...],
-    builtin:N5, builtin:M3, file:<path>.
+    builtin:N5, builtin:M3, file:<path>.  A prod: body splits only at an
+    x that starts another factor spec, and a file: factor runs to the
+    end, so paths may contain x.
     """
     if spec.startswith("chain:"):
         return chain(_positive_int(spec[6:], spec))
     if spec.startswith("boolean:"):
         return boolean_lattice(_positive_int(spec[8:], spec))
     if spec.startswith("prod:"):
-        parts = spec[5:].split("x")
+        parts = []
+        body = spec[5:]
+        while not body.startswith("file:"):
+            cut = _NEXT_FACTOR.search(body)
+            if cut is None:
+                break
+            parts.append(body[:cut.start()])
+            body = body[cut.end():]
+        parts.append(body)
         if len(parts) < 2:
             raise ParseError("prod: needs at least two factor specs",
                              path=spec)
@@ -43,9 +67,7 @@ def build_lattice(spec: str) -> Lattice:
             return m3()
         raise ParseError("unknown builtin %r (N5 or M3)" % name, path=spec)
     if spec.startswith("file:"):
-        path = spec[5:]
-        with open(path, encoding="utf-8") as handle:
-            return parse_lattice(handle.read(), path=path)
+        return parse_lattice(read_text(spec[5:]), path=spec[5:])
     raise ParseError("unrecognized lattice spec %r" % spec, path=spec)
 
 
@@ -237,6 +259,7 @@ def parse_capacity(text: str, lattice: Lattice,
         raise ParseError("empty capacity file", path)
     lineno, header = lines[0]
     name, arity = _parse_header(header, "capacity", lattice, path, lineno)
+    guard_size(2, arity, "subsets")
     size = 1 << arity
     seen = {}
     for lineno, line in lines[1:]:
@@ -278,9 +301,8 @@ def parse_table(text: str, lattice: Lattice,
         raise ParseError("empty table file", path)
     lineno, header = lines[0]
     name, arity = _parse_header(header, "table", lattice, path, lineno)
-    size = lattice.size ** arity
-    values = [None] * size
-    probe = FunctionTable(lattice, arity, [lattice.bottom] * size)
+    guard_size(lattice.size, arity, "points")
+    values = [None] * lattice.size ** arity
     for lineno, line in lines[1:]:
         if "->" not in line:
             raise ParseError("expected '(x1,...,xn) -> <element>'",
@@ -290,15 +312,15 @@ def parse_table(text: str, lattice: Lattice,
         if len(x) != arity:
             raise ParseError("vector has %d coordinates, table wants %d"
                              % (len(x), arity), path, lineno)
-        pos = probe.index(x)
+        pos = encode(x, lattice.size)
         if values[pos] is not None:
             raise ParseError("input %s assigned twice"
                              % format_vector(lattice, x), path, lineno)
         values[pos] = _parse_element(right, lattice, path, lineno)
-    if any(v is None for v in values):
-        first = values.index(None)
+    if None in values:
+        missing = decode(values.index(None), lattice.size, arity)
         raise ParseError("missing value for input %s"
-                         % format_vector(lattice, probe.decode(first)), path)
+                         % format_vector(lattice, missing), path)
     return FunctionTable(lattice, arity, values, name=name)
 
 

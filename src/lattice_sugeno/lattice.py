@@ -9,19 +9,9 @@ and a join, and the resulting tables satisfy the lattice laws.
 """
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    ArityMismatch,
-    CyclicOrder,
-    EmptyIndexSet,
-    EnumerationTooLarge,
-    NoBounds,
-    NotALattice,
-    NotDistributive,
-    UnknownElement,
-)
+from .errors import CyclicOrder, NoBounds, NotALattice, UnknownElement
 
 # atom names for boolean_lattice(); the bounds take "0" and "1"
 _ATOM_LETTERS = "pqrstuvwxyz"
@@ -385,102 +375,3 @@ def distributivity_witness(lattice: Lattice) -> tuple | None:
     is_distributive(lattice)
     return lattice._distributive_witness
 
-
-# -- two-indexed families and the expansion identity -------------------
-
-
-@dataclass(frozen=True)
-class TwoFamily:
-    """A family of element pairs (left_i, right_i) over an index set."""
-
-    lattice: Lattice
-    index_set: tuple
-    left: tuple
-    right: tuple
-
-    def __post_init__(self):
-        if not (len(self.index_set) == len(self.left) == len(self.right)):
-            raise ArityMismatch("index set and value tuples must align")
-        for v in self.left + self.right:
-            self.lattice._check(v)
-
-
-def distributive_expansion_check(lattice: Lattice, family: TwoFamily,
-                                 limit: int = 1 << 20) -> bool:
-    """Do both selector expansions hold for this family?
-
-    Checks that the meet of the pairwise joins equals the join over all
-    selectors of the selected meets, and dually.  Both identities hold
-    in every distributive lattice and can fail otherwise.
-    """
-    n = len(family.index_set)
-    if n == 0:
-        raise EmptyIndexSet("the expansion identity needs a nonempty family")
-    if 2 ** n > limit:
-        raise EnumerationTooLarge("2^%d selector assignments exceed %d"
-                                  % (n, limit))
-    left, right = family.left, family.right
-    lhs_meet = lattice.meet_all(lattice.join(left[i], right[i])
-                                for i in range(n))
-    lhs_join = lattice.join_all(lattice.meet(left[i], right[i])
-                                for i in range(n))
-    rhs_meet = lattice.bottom
-    rhs_join = lattice.top
-    for selector in itertools.product((0, 1), repeat=n):
-        picked = [right[i] if s else left[i] for i, s in enumerate(selector)]
-        rhs_meet = lattice.join(rhs_meet, lattice.meet_all(picked))
-        rhs_join = lattice.meet(rhs_join, lattice.join_all(picked))
-    return lhs_meet == rhs_meet and lhs_join == rhs_join
-
-
-# -- join-irreducible representation -----------------------------------
-
-
-@dataclass(frozen=True)
-class BirkhoffForm:
-    """Downset representation over the join-irreducible elements.
-
-    ``join_irreducibles`` lists the elements with exactly one lower
-    cover, in element order.  ``downsets[x]`` is a bitmask over
-    positions of that list marking the irreducibles lying below x.
-    For a distributive lattice the map is injective, meets intersect
-    the masks and joins unite them.
-    """
-
-    lattice: Lattice
-    join_irreducibles: tuple
-    downsets: tuple
-
-    def element_from_downset(self, mask: int) -> int:
-        for x, m in enumerate(self.downsets):
-            if m == mask:
-                return x
-        raise UnknownElement("no element has downset mask %#x" % mask)
-
-    def ji_leq(self, p: int, q: int) -> bool:
-        """Order between join-irreducibles, by position in the list."""
-        return self.lattice.leq(self.join_irreducibles[p],
-                                self.join_irreducibles[q])
-
-
-def join_irreducibles(lattice: Lattice) -> tuple:
-    """Elements above bottom with a unique lower cover."""
-    return tuple(x for x in range(lattice.size)
-                 if x != lattice.bottom and len(lattice.lower_covers(x)) == 1)
-
-
-def birkhoff(lattice: Lattice) -> BirkhoffForm:
-    """Downset representation; only defined for distributive lattices."""
-    if not is_distributive(lattice):
-        raise NotDistributive(
-            "lattice %s is not distributive" % lattice.name,
-            witness=lattice._distributive_witness)
-    ji = join_irreducibles(lattice)
-    downsets = []
-    for x in range(lattice.size):
-        mask = 0
-        for pos, j in enumerate(ji):
-            if lattice._up[j] >> x & 1:
-                mask |= 1 << pos
-        downsets.append(mask)
-    return BirkhoffForm(lattice, ji, tuple(downsets))

@@ -40,14 +40,6 @@ class RecognitionMethod(Enum):
     BOOLEAN_HOMOGENEITY = "boolean"
     DIRECT_COMPARISON = "direct"
 
-    @classmethod
-    def from_token(cls, token: str) -> "RecognitionMethod":
-        for method in cls:
-            if method.value == token:
-                return method
-        raise ValueError("unknown method %r (choose boolean or direct)"
-                         % (token,))
-
 
 @dataclass(frozen=True)
 class RecognitionResult:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .errors import ArityMismatch, EnumerationTooLarge
+from .errors import ArityMismatch, guard_size
 from .lattice import Lattice
 
 
@@ -34,14 +34,6 @@ class RelationKind(Enum):
     DUAL_G_COMONOTONE = "dual-g-comonotone"
     SUBSETWISE_JOIN = "subsetwise-join"
     SUBSETWISE_MEET = "subsetwise-meet"
-
-    @classmethod
-    def from_token(cls, token: str) -> "RelationKind":
-        for kind in cls:
-            if kind.value == token:
-                return kind
-        raise ValueError("unknown relation %r (choose from %s)"
-                         % (token, ", ".join(k.value for k in cls)))
 
 
 #: kinds whose defining identity ranges over coordinate pairs
@@ -159,9 +151,7 @@ def all_vectors(lattice: Lattice, n: int,
     """All vectors of arity n in itertools.product order."""
     if n < 1:
         raise ArityMismatch("vectors need at least one coordinate")
-    if lattice.size ** n > limit:
-        raise EnumerationTooLarge("%d^%d vectors exceed the limit of %d"
-                                  % (lattice.size, n, limit))
+    guard_size(lattice.size, n, "vectors", limit)
     return itertools.product(range(lattice.size), repeat=n)
 
 
@@ -231,7 +221,17 @@ def related_positions(table: list, k: int, x: tuple,
     return out
 
 
-def _decode(pos: int, k: int, n: int) -> tuple:
+def encode(x: Sequence[int], k: int) -> int:
+    """Mixed-radix position of x over k elements, coordinate 0 most
+    significant: the index of x in itertools.product order."""
+    pos = 0
+    for v in x:
+        pos = pos * k + v
+    return pos
+
+
+def decode(pos: int, k: int, n: int) -> tuple:
+    """The arity-n vector at mixed-radix position pos; inverts encode."""
     out = [0] * n
     for i in range(n - 1, -1, -1):
         pos, out[i] = divmod(pos, k)
@@ -249,23 +249,8 @@ def relation_region(lattice: Lattice, kind: RelationKind,
     if kind in PAIRWISE_KINDS:
         k = lattice.size
         table = compatibility_table(lattice, kind)
-        return tuple(_decode(pos, k, len(x))
+        return tuple(decode(pos, k, len(x))
                      for pos in related_positions(table, k, x))
     return tuple(y for y in vectors
                  if relation_check(lattice, kind, x, y).holds)
 
-
-def region_report(lattice: Lattice, x: Sequence[int],
-                  kinds: Sequence[RelationKind] = (
-                      RelationKind.COMONOTONE,
-                      RelationKind.COMPARABLE,
-                      RelationKind.G_COMONOTONE),
-                  limit: int = 10 ** 7) -> dict:
-    """Region sizes around x for several relations at once.
-
-    Returns {kind: region tuple}.  Useful for eyeballing how much larger
-    the join-meet agreement region is than the union of the comonotone
-    and comparable ones.
-    """
-    x = check_vector(lattice, x)
-    return {kind: relation_region(lattice, kind, x, limit) for kind in kinds}

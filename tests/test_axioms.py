@@ -204,24 +204,6 @@ def test_supremal_pair_counts_follow_the_relation(chain3):
     assert axiom_check(f, AxiomKind.G_COMONOTONE_SUPREMAL).pairs_checked == 38
 
 
-def test_tally_seam_counts_every_identity(chain3):
-    f = sugeno_table(validate_capacity(chain3, 2, (0, 1, 1, 2)))
-    for kind in AxiomKind:
-        counter = [0]
-        res = axiom_check(f, kind, _tally=lambda: counter.__setitem__(
-            0, counter[0] + 1))
-        assert counter[0] == res.pairs_checked, kind
-
-
-def test_tally_seam_on_short_circuit(chain3):
-    f = h_table(chain3)
-    counter = [0]
-    res = axiom_check(f, AxiomKind.BOOLEAN_INF_HOMOGENEOUS,
-                      _tally=lambda: counter.__setitem__(0, counter[0] + 1))
-    assert not res.holds
-    assert counter[0] == res.pairs_checked == 6
-
-
 def test_monotone_boundary_count_on_passing_table(chain3):
     f = sugeno_table(validate_capacity(chain3, 2, (0, 1, 1, 2)))
     res = axiom_check(f, AxiomKind.MONOTONE_BOUNDARY)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lattice_sugeno as ls
+from lattice_sugeno.cli import build_parser
 from lattice_sugeno import (
     ArityMismatch,
     BoundaryViolation,
@@ -32,10 +33,15 @@ from _oracles import (
 
 
 def test_form_tokens():
-    assert SugenoForm.from_token("sup") is SugenoForm.SUP_OF_MEETS
-    assert SugenoForm.from_token("inf") is SugenoForm.INF_OF_JOINS
-    with pytest.raises(ValueError):
-        SugenoForm.from_token("avg")
+    parser = build_parser()
+    argv = ["sugeno", "--lattice", "chain:2", "--capacity", "m.cap",
+            "--x", "(0)", "--form"]
+    assert (SugenoForm(parser.parse_args(argv + ["sup"]).form)
+            is SugenoForm.SUP_OF_MEETS)
+    assert (SugenoForm(parser.parse_args(argv + ["inf"]).form)
+            is SugenoForm.INF_OF_JOINS)
+    with pytest.raises(SystemExit):
+        parser.parse_args(argv + ["avg"])
 
 
 # -- validation ------------------------------------------------------------

@@ -1,3 +1,5 @@
+import os
+import resource
 import subprocess
 import sys
 
@@ -234,6 +236,38 @@ def test_suite_duality_search_on_the_pentagon(capsys):
     assert "32 divergent pairs, first x=(0,b) y=(c,a)" in out
 
 
+def test_lemmas_record_the_distributive_only_lemmas_on_the_pentagon(capsys):
+    code, out, _ = run(capsys, "theorem-suite", "lemmas",
+                       "--lattice", "builtin:N5", "--arity", "2")
+    assert code == 0
+    assert out == (
+        "lemmas: pass (810 cases)\n"
+        "  relation inclusions checked on 625 pairs\n"
+        "  constant-vector lemma checked on 125 pairs\n"
+        "  implication lemmas checked on 50 sampled tables\n"
+        "  integral compliance checked on 10 seeded capacities\n"
+        "  non-distributive lattice: 4 constant-vector failures, first: "
+        "constant vector (a,a) not g-comonotone with (b,c) (recorded)\n"
+        "  non-distributive lattice: 38 integral-axiom failures, first: "
+        "integral of (0, 3, 3, 4) fails inf_homogeneous (recorded)\n")
+
+
+@pytest.mark.parametrize("spec, cases, pairs, constant", [
+    ("chain:3", 168, 81, 27), ("boolean:2", 380, 256, 64)])
+def test_lemmas_on_distributive_lattices(capsys, spec, cases, pairs,
+                                         constant):
+    code, out, _ = run(capsys, "theorem-suite", "lemmas",
+                       "--lattice", spec, "--arity", "2")
+    assert code == 0
+    assert out == (
+        "lemmas: pass (%d cases)\n"
+        "  relation inclusions checked on %d pairs\n"
+        "  constant-vector lemma checked on %d pairs\n"
+        "  implication lemmas checked on 50 sampled tables\n"
+        "  integral compliance checked on 10 seeded capacities\n"
+        % (cases, pairs, constant))
+
+
 def test_suite_all_reports_the_census_divergence(capsys):
     code, out, _ = run(capsys, "theorem-suite", "all",
                        "--lattice", "chain:3", "--arity", "2")
@@ -326,6 +360,51 @@ def test_arity_flag_must_match_the_file(capsys, files):
                        "--table", files["h.tbl"], "--arity", "3")
     assert code == 2
     assert "table arity 2 does not match --arity 3" in err
+
+
+@pytest.fixture(scope="session")
+def oversized(tmp_path_factory):
+    root = tmp_path_factory.mktemp("oversized")
+    (root / "huge.cap").write_text("capacity m over chain3 arity 62\n",
+                                   encoding="utf-8")
+    (root / "huge.tbl").write_text("table f over chain3 arity 40\n",
+                                   encoding="utf-8")
+    (root / "xdir").mkdir()
+    return {"huge_cap": str(root / "huge.cap"),
+            "huge_tbl": str(root / "huge.tbl"),
+            "missing_lat": str(root / "none.lat"),
+            "missing_in_xdir": str(root / "xdir" / "none.lat")}
+
+
+def _cap_memory():
+    # a regression that allocates without bound fails fast instead
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["bench", "--lattice", "chain:2", "--arity", "40"], "error:"),
+    (["sugeno", "--lattice", "chain:3", "--capacity", "{huge_cap}",
+      "--x", "(0)"], "error:"),
+    (["axioms", "--lattice", "chain:3", "--table", "{huge_tbl}"], "error:"),
+    (["lattice-validate", "--lattice", "file:{missing_lat}"], "error:"),
+    (["lattice-validate", "--lattice", "prod:chain:2xfile:{missing_in_xdir}"],
+     "error:"),
+    (["bench", "--lattice", "chain:2", "--arity", "-1"], "usage:"),
+    (["region", "--lattice", "chain:3", "--x", "(0,1)",
+      "--kind", "comonotone", "--limit", "-5"], "usage:"),
+], ids=["bench-arity-40", "capacity-arity-62", "table-arity-40",
+        "missing-lattice-file", "missing-file-in-product", "negative-arity",
+        "negative-limit"])
+def test_malformed_input_exits_two(oversized, argv, prefix):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lattice_sugeno.cli",
+         *(arg.format_map(oversized) for arg in argv)],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=src), preexec_fn=_cap_memory)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(prefix)
+    assert "Traceback" not in proc.stderr
 
 
 def test_bad_usage_exits_two(capsys):

@@ -4,6 +4,7 @@ import lattice_sugeno as ls
 from lattice_sugeno import (
     Capacity,
     CyclicOrder,
+    EnumerationTooLarge,
     FunctionTable,
     InvalidCapacity,
     LatticeMismatch,
@@ -37,8 +38,22 @@ def test_build_lattice_specs(chain4, bool3, prod23, n5, m3):
     assert same_structure(build_lattice("chain:4"), chain4)
     assert same_structure(build_lattice("boolean:3"), bool3)
     assert same_structure(build_lattice("prod:chain:2xchain:3"), prod23)
+    assert build_lattice("prod:chain:2xchain:3").name == "chain2xchain3"
     assert same_structure(build_lattice("builtin:N5"), n5)
     assert same_structure(build_lattice("builtin:M3"), m3)
+
+
+def test_prod_splits_only_where_a_factor_spec_begins(tmp_path, n5, m3):
+    three = build_lattice("prod:boolean:1xbuiltin:M3xchain:2")
+    assert same_structure(three, ls.product([ls.boolean_lattice(1), m3,
+                                             ls.chain(2)]))
+    folder = tmp_path / "xdir"
+    folder.mkdir()
+    path = folder / "n5.lat"
+    path.write_text(format_lattice(n5), encoding="utf-8")
+    # a file: factor takes the rest of the spec, x's in its path included
+    built = build_lattice("prod:chain:2xfile:%s" % path)
+    assert same_structure(built, ls.product([ls.chain(2), n5]))
 
 
 def test_build_lattice_from_file(tmp_path, n5):
@@ -56,6 +71,7 @@ def test_build_lattice_from_file(tmp_path, n5):
     "chain:x",
     "chain:0",
     "boolean:-1",
+    "file:no-such-dir/none.lat",
 ])
 def test_bad_specs_raise(spec):
     with pytest.raises(ParseError):
@@ -229,6 +245,10 @@ def test_table_errors(chain3):
         parse_table(head + "(0,0,0) -> 0\n", chain3)
     with pytest.raises(ParseError, match="assigned twice"):
         parse_table(head + "(0,0) -> 0\n(0,0) -> 1\n", chain3)
+    # refused before the 3^40-entry table is allocated
+    with pytest.raises(EnumerationTooLarge,
+                       match=r"^3\^40 points exceed the limit of 10000000$"):
+        parse_table("table f over chain3 arity 40\n", chain3)
 
 
 def test_missing_table_point_is_decoded(chain3):

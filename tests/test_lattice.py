@@ -1,24 +1,15 @@
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
 import lattice_sugeno as ls
 from lattice_sugeno import (
     CyclicOrder,
-    EmptyIndexSet,
-    EnumerationTooLarge,
     Lattice,
     NoBounds,
     NotALattice,
-    NotDistributive,
-    TwoFamily,
     UnknownElement,
-    birkhoff,
-    distributive_expansion_check,
     distributivity_witness,
     is_distributive,
-    join_irreducibles,
     same_structure,
 )
 
@@ -231,109 +222,6 @@ def test_oracle_sees_shapes_in_their_own_presets():
     assert ref_has_n5_or_m3(ref_m3())
     assert not ref_has_n5_or_m3(ref_chain(5))
     assert not ref_has_n5_or_m3(ref_boolean(2))
-
-
-# -- expansion identity over two-indexed families ------------------------
-
-
-def test_expansion_holds_exhaustively_on_distributive():
-    for L in (ls.chain(3), ls.boolean_lattice(2)):
-        for n in (1, 2, 3):
-            for left in itertools.product(range(L.size), repeat=n):
-                for right in itertools.product(range(L.size), repeat=n):
-                    fam = TwoFamily(L, tuple(range(n)), left, right)
-                    assert distributive_expansion_check(L, fam)
-
-
-def test_expansion_fails_on_diamond(m3):
-    a, b, c = m3.index("a"), m3.index("b"), m3.index("c")
-    fam = TwoFamily(m3, (0, 1), (a, b), (b, c))
-    assert not distributive_expansion_check(m3, fam)
-
-
-def test_expansion_failure_exists_on_pentagon(n5):
-    found = False
-    for left in itertools.product(range(5), repeat=2):
-        for right in itertools.product(range(5), repeat=2):
-            fam = TwoFamily(n5, (0, 1), left, right)
-            if not distributive_expansion_check(n5, fam):
-                found = True
-                break
-        if found:
-            break
-    assert found
-
-
-def test_two_family_alignment(chain3):
-    with pytest.raises(Exception) as info:
-        TwoFamily(chain3, (0, 1), (0,), (1, 2))
-    assert "align" in str(info.value)
-
-
-def test_expansion_empty_family(chain3):
-    fam = TwoFamily(chain3, (), (), ())
-    with pytest.raises(EmptyIndexSet):
-        distributive_expansion_check(chain3, fam)
-
-
-def test_expansion_selector_guard(chain3):
-    fam = TwoFamily(chain3, (0, 1, 2), (0, 1, 2), (2, 1, 0))
-    with pytest.raises(EnumerationTooLarge):
-        distributive_expansion_check(chain3, fam, limit=4)
-
-
-# -- join-irreducible representation --------------------------------------
-
-
-def test_join_irreducibles_counts(chain3, bool2, bool3, prod23):
-    assert join_irreducibles(chain3) == (1, 2)
-    assert join_irreducibles(bool2) == (1, 2)
-    assert join_irreducibles(bool3) == (1, 2, 4)
-    assert len(join_irreducibles(prod23)) == 3
-
-
-def test_join_irreducibles_of_product_by_name(prod23):
-    names = [prod23.elements[j] for j in join_irreducibles(prod23)]
-    assert names == ["0.1", "0.2", "1.0"]
-
-
-def test_birkhoff_masks_compute_meet_and_join(chain4, bool3, prod23):
-    for L in (chain4, bool3, prod23):
-        form = birkhoff(L)
-        assert len(set(form.downsets)) == L.size
-        for a in range(L.size):
-            for b in range(L.size):
-                meet_mask = form.downsets[a] & form.downsets[b]
-                join_mask = form.downsets[a] | form.downsets[b]
-                assert form.element_from_downset(meet_mask) == L.meet(a, b)
-                assert form.element_from_downset(join_mask) == L.join(a, b)
-
-
-def test_birkhoff_every_element_is_join_of_its_irreducibles(bool3):
-    form = birkhoff(bool3)
-    for x in range(bool3.size):
-        parts = [form.join_irreducibles[p]
-                 for p in range(len(form.join_irreducibles))
-                 if form.downsets[x] >> p & 1]
-        assert bool3.join_all(parts) == x
-
-
-def test_birkhoff_ji_order(chain4):
-    form = birkhoff(chain4)
-    assert form.ji_leq(0, 1)
-    assert not form.ji_leq(1, 0)
-
-
-def test_birkhoff_refuses_nondistributive(n5):
-    with pytest.raises(NotDistributive) as info:
-        birkhoff(n5)
-    assert info.value.witness is not None
-
-
-def test_birkhoff_unknown_mask(chain3):
-    form = birkhoff(chain3)
-    with pytest.raises(UnknownElement):
-        form.element_from_downset(0b10)  # {2} without {1} is not a downset
 
 
 # -- properties that hold in any lattice ----------------------------------

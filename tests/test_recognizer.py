@@ -4,6 +4,7 @@ import pytest
 
 import lattice_sugeno as ls
 import lattice_sugeno.recognizer as recognizer_module
+from lattice_sugeno.cli import build_parser
 from lattice_sugeno import (
     AxiomKind,
     FunctionTable,
@@ -27,12 +28,15 @@ def h_table(chain3):
 
 
 def test_method_tokens():
-    assert (RecognitionMethod.from_token("boolean")
+    parser = build_parser()
+    argv = ["recognize", "--lattice", "chain:2", "--table", "f.tbl"]
+    assert (RecognitionMethod(parser.parse_args(argv).method)
             is RecognitionMethod.BOOLEAN_HOMOGENEITY)
-    assert (RecognitionMethod.from_token("direct")
+    assert (RecognitionMethod(parser.parse_args(
+        argv + ["--method", "direct"]).method)
             is RecognitionMethod.DIRECT_COMPARISON)
-    with pytest.raises(ValueError):
-        RecognitionMethod.from_token("guess")
+    with pytest.raises(SystemExit):
+        parser.parse_args(argv + ["--method", "guess"])
 
 
 # -- capacity recovery -------------------------------------------------------

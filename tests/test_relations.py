@@ -10,13 +10,14 @@ from lattice_sugeno import (
     RelationKind,
     UnknownElement,
     all_vectors,
-    region_report,
     relation_check,
     relation_holds,
     relation_region,
 )
 
 from lattice_sugeno.axioms import relation_pairs
+from lattice_sugeno.cli import build_parser
+from lattice_sugeno.errors import guard_size
 
 from _oracles import (
     RefLattice,
@@ -57,10 +58,12 @@ _REF_LATTICE = {
 
 
 def test_token_round_trip():
+    parser = build_parser()
+    argv = ["region", "--lattice", "chain:2", "--x", "(0)", "--kind"]
     for kind in KINDS:
-        assert RelationKind.from_token(kind.value) is kind
-    with pytest.raises(ValueError):
-        RelationKind.from_token("snake")
+        assert RelationKind(parser.parse_args(argv + [kind.value]).kind) is kind
+    with pytest.raises(SystemExit):
+        parser.parse_args(argv + ["snake"])
 
 
 # -- the worked three-coordinate example ----------------------------------
@@ -337,6 +340,16 @@ def test_all_vectors_guard(chain11):
         all_vectors(chain11, 3, limit=100)
 
 
+def test_size_guard_is_inclusive_and_never_builds_a_huge_power():
+    guard_size(3, 2, "vectors", 9)
+    with pytest.raises(EnumerationTooLarge) as info:
+        guard_size(3, 2, "vectors", 8)
+    assert str(info.value) == "3^2 vectors exceed the limit of 8"
+    with pytest.raises(EnumerationTooLarge):
+        guard_size(2, 10 ** 12, "subsets")  # 2^(10^12) is never built
+    guard_size(1, 10 ** 12, "points", 1)
+
+
 # -- regions ----------------------------------------------------------------
 
 
@@ -401,13 +414,6 @@ def test_region_is_product_ordered_and_correct(chain3):
     assert region == tuple(
         y for y in itertools.product(range(3), repeat=2)
         if ref_comparable(ref_chain(3), (1, 1), y))
-
-
-def test_region_report_defaults(chain5):
-    report = region_report(chain5, (3, 1))
-    assert set(report) == {RelationKind.COMONOTONE, RelationKind.COMPARABLE,
-                           RelationKind.G_COMONOTONE}
-    assert len(report[RelationKind.G_COMONOTONE]) == 17
 
 
 def test_region_guard(chain11):
