@@ -17,13 +17,20 @@ evaluations.  Homogeneity kinds run over (c, x) pairs (|L|·|L|^n full,
 pairs (x, y) with x lexicographically <= y, relying on the symmetry of
 the relations.  Checks stop at the first failure, so a false verdict
 reports fewer pairs.
+
+The supremal/infimal kinds read their pairs from a PairPlan: per
+relation and arity, the positions of x, y, x v y and x ^ y for every
+related pair, built once per lattice.  A check then compares table
+values by position, f(x v y) against f(x) v f(y), and decodes vectors
+only for the witness.
 """
 
 import itertools
 import random
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .capacity import Capacity, SugenoForm, sugeno
 from .errors import (
@@ -38,6 +45,7 @@ from .relations import (
     compatibility_table,
     decode,
     encode,
+    order_masks,
     related_positions,
     relation_check,
 )
@@ -148,41 +156,72 @@ def characterization_label(pair: tuple) -> str:
     return "%s & %s" % (pair[0].value, pair[1].value)
 
 
-def relation_pairs(lattice: Lattice, arity: int, kind: RelationKind,
-                   limit: int = 10 ** 7) -> tuple:
-    """All vector pairs (x, y), x lex <= y, standing in the relation.
+class PairPlan(NamedTuple):
+    """The related vector pairs (x, y), x lex <= y, of one relation at
+    one arity, as four aligned columns of mixed-radix positions: x, y,
+    x v y and x ^ y.  Rows run with x in product order and, for each
+    x, y ascending from x itself."""
 
-    The diagonal pairs (x, x) are included.  Pairwise kinds are grown
-    from letter-compatibility bitsets in time proportional to the
-    output; the other kinds test every pair.  Results are cached on the
-    lattice per (arity, kind) because the supremal/infimal axiom checks
-    and the cost model hit the same enumeration repeatedly.
-    """
-    key = (arity, kind)
-    cached = lattice._pair_cache.get(key)
-    if cached is not None:
-        return cached
+    xs: array
+    ys: array
+    joins: array
+    meets: array
+
+
+def _guard_pairs(lattice: Lattice, arity: int, limit: int):
     count = lattice.size ** arity
     if count * (count + 1) // 2 > limit:
         raise EnumerationTooLarge(
             "%d vector pairs exceed the limit of %d"
             % (count * (count + 1) // 2, limit))
+
+
+def pair_plan(lattice: Lattice, arity: int, kind: RelationKind,
+              limit: int = 10 ** 7) -> PairPlan:
+    """The PairPlan of a pairwise kind, built once per (arity, kind).
+
+    Related y are grown from letter-compatibility bitsets in time
+    proportional to the output, with the positions of x v y and x ^ y
+    carried digit by digit.  Plans are cached on the lattice because
+    the supremal and infimal checks of every table, the census and the
+    sampled lemma tables all walk the same relation on the same lattice.
+    """
+    _guard_pairs(lattice, arity, limit)
+    key = (arity, kind)
+    plan = lattice._pair_cache.get(key)
+    if plan is None:
+        table = compatibility_table(lattice, kind)
+        plan = PairPlan(array("i"), array("i"), array("i"), array("i"))
+        for a, x in enumerate(itertools.product(range(lattice.size),
+                                                repeat=arity)):
+            ys, joins, meets = related_positions(table, lattice, x, a)
+            plan.xs.extend(array("i", (a,)) * len(ys))
+            plan.ys.extend(ys)
+            plan.joins.extend(joins)
+            plan.meets.extend(meets)
+        lattice._pair_cache[key] = plan
+    return plan
+
+
+def relation_pairs(lattice: Lattice, arity: int, kind: RelationKind,
+                   limit: int = 10 ** 7) -> tuple:
+    """All vector pairs (x, y), x lex <= y, standing in the relation.
+
+    The diagonal pairs (x, x) are included, and each vector is one
+    shared tuple however many pairs hold it.  Pairwise kinds are read
+    off the kind's PairPlan; the other kinds test every pair.
+    """
+    _guard_pairs(lattice, arity, limit)
     vectors = list(itertools.product(range(lattice.size), repeat=arity))
     if kind in PAIRWISE_KINDS:
-        table = compatibility_table(lattice, kind)
-        result = tuple(
-            (x, vectors[b]) for a, x in enumerate(vectors)
-            for b in related_positions(table, lattice.size, x, a))
-    else:
-        pairs = []
-        for a in range(len(vectors)):
-            for b in range(a, len(vectors)):
-                if relation_check(lattice, kind, vectors[a],
-                                  vectors[b]).holds:
-                    pairs.append((vectors[a], vectors[b]))
-        result = tuple(pairs)
-    lattice._pair_cache[key] = result
-    return result
+        plan = pair_plan(lattice, arity, kind, limit)
+        return tuple((vectors[a], vectors[b])
+                     for a, b in zip(plan.xs, plan.ys))
+    return tuple((vectors[a], vectors[b])
+                 for a in range(len(vectors))
+                 for b in range(a, len(vectors))
+                 if relation_check(lattice, kind, vectors[a],
+                                   vectors[b]).holds)
 
 
 _SUPREMAL_RELATION = {
@@ -210,14 +249,19 @@ def axiom_check(f: FunctionTable, kind: AxiomKind) -> AxiomCheck:
         checked += 1
         if f(top_vec) != lattice.top:
             return AxiomCheck(kind, False, ("boundary", top_vec), checked)
-        # monotonicity along cover edges of the componentwise order
-        for x in f.domain():
-            fx = values[encode(x, k)]
-            for i in range(n):
-                for c in lattice.upper_covers(x[i]):
-                    y = x[:i] + (c,) + x[i + 1:]
+        # monotonicity along cover edges of the componentwise order; a
+        # step from x_i to its cover c moves the position by the
+        # difference times coordinate i's stride
+        up = lattice._up
+        covers = [lattice.upper_covers(a) for a in range(k)]
+        strides = [k ** (n - 1 - i) for i in range(n)]
+        for pos, x in enumerate(f.domain()):
+            above = up[values[pos]]
+            for i, (v, stride) in enumerate(zip(x, strides)):
+                for c in covers[v]:
                     checked += 1
-                    if not lattice.leq(fx, values[encode(y, k)]):
+                    if not above >> values[pos + (c - v) * stride] & 1:
+                        y = x[:i] + (c,) + x[i + 1:]
                         return AxiomCheck(kind, False, ("monotone", x, y),
                                           checked)
         return AxiomCheck(kind, True, None, checked)
@@ -251,17 +295,18 @@ def axiom_check(f: FunctionTable, kind: AxiomKind) -> AxiomCheck:
         return AxiomCheck(kind, True, None, checked)
 
     if kind in _SUPREMAL_RELATION:
-        pairs = relation_pairs(lattice, n, _SUPREMAL_RELATION[kind])
-        supside = kind in (AxiomKind.COMONOTONE_SUPREMAL,
-                           AxiomKind.G_COMONOTONE_SUPREMAL)
-        op = join_t if supside else meet_t
-        for x, y in pairs:
-            checked += 1
-            combined = tuple(op[a][b] for a, b in zip(x, y))
-            if (values[encode(combined, k)]
-                    != op[values[encode(x, k)]][values[encode(y, k)]]):
-                return AxiomCheck(kind, False, (x, y), checked)
-        return AxiomCheck(kind, True, None, checked)
+        plan = pair_plan(lattice, n, _SUPREMAL_RELATION[kind])
+        if kind in (AxiomKind.COMONOTONE_SUPREMAL,
+                    AxiomKind.G_COMONOTONE_SUPREMAL):
+            op, combined = join_t, plan.joins
+        else:
+            op, combined = meet_t, plan.meets
+        for checked, a, b, c in zip(itertools.count(1), plan.xs, plan.ys,
+                                    combined):
+            if values[c] != op[values[a]][values[b]]:
+                return AxiomCheck(kind, False, (f.decode(a), f.decode(b)),
+                                  checked)
+        return AxiomCheck(kind, True, None, len(plan.xs))
 
     raise ValueError("unknown axiom kind: %r" % (kind,))
 
@@ -312,21 +357,7 @@ def _earlier_bounds(lattice: Lattice, points: list) -> list:
     Each is the AND, over coordinates, of the points whose coordinate
     lies below (above) the point's own, cut to the earlier positions.
     """
-    k, up = lattice.size, lattice._up
-    n = len(points[0])
-    # has[i][u]: the points whose coordinate i is u
-    has = [[0] * k for _ in range(n)]
-    for pos, x in enumerate(points):
-        for i, u in enumerate(x):
-            has[i][u] |= 1 << pos
-    below = [[0] * k for _ in range(n)]
-    above = [[0] * k for _ in range(n)]
-    for i in range(n):
-        for u in range(k):
-            for v in range(k):
-                if up[u] >> v & 1:
-                    below[i][v] |= has[i][u]
-                    above[i][u] |= has[i][v]
+    below, above = order_masks(lattice, len(points[0]))
     out = []
     for pos, x in enumerate(points):
         lo = hi = (1 << pos) - 1

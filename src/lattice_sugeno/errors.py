@@ -56,8 +56,9 @@ def guard_size(base: int, exp: int, things: str, limit: int = 10 ** 7):
     it larger than limit already.
     """
     if base > 1 and exp > limit.bit_length() or base ** exp > limit:
-        raise EnumerationTooLarge("%d^%d %s exceed the limit of %d"
-                                  % (base, exp, things, limit))
+        power = "%d" % base if exp == 1 else "%d^%d" % (base, exp)
+        raise EnumerationTooLarge("%s %s exceed the limit of %d"
+                                  % (power, things, limit))
 
 
 class InvalidCapacity(Error):

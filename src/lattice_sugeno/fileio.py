@@ -7,6 +7,7 @@ text.  Every formatter here is the inverse of the matching parser, so
 emitted files re-parse to equal values.
 """
 
+import math
 import re
 from typing import Sequence
 
@@ -33,18 +34,34 @@ def read_text(path: str) -> str:
 _NEXT_FACTOR = re.compile(r"x(?=(?:chain|boolean|builtin|file):)")
 
 
+#: most elements a lattice spec or file may name: building a lattice
+#: validates its laws in k^3 steps
+ELEMENT_LIMIT = 128
+
+
+def _guard_elements(base: int, exp: int, spec: str):
+    """Refuse a lattice of base^exp elements past ELEMENT_LIMIT, before
+    any of its k x k order rows is built."""
+    guard_size(base, exp, "elements in lattice %s" % spec, ELEMENT_LIMIT)
+
+
 def build_lattice(spec: str) -> Lattice:
     """Resolve a lattice spec string.
 
     Accepted forms: chain:<k>, boolean:<m>, prod:<spec>x<spec>[x...],
     builtin:N5, builtin:M3, file:<path>.  A prod: body splits only at an
     x that starts another factor spec, and a file: factor runs to the
-    end, so paths may contain x.
+    end, so paths may contain x.  A lattice of more than ELEMENT_LIMIT
+    elements is refused with EnumerationTooLarge.
     """
     if spec.startswith("chain:"):
-        return chain(_positive_int(spec[6:], spec))
+        k = _positive_int(spec[6:], spec)
+        _guard_elements(k, 1, spec)
+        return chain(k)
     if spec.startswith("boolean:"):
-        return boolean_lattice(_positive_int(spec[8:], spec))
+        m = _positive_int(spec[8:], spec)
+        _guard_elements(2, m, spec)
+        return boolean_lattice(m)
     if spec.startswith("prod:"):
         parts = []
         body = spec[5:]
@@ -58,7 +75,9 @@ def build_lattice(spec: str) -> Lattice:
         if len(parts) < 2:
             raise ParseError("prod: needs at least two factor specs",
                              path=spec)
-        return product([build_lattice(p) for p in parts])
+        factors = [build_lattice(p) for p in parts]
+        _guard_elements(math.prod(f.size for f in factors), 1, spec)
+        return product(factors)
     if spec.startswith("builtin:"):
         name = spec[8:]
         if name == "N5":
@@ -136,6 +155,7 @@ def parse_lattice(text: str, path: str = "<input>") -> Lattice:
         raise ParseError("missing lattice line", path)
     if elements is None:
         raise ParseError("missing elements line", path)
+    _guard_elements(len(elements), 1, path)
     for word, (elem, lineno) in declared.items():
         if elem not in elements:
             raise ParseError("%s element %r is not in the elements list"

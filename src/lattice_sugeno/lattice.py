@@ -78,6 +78,7 @@ class Lattice:
         self._distributive_witness: tuple | None = None
         self._upper_covers: tuple | None = None
         self._lower_covers: tuple | None = None
+        # (arity, relation kind) -> axioms.PairPlan, built on first use
         self._pair_cache: dict = {}
 
     def _bound_table(self, rows, greatest: bool):

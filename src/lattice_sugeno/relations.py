@@ -179,46 +179,82 @@ def compatibility_table(lattice: Lattice, kind: RelationKind) -> list:
     return table
 
 
-def related_positions(table: list, k: int, x: tuple,
-                      floor: int = 0) -> list:
-    """Mixed-radix positions of the y related to x, in increasing order.
+def related_positions(table: list, lattice: Lattice, x: tuple,
+                      floor: int = 0) -> tuple:
+    """The y related to x, as three lists of mixed-radix positions:
+    y itself in increasing order, then x v y and x ^ y pair by pair.
 
-    ``table`` is a compatibility_table over k elements.  y is grown one
+    ``table`` is a compatibility_table of the lattice.  y is grown one
     coordinate at a time: the values allowed at coordinate j are the
     AND of the table rows of the letters already chosen, so only
-    prefixes of related vectors are visited.  Positions below
-    ``floor`` are pruned as soon as their prefix falls below floor's.
+    prefixes of related vectors are visited.  The positions of x v y
+    and x ^ y grow digit by digit alongside, so nothing is decoded.
+    Positions below ``floor`` are pruned as soon as their prefix falls
+    below floor's.
     """
+    k, join, meet = lattice.size, lattice._join, lattice._meet
     n = len(x)
-    # (prefix position, allowed-value masks of the coordinates still open)
-    frontier = [(0, ((1 << k) - 1,) * n)]
+    # (prefix positions of y, x v y and x ^ y, allowed-value masks of
+    # the coordinates still open)
+    frontier = [(0, 0, 0, ((1 << k) - 1,) * n)]
     for j in range(n - 1):
         later = x[j + 1:]
         lo = floor // k ** (n - 1 - j)
         letters = table[x[j] * k:(x[j] + 1) * k]
+        join_x, meet_x = join[x[j]], meet[x[j]]
         grown = []
-        for pos, masks in frontier:
+        for pos, pos_join, pos_meet, masks in frontier:
             allowed = masks[0]
             rest = masks[1:]
-            base = pos * k
+            base, base_join, base_meet = pos * k, pos_join * k, pos_meet * k
             while allowed:
                 low = allowed & -allowed
                 allowed ^= low
                 d = low.bit_length() - 1
                 if base + d >= lo:
                     row = letters[d]
-                    grown.append((base + d, tuple(
-                        [m & row[c] for m, c in zip(rest, later)])))
+                    still_open = tuple([m & row[c]
+                                        for m, c in zip(rest, later)])
+                    grown.append((base + d, base_join + join_x[d],
+                                  base_meet + meet_x[d], still_open))
         frontier = grown
-    out = []
-    for pos, (allowed,) in frontier:
-        base = pos * k
+    ys, joins, meets = [], [], []
+    join_x, meet_x = join[x[-1]], meet[x[-1]]
+    for pos, pos_join, pos_meet, (allowed,) in frontier:
+        base, base_join, base_meet = pos * k, pos_join * k, pos_meet * k
         while allowed:
             low = allowed & -allowed
             allowed ^= low
-            if base + low.bit_length() - 1 >= floor:
-                out.append(base + low.bit_length() - 1)
-    return out
+            d = low.bit_length() - 1
+            if base + d >= floor:
+                ys.append(base + d)
+                joins.append(base_join + join_x[d])
+                meets.append(base_meet + meet_x[d])
+    return ys, joins, meets
+
+
+def order_masks(lattice: Lattice, n: int) -> tuple:
+    """(below, above): ``below[i][v]`` is the bitmask, over the k^n
+    positions in product order, of the vectors whose coordinate i lies
+    below v; ``above[i][v]`` of those whose coordinate i lies above v.
+
+    The positions with digit u at coordinate i form one block of
+    k^(n-1-i) bits per period of k^(n-i); multiplying a period's blocks
+    by a repunit with one bit per period repeats them over the domain.
+    """
+    k, up = lattice.size, lattice._up
+    total = k ** n
+    below, above = [], []
+    for i in range(n):
+        stride = k ** (n - 1 - i)
+        period = stride * k
+        repeat = ((1 << total) - 1) // ((1 << period) - 1)
+        digit = [((1 << stride) - 1) << (u * stride) for u in range(k)]
+        below.append([sum(digit[u] for u in range(k) if up[u] >> v & 1)
+                      * repeat for v in range(k)])
+        above.append([sum(digit[u] for u in range(k) if up[v] >> u & 1)
+                      * repeat for v in range(k)])
+    return below, above
 
 
 def encode(x: Sequence[int], k: int) -> int:
@@ -247,10 +283,9 @@ def relation_region(lattice: Lattice, kind: RelationKind,
     x = check_vector(lattice, x)
     vectors = all_vectors(lattice, len(x), limit)  # raises past the limit
     if kind in PAIRWISE_KINDS:
-        k = lattice.size
         table = compatibility_table(lattice, kind)
-        return tuple(decode(pos, k, len(x))
-                     for pos in related_positions(table, k, x))
+        return tuple(decode(pos, lattice.size, len(x))
+                     for pos in related_positions(table, lattice, x)[0])
     return tuple(y for y in vectors
                  if relation_check(lattice, kind, x, y).holds)
 

@@ -42,7 +42,16 @@ from .capacity import enumerate_capacities, sample_capacities
 from .errors import EnumerationTooLarge, NotDistributive, guard_size
 from .lattice import Lattice, is_distributive
 from .recognizer import RecognitionMethod, recognize
-from .relations import RelationKind, all_vectors, relation_check
+from .relations import (
+    RelationKind,
+    all_vectors,
+    compatibility_table,
+    encode,
+    order_masks,
+    related_positions,
+)
+# unused here, but perfbench/tracing.py wraps this name in this module
+from .relations import relation_check  # noqa: F401
 
 SCOPES = ("thm1", "thm2", "thm3", "prop1", "example1", "lemmas", "all")
 
@@ -71,6 +80,83 @@ def _fmt(lattice: Lattice, x) -> str:
     return "(%s)" % ",".join(lattice.elements[v] for v in x)
 
 
+class _VerdictRows:
+    """Verdict rows of one lattice and arity: for an anchor x and a
+    relation kind, the bitmask over the k^n positions (product order)
+    of the y that x is related to.
+
+    Pairwise kinds come from the relation's compatibility table, grown
+    in time proportional to the row; comparable is the AND of the
+    coordinates' up-masks OR'd with the AND of their down-masks.  Rows
+    are built per anchor and dropped, so no N x N matrix is kept.
+    """
+
+    def __init__(self, lattice: Lattice, arity: int):
+        self.lattice = lattice
+        self.below, self.above = order_masks(lattice, arity)
+        self.tables = {}
+
+    def __call__(self, kind: RelationKind, x: tuple) -> int:
+        if kind is RelationKind.COMPARABLE:
+            lo = hi = -1
+            for i, v in enumerate(x):
+                lo &= self.below[i][v]
+                hi &= self.above[i][v]
+            return lo | hi
+        table = self.tables.get(kind)
+        if table is None:
+            table = self.tables[kind] = compatibility_table(self.lattice,
+                                                            kind)
+        row = 0
+        for pos in related_positions(table, self.lattice, x)[0]:
+            row |= 1 << pos
+        return row
+
+
+def _lowest(mask: int) -> int:
+    """Position of the lowest set bit: the first witness of a row."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _subsetwise_rows(lattice: Lattice, x: tuple, vectors: list) -> tuple:
+    """Verdict rows of the subsetwise join and meet kinds for anchor x.
+
+    Every nonempty coordinate subset is visited in increasing mask
+    order; a subset's meets and joins extend those of the subset
+    without its lowest coordinate, so each identity costs a few table
+    lookups on already-validated element indices.
+    """
+    meet, join = lattice._meet, lattice._join
+    size = 1 << len(x)
+    subsets = [(mask, mask & (mask - 1), _lowest(mask))
+               for mask in range(1, size)]
+    x_meets = [lattice.top] * size
+    x_joins = [lattice.bottom] * size
+    for mask, rest, i in subsets:
+        x_meets[mask] = meet[x_meets[rest]][x[i]]
+        x_joins[mask] = join[x_joins[rest]][x[i]]
+    y_meets = [lattice.top] * size
+    y_joins = [lattice.bottom] * size
+    meet_of_joins = [lattice.top] * size
+    join_of_meets = [lattice.bottom] * size
+    join_row = meet_row = 0
+    for pos, y in enumerate(vectors):
+        join_ok = meet_ok = True
+        for mask, rest, i in subsets:
+            xi, yi = x[i], y[i]
+            y_meets[mask] = meet[y_meets[rest]][yi]
+            y_joins[mask] = join[y_joins[rest]][yi]
+            meet_of_joins[mask] = meet[meet_of_joins[rest]][join[xi][yi]]
+            join_of_meets[mask] = join[join_of_meets[rest]][meet[xi][yi]]
+            if meet_of_joins[mask] != join[x_meets[mask]][y_meets[mask]]:
+                join_ok = False
+            if join_of_meets[mask] != meet[x_joins[mask]][y_joins[mask]]:
+                meet_ok = False
+        join_row |= join_ok << pos
+        meet_row |= meet_ok << pos
+    return join_row, meet_row
+
+
 def suite_duality(lattice: Lattice, arity: int,
                   limit: int = 10 ** 7) -> SuiteResult:
     """thm1: on distributive lattices the interchange identity and its
@@ -80,19 +166,18 @@ def suite_duality(lattice: Lattice, arity: int,
     vectors = list(all_vectors(lattice, arity, limit))
     guard_size(lattice.size, 2 * arity, "vector pairs", limit)
     distributive = is_distributive(lattice)
+    rows = _VerdictRows(lattice, arity)
     divergences = 0
     first = None
-    cases = 0
     for x in vectors:
-        for y in vectors:
-            cases += 1
-            g = relation_check(lattice, RelationKind.G_COMONOTONE, x, y).holds
-            d = relation_check(lattice, RelationKind.DUAL_G_COMONOTONE,
-                               x, y).holds
-            if g != d:
-                divergences += 1
-                if first is None:
-                    first = (x, y, g, d)
+        g = rows(RelationKind.G_COMONOTONE, x)
+        d = rows(RelationKind.DUAL_G_COMONOTONE, x)
+        divergent = g ^ d
+        divergences += divergent.bit_count()
+        if divergent and first is None:
+            b = _lowest(divergent)
+            first = (x, vectors[b], bool(g >> b & 1), bool(d >> b & 1))
+    cases = len(vectors) ** 2
     details = []
     if distributive:
         passed = divergences == 0
@@ -127,22 +212,21 @@ def suite_four_equivalences(lattice: Lattice, arity: int,
     vectors = list(all_vectors(lattice, arity, limit))
     kinds = (RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE,
              RelationKind.SUBSETWISE_JOIN, RelationKind.SUBSETWISE_MEET)
-    cases = 0
-    for x in vectors:
-        for y in vectors:
-            cases += 1
-            verdicts = {relation_check(lattice, k, x, y).holds
-                        for k in kinds}
-            if len(verdicts) > 1:
-                return SuiteResult(
-                    "thm2", False, cases,
-                    ["conditions split at x=%s y=%s: %s"
-                     % (_fmt(lattice, x), _fmt(lattice, y),
-                        " ".join("%s=%s"
-                                 % (k.value,
-                                    relation_check(lattice, k, x, y).holds)
-                                 for k in kinds))])
-    return SuiteResult("thm2", True, cases,
+    rows = _VerdictRows(lattice, arity)
+    for a, x in enumerate(vectors):
+        g = rows(RelationKind.G_COMONOTONE, x)
+        d = rows(RelationKind.DUAL_G_COMONOTONE, x)
+        sj, sm = _subsetwise_rows(lattice, x, vectors)
+        split = (g ^ d) | (g ^ sj) | (g ^ sm)
+        if split:
+            b = _lowest(split)
+            return SuiteResult(
+                "thm2", False, a * len(vectors) + b + 1,
+                ["conditions split at x=%s y=%s: %s"
+                 % (_fmt(lattice, x), _fmt(lattice, vectors[b]),
+                    " ".join("%s=%s" % (k.value, bool(row >> b & 1))
+                             for k, row in zip(kinds, (g, d, sj, sm))))])
+    return SuiteResult("thm2", True, len(vectors) ** 2,
                        ["all four conditions agree on every pair"])
 
 
@@ -228,46 +312,37 @@ def suite_region_closure(lattice: Lattice, arity: int,
                          "four elements; %s has %d"
                          % (lattice.name, lattice.size))
     vectors = list(all_vectors(lattice, arity, limit))
+    if arity not in (2, 3):
+        raise ValueError("example1 runs at arity 2 or 3, not %d" % arity)
+    rows = _VerdictRows(lattice, arity)
+    for a, x in enumerate(vectors):
+        g = rows(RelationKind.G_COMONOTONE, x)
+        union = (rows(RelationKind.COMONOTONE, x)
+                 | rows(RelationKind.COMPARABLE, x))
+        # arity 2: any difference breaks closure; arity 3: a g-comonotone
+        # y outside the union is the strictness witness
+        found = g ^ union if arity == 2 else g & ~union
+        if found:
+            b = _lowest(found)
+            cases = a * len(vectors) + b + 1
+            if arity == 2:
+                return SuiteResult(
+                    "example1", False, cases,
+                    ["closure breaks at x=%s y=%s: g=%s union=%s"
+                     % (_fmt(lattice, x), _fmt(lattice, vectors[b]),
+                        bool(g >> b & 1), bool(union >> b & 1))])
+            return SuiteResult(
+                "example1", True, cases,
+                ["strictness witness: y=%s is g-comonotone with "
+                 "x=%s yet neither comonotone nor comparable"
+                 % (_fmt(lattice, vectors[b]), _fmt(lattice, x))])
+    cases = len(vectors) ** 2
     if arity == 2:
-        cases = 0
-        for x in vectors:
-            for y in vectors:
-                cases += 1
-                in_g = relation_check(lattice, RelationKind.G_COMONOTONE,
-                                      x, y).holds
-                in_union = (
-                    relation_check(lattice, RelationKind.COMONOTONE,
-                                   x, y).holds
-                    or relation_check(lattice, RelationKind.COMPARABLE,
-                                      x, y).holds)
-                if in_g != in_union:
-                    return SuiteResult(
-                        "example1", False, cases,
-                        ["closure breaks at x=%s y=%s: g=%s union=%s"
-                         % (_fmt(lattice, x), _fmt(lattice, y),
-                            in_g, in_union)])
         return SuiteResult("example1", True, cases,
                            ["g-comonotone region = comonotone region union "
                             "comparable region, for every x"])
-    if arity == 3:
-        cases = 0
-        for x in vectors:
-            for y in vectors:
-                cases += 1
-                if (relation_check(lattice, RelationKind.G_COMONOTONE,
-                                   x, y).holds
-                        and not relation_check(
-                            lattice, RelationKind.COMONOTONE, x, y).holds
-                        and not relation_check(
-                            lattice, RelationKind.COMPARABLE, x, y).holds):
-                    return SuiteResult(
-                        "example1", True, cases,
-                        ["strictness witness: y=%s is g-comonotone with "
-                         "x=%s yet neither comonotone nor comparable"
-                         % (_fmt(lattice, y), _fmt(lattice, x))])
-        return SuiteResult("example1", False, cases,
-                           ["no strictness witness exists at arity 3"])
-    raise ValueError("example1 runs at arity 2 or 3, not %d" % arity)
+    return SuiteResult("example1", False, cases,
+                       ["no strictness witness exists at arity 3"])
 
 
 def suite_lemmas(lattice: Lattice, arity: int, seed: int = 0,
@@ -291,34 +366,35 @@ def suite_lemmas(lattice: Lattice, arity: int, seed: int = 0,
     integral_failures = failures if distributive else []
 
     vectors = list(all_vectors(lattice, arity, 10 ** 5))
+    rows = _VerdictRows(lattice, arity)
+    constants = [encode((c,) * arity, lattice.size)
+                 for c in range(lattice.size)]
+    # per constant c, the x not g-comonotone (or dually) with (c,...,c)
+    outliers = [[] for _ in constants]
     for x in vectors:
-        for y in vectors:
-            cases += 1
-            com = relation_check(lattice, RelationKind.COMONOTONE, x, y).holds
-            cmp_ = relation_check(lattice, RelationKind.COMPARABLE, x, y).holds
-            if com or cmp_:
-                g = relation_check(lattice, RelationKind.G_COMONOTONE,
-                                   x, y).holds
-                d = relation_check(lattice, RelationKind.DUAL_G_COMONOTONE,
-                                   x, y).holds
-                if not (g and d):
-                    failures.append("relation inclusion breaks at x=%s y=%s"
-                                    % (_fmt(lattice, x), _fmt(lattice, y)))
+        both = (rows(RelationKind.G_COMONOTONE, x)
+                & rows(RelationKind.DUAL_G_COMONOTONE, x))
+        broken = ((rows(RelationKind.COMONOTONE, x)
+                   | rows(RelationKind.COMPARABLE, x)) & ~both)
+        while broken:
+            b = _lowest(broken)
+            broken &= broken - 1
+            failures.append("relation inclusion breaks at x=%s y=%s"
+                            % (_fmt(lattice, x), _fmt(lattice, vectors[b])))
+        for c, pos in enumerate(constants):
+            if not both >> pos & 1:
+                outliers[c].append(x)
+    cases += len(vectors) ** 2
     details.append("relation inclusions checked on %d pairs"
                    % (len(vectors) ** 2))
 
-    for c in range(lattice.size):
+    for c, xs in enumerate(outliers):
         const = (c,) * arity
-        for x in vectors:
-            cases += 1
-            if not (relation_check(lattice, RelationKind.G_COMONOTONE,
-                                   x, const).holds
-                    and relation_check(lattice,
-                                       RelationKind.DUAL_G_COMONOTONE,
-                                       x, const).holds):
-                constant_failures.append(
-                    "constant vector %s not g-comonotone with %s"
-                    % (_fmt(lattice, const), _fmt(lattice, x)))
+        for x in xs:
+            constant_failures.append(
+                "constant vector %s not g-comonotone with %s"
+                % (_fmt(lattice, const), _fmt(lattice, x)))
+    cases += lattice.size * len(vectors)
     details.append("constant-vector lemma checked on %d pairs"
                    % (lattice.size * len(vectors)))
 

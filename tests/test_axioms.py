@@ -25,7 +25,19 @@ from lattice_sugeno import (
     validate_capacity,
 )
 
-from _oracles import ref_aggregations, ref_axioms, ref_boolean, ref_chain
+from lattice_sugeno.axioms import pair_plan
+
+from _oracles import (
+    ref_aggregations,
+    ref_axioms,
+    ref_boolean,
+    ref_chain,
+    ref_comonotone,
+    ref_g_com,
+    ref_m3,
+    ref_n5,
+    ref_product,
+)
 
 
 def h_table(chain3):
@@ -184,12 +196,65 @@ def test_relation_pair_counts_large(chain5):
     assert len(relation_pairs(chain5, 3, RelationKind.G_COMONOTONE)) == 4209
 
 
-def test_relation_pairs_cached_and_ordered(chain3):
-    first = relation_pairs(chain3, 2, RelationKind.COMONOTONE)
-    assert relation_pairs(chain3, 2, RelationKind.COMONOTONE) is first
+def test_relation_pairs_cached_and_ordered():
+    """One pair plan per (arity, kind) is built once and shared by every
+    later reader; the pairs it yields run x lex <= y, in order."""
+    L = ls.chain(3)
+    first = relation_pairs(L, 2, RelationKind.COMONOTONE)
+    plan = pair_plan(L, 2, RelationKind.COMONOTONE)
+    assert relation_pairs(L, 2, RelationKind.COMONOTONE) == first
+    assert pair_plan(L, 2, RelationKind.COMONOTONE) is plan
+    assert list(L._pair_cache) == [(2, RelationKind.COMONOTONE)]
     for x, y in first:
         assert x <= y
     assert first == tuple(sorted(first))
+
+
+_PAIR_AXIOMS = (
+    (AxiomKind.COMONOTONE_SUPREMAL, ref_comonotone, "join"),
+    (AxiomKind.COMONOTONE_INFIMAL, ref_comonotone, "meet"),
+    (AxiomKind.G_COMONOTONE_SUPREMAL, ref_g_com, "join"),
+    (AxiomKind.G_COMONOTONE_INFIMAL, ref_g_com, "meet"),
+)
+
+
+@pytest.mark.parametrize("L, ref, arity", [
+    (ls.chain(4), ref_chain(4), 3),
+    (ls.boolean_lattice(2), ref_boolean(2), 3),
+    (ls.product([ls.chain(2), ls.chain(3)]),
+     ref_product([ref_chain(2), ref_chain(3)]), 2),
+    (ls.n5(), ref_n5(), 2),
+    (ls.m3(), ref_m3(), 2),
+], ids=["chain4", "boolean2", "prod23", "N5", "M3"])
+def test_pair_axioms_match_an_ordered_oracle_walk(L, ref, arity):
+    """On sampled, mostly non-integral tables and on two integrals, each
+    pair axiom's verdict, witness and pairs_checked equal a walk over
+    the oracle's related pairs (x, y), x lex <= y, in order, stopping
+    at the first failure."""
+    points = list(itertools.product(range(L.size), repeat=arity))
+    tables = sample_aggregations(L, arity, 6, seed=11) + [
+        sugeno_table(m) for m in ls.sample_capacities(L, arity, 2, seed=11)]
+    failures = 0
+    for f in tables:
+        for kind, related, opname in _PAIR_AXIOMS:
+            op = getattr(ref, opname)
+            witness, count = None, 0
+            for a, x in enumerate(points):
+                for y in points[a:]:
+                    if not related(ref, x, y):
+                        continue
+                    count += 1
+                    combined = tuple(op(u, v) for u, v in zip(x, y))
+                    if f(combined) != op(f(x), f(y)):
+                        witness = (x, y)
+                        break
+                if witness is not None:
+                    break
+            res = axiom_check(f, kind)
+            assert (res.holds, res.witness, res.pairs_checked) == (
+                witness is None, witness, count)
+            failures += witness is not None
+    assert failures
 
 
 def test_relation_pairs_guard(chain11):

@@ -317,6 +317,122 @@ def test_bench_three_chain_pair(capsys):
 # -- failure handling ---------------------------------------------------
 
 
+# The four theorem-suite rows of the benchmark at fixed seeds: exit code
+# and the whole report, byte for byte.
+_PINNED_SUITES = {
+    ('boolean:2', 3, 5): (0, (
+        'thm1: pass (4096 cases)\n'
+        '  distributive lattice: expecting full agreement\n'
+        'thm2: pass (4096 cases)\n'
+        '  all four conditions agree on every pair\n'
+        'thm3: skip (0 cases)\n'
+        '  skipped: domain of 64 points exceeds the exhaustive cap of '
+        '9\n'
+        'prop1: skip (0 cases)\n'
+        '  skipped: prop1 applies to chains; boolean2 is not a chain\n'
+        'example1: skip (0 cases)\n'
+        '  skipped: example1 applies to chains; boolean2 is not a '
+        'chain\n'
+        'lemmas: pass (4412 cases)\n'
+        '  relation inclusions checked on 4096 pairs\n'
+        '  constant-vector lemma checked on 256 pairs\n'
+        '  implication lemmas checked on 50 sampled tables\n'
+        '  integral compliance checked on 10 seeded capacities\n'
+    )),
+    ('chain:4', 3, 6): (0, (
+        'thm1: pass (4096 cases)\n'
+        '  distributive lattice: expecting full agreement\n'
+        'thm2: pass (4096 cases)\n'
+        '  all four conditions agree on every pair\n'
+        'thm3: skip (0 cases)\n'
+        '  skipped: domain of 64 points exceeds the exhaustive cap of '
+        '9\n'
+        'prop1: skip (0 cases)\n'
+        '  skipped: domain of 64 points exceeds the exhaustive cap of '
+        '9\n'
+        'example1: pass (487 cases)\n'
+        '  strictness witness: y=(2,1,2) is g-comonotone with '
+        'x=(0,1,3) yet neither comonotone nor comparable\n'
+        'lemmas: pass (4412 cases)\n'
+        '  relation inclusions checked on 4096 pairs\n'
+        '  constant-vector lemma checked on 256 pairs\n'
+        '  implication lemmas checked on 50 sampled tables\n'
+        '  integral compliance checked on 10 seeded capacities\n'
+    )),
+    ('builtin:N5', 3, 0): (0, (
+        'thm1: pass (15625 cases)\n'
+        '  non-distributive lattice: 1056 divergent pairs, first '
+        'x=(0,0,b) y=(0,c,a) g=True dual=False (recorded)\n'
+        'thm2: skip (0 cases)\n'
+        '  skipped: thm2 asserts equivalence on distributive lattices '
+        'only; run thm1 on N5 for the divergence search\n'
+        'thm3: skip (0 cases)\n'
+        '  skipped: thm3 runs on distributive lattices only\n'
+        'prop1: skip (0 cases)\n'
+        '  skipped: prop1 applies to chains; N5 is not a chain\n'
+        'example1: skip (0 cases)\n'
+        '  skipped: example1 applies to chains; N5 is not a chain\n'
+        'lemmas: pass (16310 cases)\n'
+        '  relation inclusions checked on 15625 pairs\n'
+        '  constant-vector lemma checked on 625 pairs\n'
+        '  implication lemmas checked on 50 sampled tables\n'
+        '  integral compliance checked on 10 seeded capacities\n'
+        '  non-distributive lattice: 48 constant-vector failures, '
+        'first: constant vector (a,a,a) not g-comonotone with (0,b,c) '
+        '(recorded)\n'
+        '  non-distributive lattice: 50 integral-axiom failures, '
+        'first: integral of (0, 3, 3, 3, 2, 4, 4, 4) fails '
+        'inf_homogeneous (recorded)\n'
+    )),
+    ('chain:3', 2, 7): (1, (
+        'thm1: pass (81 cases)\n'
+        '  distributive lattice: expecting full agreement\n'
+        'thm2: pass (81 cases)\n'
+        '  all four conditions agree on every pair\n'
+        'thm3: FAIL (136 cases)\n'
+        '  136 aggregation tables, 9 capacities\n'
+        '  condition inf_homogeneous & g_comonotone_supremal: 9 '
+        'satisfiers\n'
+        '  condition sup_homogeneous & g_comonotone_infimal: 9 '
+        'satisfiers\n'
+        '  condition inf_homogeneous & comonotone_supremal: 9 '
+        'satisfiers\n'
+        '  condition sup_homogeneous & comonotone_infimal: 9 '
+        'satisfiers\n'
+        '  condition comonotone_supremal & comonotone_infimal: 27 '
+        'satisfiers\n'
+        '  condition g_comonotone_supremal & g_comonotone_infimal: 27 '
+        'satisfiers\n'
+        '  condition boolean_sup_homogeneous & '
+        'boolean_inf_homogeneous: 9 satisfiers\n'
+        '  all seven conditions: 9 satisfiers\n'
+        '  satisfiers equal the integral tables: True\n'
+        '  each satisfier integrates its recovered capacity: True\n'
+        '  CONDITIONS DISAGREE on 18 tables; first [0, 0, 0, 0, 0, 0, '
+        '0, 0, 2] with verdicts 0000110\n'
+        'prop1: pass (136 cases)\n'
+        '  9 of 136 tables selected; equal to the 9 integral tables: '
+        'True\n'
+        'example1: pass (81 cases)\n'
+        '  g-comonotone region = comonotone region union comparable '
+        'region, for every x\n'
+        'lemmas: pass (168 cases)\n'
+        '  relation inclusions checked on 81 pairs\n'
+        '  constant-vector lemma checked on 27 pairs\n'
+        '  implication lemmas checked on 50 sampled tables\n'
+        '  integral compliance checked on 10 seeded capacities\n'
+    )),
+}
+
+
+@pytest.mark.parametrize("spec, arity, seed", sorted(_PINNED_SUITES),
+                         ids=lambda v: str(v))
+def test_suite_all_stdout_is_pinned(capsys, spec, arity, seed):
+    code, out, _ = run(capsys, "theorem-suite", "all", "--lattice", spec,
+                       "--arity", str(arity), "--seed", str(seed))
+    assert (code, out) == _PINNED_SUITES[spec, arity, seed]
+
+
 def test_unknown_element_is_a_usage_error(capsys):
     code, out, err = run(capsys, "relations", "--lattice", "chain:3",
                          "--x", "(9,1)", "--y", "(0,0)",
@@ -392,9 +508,12 @@ def _cap_memory():
     (["bench", "--lattice", "chain:2", "--arity", "-1"], "usage:"),
     (["region", "--lattice", "chain:3", "--x", "(0,1)",
       "--kind", "comonotone", "--limit", "-5"], "usage:"),
+    (["lattice-validate", "--lattice", "chain:100000"], "error:"),
+    (["lattice-validate", "--lattice", "prod:" + "x".join(["chain:2"] * 10)],
+     "error:"),
 ], ids=["bench-arity-40", "capacity-arity-62", "table-arity-40",
         "missing-lattice-file", "missing-file-in-product", "negative-arity",
-        "negative-limit"])
+        "negative-limit", "huge-chain", "huge-product"])
 def test_malformed_input_exits_two(oversized, argv, prefix):
     src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
     proc = subprocess.run(

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import lattice_sugeno as ls
@@ -32,6 +34,23 @@ H_VALUES = [0] + [2] * 8
 
 
 # -- lattice specs ------------------------------------------------------
+
+
+def test_oversized_lattices_are_refused_before_building():
+    """Past 128 elements a spec or file is refused from its element
+    count alone, before the lattice is built."""
+    assert build_lattice("chain:128").size == 128
+    for spec, count in (("chain:129", "129"), ("boolean:8", "2^8"),
+                        ("boolean:" + "9" * 30, "2^" + "9" * 30),
+                        ("prod:chain:16xchain:9", "144")):
+        with pytest.raises(EnumerationTooLarge,
+                           match="^%s elements in lattice "
+                           % re.escape(count)):
+            build_lattice(spec)
+    text = "lattice big\nelements %s\n" % " ".join(
+        "e%d" % i for i in range(200))
+    with pytest.raises(EnumerationTooLarge, match="^200 elements"):
+        parse_lattice(text)
 
 
 def test_build_lattice_specs(chain4, bool3, prod23, n5, m3):

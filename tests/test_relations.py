@@ -18,6 +18,12 @@ from lattice_sugeno import (
 from lattice_sugeno.axioms import relation_pairs
 from lattice_sugeno.cli import build_parser
 from lattice_sugeno.errors import guard_size
+from lattice_sugeno.suites import (
+    _VerdictRows,
+    _subsetwise_rows,
+    suite_duality,
+    suite_lemmas,
+)
 
 from _oracles import (
     RefLattice,
@@ -535,3 +541,81 @@ def test_engine_matches_oracle_on_random_lattices(family, arity, kind, data):
     assert relation_pairs(L, arity, kind) == _brute_pairs(ref, kind, arity)
     x = tuple(data.draw(st.integers(0, L.size - 1)) for _ in range(arity))
     assert relation_region(L, kind, x) == _brute_region(ref, kind, x)
+
+
+# -- the verdict rows of the theorem suites ----------------------------------
+
+
+def _ref_row(ref, kind, x, vectors):
+    return sum(1 << b for b, y in enumerate(vectors) if _REF[kind](ref, x, y))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sets(st.integers(0, 7)), st.integers(1, 3))
+def test_verdict_rows_match_oracle_on_random_lattices(family, arity):
+    """Every row of every kind, the two subsetwise kinds included,
+    equals the definitional sweep over all y."""
+    L, ref = _closure_lattice(family)
+    if L.size ** arity > 64:
+        arity = 2
+    vectors = list(itertools.product(range(L.size), repeat=arity))
+    rows = _VerdictRows(L, arity)
+    for x in vectors:
+        for kind in (RelationKind.COMONOTONE, RelationKind.COMPARABLE,
+                     RelationKind.G_COMONOTONE,
+                     RelationKind.DUAL_G_COMONOTONE):
+            assert rows(kind, x) == _ref_row(ref, kind, x, vectors)
+        assert _subsetwise_rows(L, x, vectors) == (
+            _ref_row(ref, RelationKind.SUBSETWISE_JOIN, x, vectors),
+            _ref_row(ref, RelationKind.SUBSETWISE_MEET, x, vectors))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sets(st.integers(0, 7)), st.integers(1, 2))
+def test_thm1_and_lemmas_match_an_oracle_sweep(family, arity):
+    """thm1's divergence count and first witness, and the relation
+    inclusion and constant-vector failures of lemmas, equal a sweep of
+    every ordered pair through the reference relations."""
+    L, ref = _closure_lattice(family)
+    vectors = list(itertools.product(range(L.size), repeat=arity))
+
+    def fmt(v):
+        return "(%s)" % ",".join(L.elements[i] for i in v)
+
+    divergent = [(x, y) for x in vectors for y in vectors
+                 if ref_g_com(ref, x, y) != ref_dual_g_com(ref, x, y)]
+    thm1 = suite_duality(L, arity)
+    assert thm1.cases == len(vectors) ** 2
+    if divergent:
+        x, y = divergent[0]
+        first = "x=%s y=%s g=%s dual=%s" % (fmt(x), fmt(y),
+                                            ref_g_com(ref, x, y),
+                                            ref_dual_g_com(ref, x, y))
+        assert first in thm1.details[-1]
+        assert "%d divergent pairs" % len(divergent) in thm1.details[-1]
+    else:
+        assert "DIVERGENCE" not in " ".join(thm1.details)
+
+    def both(x, y):
+        return ref_g_com(ref, x, y) and ref_dual_g_com(ref, x, y)
+
+    inclusion = ["relation inclusion breaks at x=%s y=%s" % (fmt(x), fmt(y))
+                 for x in vectors for y in vectors
+                 if (ref_comonotone(ref, x, y) or ref_comparable(ref, x, y))
+                 and not both(x, y)]
+    constant = ["constant vector %s not g-comonotone with %s"
+                % (fmt((c,) * arity), fmt(x))
+                for c in range(L.size) for x in vectors
+                if not both(x, (c,) * arity)]
+    lemmas = suite_lemmas(L, arity, seed=0, samples=1)
+    assert lemmas.cases == len(vectors) ** 2 + L.size * len(vectors) + 2
+    listed = [d for d in lemmas.details
+              if d.startswith(("relation inclusion breaks",
+                               "constant vector"))]
+    if ls.is_distributive(L):
+        assert listed == (inclusion + constant)[:5]
+    else:
+        assert listed == inclusion[:5]
+        first = ", first: %s" % constant[0] if constant else ""
+        assert ("non-distributive lattice: %d constant-vector failures%s "
+                "(recorded)" % (len(constant), first)) in lemmas.details
