@@ -32,7 +32,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .capacity import Capacity, SugenoForm, sugeno
+from .capacity import Capacity, SugenoForm, _integral
+# unused here, but perfbench/tracing.py wraps this name in this module
+from .capacity import sugeno  # noqa: F401
 from .errors import (
     ArityMismatch,
     EnumerationTooLarge,
@@ -40,15 +42,17 @@ from .errors import (
 )
 from .lattice import Lattice
 from .relations import (
-    PAIRWISE_KINDS,
     RelationKind,
+    _VerdictRows,
+    _positions,
     compatibility_table,
     decode,
     encode,
     order_masks,
     related_positions,
-    relation_check,
 )
+# unused here, but perfbench/tracing.py wraps this name in this module
+from .relations import relation_check  # noqa: F401
 
 DOMAIN_LIMIT = 9  # exhaustive table enumeration caps |L|^n at this
 
@@ -112,7 +116,7 @@ def sugeno_table(m: Capacity,
                  form: SugenoForm = SugenoForm.SUP_OF_MEETS,
                  name: str | None = None) -> FunctionTable:
     """Tabulate the integral of every vector against one capacity."""
-    values = [sugeno(m, x, form) for x in
+    values = [_integral(m, x, form) for x in
               itertools.product(range(m.lattice.size), repeat=m.arity)]
     return FunctionTable(m.lattice, m.arity, values,
                          name or "su_" + m.name)
@@ -208,20 +212,14 @@ def relation_pairs(lattice: Lattice, arity: int, kind: RelationKind,
     """All vector pairs (x, y), x lex <= y, standing in the relation.
 
     The diagonal pairs (x, x) are included, and each vector is one
-    shared tuple however many pairs hold it.  Pairwise kinds are read
-    off the kind's PairPlan; the other kinds test every pair.
+    shared tuple however many pairs hold it.  The pairs of each x are
+    read off its verdict row.
     """
     _guard_pairs(lattice, arity, limit)
     vectors = list(itertools.product(range(lattice.size), repeat=arity))
-    if kind in PAIRWISE_KINDS:
-        plan = pair_plan(lattice, arity, kind, limit)
-        return tuple((vectors[a], vectors[b])
-                     for a, b in zip(plan.xs, plan.ys))
-    return tuple((vectors[a], vectors[b])
-                 for a in range(len(vectors))
-                 for b in range(a, len(vectors))
-                 if relation_check(lattice, kind, vectors[a],
-                                   vectors[b]).holds)
+    rows = _VerdictRows(lattice, arity)
+    return tuple((x, vectors[b]) for a, x in enumerate(vectors)
+                 for b in _positions(rows(kind, x), a))
 
 
 _SUPREMAL_RELATION = {
@@ -350,37 +348,46 @@ def characterization_report(f: FunctionTable) -> CheckReport:
                        pairs_checked_total=total)
 
 
-def _earlier_bounds(lattice: Lattice, points: list) -> list:
-    """Per point of ``points`` (product order), the bitmasks of the
-    earlier points below it and of the earlier points above it.
+def _monotone_fill(lattice: Lattice, arity: int) -> tuple:
+    """How to fill an aggregation table entry by entry in product
+    order: (pinned, choices).
 
-    Each is the AND, over coordinates, of the points whose coordinate
-    lies below (above) the point's own, cut to the earlier positions.
+    ``pinned`` maps the positions of the all-bottom and all-top points
+    to bottom and top.  ``choices(values, pos)`` lists, in element
+    order, the values at pos compatible with every earlier point: above
+    the join of the earlier values below it and under the meet of the
+    earlier values above it.  The earlier points below (above) a point
+    are the AND, over coordinates, of the points whose coordinate lies
+    below (above) its own, cut to the earlier positions.
     """
-    below, above = order_masks(lattice, len(points[0]))
-    out = []
+    points = list(itertools.product(range(lattice.size), repeat=arity))
+    below, above = order_masks(lattice, arity)
+    bounds = []
     for pos, x in enumerate(points):
         lo = hi = (1 << pos) - 1
         for i, v in enumerate(x):
             lo &= below[i][v]
             hi &= above[i][v]
-        out.append((lo, hi))
-    return out
+        bounds.append((lo, hi))
+    pinned = {points.index((lattice.bottom,) * arity): lattice.bottom,
+              points.index((lattice.top,) * arity): lattice.top}
+    up, join_t, meet_t = lattice._up, lattice._join, lattice._meet
 
+    def choices(values: list, pos: int) -> list:
+        lo, hi = bounds[pos]
+        floor, ceil = lattice.bottom, lattice.top
+        while lo:
+            low = lo & -lo
+            lo ^= low
+            floor = join_t[floor][values[low.bit_length() - 1]]
+        while hi:
+            low = hi & -hi
+            hi ^= low
+            ceil = meet_t[ceil][values[low.bit_length() - 1]]
+        return [v for v in range(lattice.size)
+                if up[floor] >> v & 1 and up[v] >> ceil & 1]
 
-def _interval(lattice: Lattice, values: list, lo: int, hi: int) -> tuple:
-    """(join of values over the set bits of lo, meet over those of hi)."""
-    join_t, meet_t = lattice._join, lattice._meet
-    floor, ceil = lattice.bottom, lattice.top
-    while lo:
-        low = lo & -lo
-        lo ^= low
-        floor = join_t[floor][values[low.bit_length() - 1]]
-    while hi:
-        low = hi & -hi
-        hi ^= low
-        ceil = meet_t[ceil][values[low.bit_length() - 1]]
-    return floor, ceil
+    return pinned, choices
 
 
 def enumerate_aggregations(lattice: Lattice, arity: int,
@@ -399,28 +406,17 @@ def enumerate_aggregations(lattice: Lattice, arity: int,
         raise EnumerationTooLarge(
             "domain of %d points exceeds the exhaustive cap of %d"
             % (count, domain_limit))
-    points = list(itertools.product(range(lattice.size), repeat=arity))
-    bounds = _earlier_bounds(lattice, points)
-    bottom_pos = points.index((lattice.bottom,) * arity)
-    top_pos = points.index((lattice.top,) * arity)
-    up = lattice._up
+    pinned, choices = _monotone_fill(lattice, arity)
     values = [lattice.bottom] * count
 
     def extend(pos: int) -> Iterator[FunctionTable]:
         if pos == count:
             yield FunctionTable(lattice, arity, tuple(values))
             return
-        if pos == bottom_pos:
-            candidates = (lattice.bottom,)
-        elif pos == top_pos:
-            candidates = (lattice.top,)
-        else:
-            candidates = range(lattice.size)
-        floor, ceil = _interval(lattice, values, *bounds[pos])
-        for v in candidates:
-            if up[floor] >> v & 1 and up[v] >> ceil & 1:
-                values[pos] = v
-                yield from extend(pos + 1)
+        for v in ((pinned[pos],) if pos in pinned
+                  else choices(values, pos)):
+            values[pos] = v
+            yield from extend(pos + 1)
         values[pos] = lattice.bottom
 
     return extend(0)
@@ -431,32 +427,23 @@ def sample_aggregations(lattice: Lattice, arity: int, count: int,
     """Reproducible random aggregation tables.
 
     Entries are assigned in index order, each drawn uniformly from the
-    elements compatible with every already-assigned comparable point.
-    The feasible set is never empty: pairwise-consistent assignments
-    always leave the interval between the join of the floors and the
-    meet of the ceilings inhabited.
+    elements compatible with every already-assigned comparable point;
+    the all-bottom and all-top points take bottom and top without a
+    draw.  The feasible set is never empty: pairwise-consistent
+    assignments always leave the interval between the join of the
+    floors and the meet of the ceilings inhabited.
     """
     rng = random.Random(seed)
-    points = list(itertools.product(range(lattice.size), repeat=arity))
-    bounds = _earlier_bounds(lattice, points)
-    total = len(points)
-    bottom_pos = points.index((lattice.bottom,) * arity)
-    top_pos = points.index((lattice.top,) * arity)
-    up = lattice._up
+    total = lattice.size ** arity
+    pinned, choices = _monotone_fill(lattice, arity)
     out = []
     for sample_idx in range(count):
         values = [lattice.bottom] * total
         for pos in range(total):
-            if pos == bottom_pos:
-                values[pos] = lattice.bottom
-                continue
-            if pos == top_pos:
-                values[pos] = lattice.top
-                continue
-            floor, ceil = _interval(lattice, values, *bounds[pos])
-            candidates = [v for v in range(lattice.size)
-                          if up[floor] >> v & 1 and up[v] >> ceil & 1]
-            values[pos] = rng.choice(candidates)
+            if pos in pinned:
+                values[pos] = pinned[pos]
+            else:
+                values[pos] = rng.choice(choices(values, pos))
         out.append(FunctionTable(lattice, arity, tuple(values),
                                  name="sample%d" % sample_idx))
     return out

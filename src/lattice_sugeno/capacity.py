@@ -94,12 +94,13 @@ def validate_capacity(lattice: Lattice, arity: int, values: Sequence[int],
         violations.append(("boundary", 0))
     if values[size - 1] != lattice.top:
         violations.append(("boundary", size - 1))
+    up = lattice._up
     for mask in range(size):
         for i in range(arity):
             if mask >> i & 1:
                 continue
             larger = mask | 1 << i
-            if not lattice.leq(values[mask], values[larger]):
+            if not up[values[mask]] >> values[larger] & 1:
                 violations.append(("monotonicity", mask, larger))
     if violations:
         parts = []
@@ -124,18 +125,23 @@ def characteristic_vector(lattice: Lattice, arity: int, mask: int) -> tuple:
 
 def sugeno(m: Capacity, x: Sequence[int],
            form: SugenoForm = SugenoForm.SUP_OF_MEETS) -> int:
-    """Evaluate the integral in the requested form.
+    """Evaluate the integral in the requested form."""
+    x = check_vector(m.lattice, x)
+    if len(x) != m.arity:
+        raise ArityMismatch("vector has %d coordinates, capacity wants %d"
+                            % (len(x), m.arity))
+    return _integral(m, x, form)
+
+
+def _integral(m: Capacity, x: tuple, form: SugenoForm) -> int:
+    """The integral of a vector of m's arity whose coordinates are
+    element indices already known to be valid.
 
     Subset meets and joins of x are tabulated by a low-bit recurrence,
     so the whole evaluation is one pass over the 2^n masks.
     """
     lattice = m.lattice
-    x = check_vector(lattice, x)
-    if len(x) != m.arity:
-        raise ArityMismatch("vector has %d coordinates, capacity wants %d"
-                            % (len(x), m.arity))
-    n = m.arity
-    size = 1 << n
+    size = 1 << m.arity
     meet_t, join_t = lattice._meet, lattice._join
     if form is SugenoForm.SUP_OF_MEETS:
         meets = [lattice.top] * size

@@ -50,20 +50,15 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _load_table(args, lattice):
-    f = parse_table(read_text(args.table), lattice, path=args.table)
-    if args.arity is not None and f.arity != args.arity:
-        raise ParseError("table arity %d does not match --arity %d"
-                         % (f.arity, args.arity), args.table)
-    return f
-
-
-def _load_capacity(args, lattice):
-    m = parse_capacity(read_text(args.capacity), lattice, path=args.capacity)
-    if args.arity is not None and m.arity != args.arity:
-        raise ParseError("capacity arity %d does not match --arity %d"
-                         % (m.arity, args.arity), args.capacity)
-    return m
+def _load(args, lattice, parse, noun: str):
+    """Parse the file named by --table or --capacity (``noun``); its
+    arity must match --arity when that is given."""
+    path = getattr(args, noun)
+    loaded = parse(read_text(path), lattice, path=path)
+    if args.arity is not None and loaded.arity != args.arity:
+        raise ParseError("%s arity %d does not match --arity %d"
+                         % (noun, loaded.arity, args.arity), path)
+    return loaded
 
 
 def cmd_lattice_validate(args) -> int:
@@ -122,7 +117,7 @@ def cmd_region(args) -> int:
 
 def cmd_sugeno(args) -> int:
     lattice = build_lattice(args.lattice)
-    m = _load_capacity(args, lattice)
+    m = _load(args, lattice, parse_capacity, "capacity")
     x = parse_vector(args.x, lattice, where="--x")
     if args.form is not None:
         form = SugenoForm(args.form)
@@ -145,7 +140,7 @@ def cmd_sugeno(args) -> int:
 
 def cmd_axioms(args) -> int:
     lattice = build_lattice(args.lattice)
-    f = _load_table(args, lattice)
+    f = _load(args, lattice, parse_table, "table")
     try:
         report = characterization_report(f)
     except NotAggregation as exc:
@@ -157,7 +152,7 @@ def cmd_axioms(args) -> int:
 
 def cmd_recognize(args) -> int:
     lattice = build_lattice(args.lattice)
-    f = _load_table(args, lattice)
+    f = _load(args, lattice, parse_table, "table")
     method = RecognitionMethod(args.method)
     try:
         result = recognize(f, method,
@@ -182,10 +177,10 @@ def cmd_theorem_suite(args) -> int:
 def cmd_bench(args) -> int:
     lattice = build_lattice(args.lattice)
     if args.table is not None:
-        f = _load_table(args, lattice)
+        f = _load(args, lattice, parse_table, "table")
     else:
         if args.capacity is not None:
-            m = _load_capacity(args, lattice)
+            m = _load(args, lattice, parse_capacity, "capacity")
         else:
             # integral of the plain maximum: top on every nonempty subset
             arity = args.arity if args.arity is not None else 2

@@ -18,7 +18,8 @@ class NoBounds(Error):
 
 
 class NotALattice(Error):
-    """Some pair of elements has no meet or no join, or a lattice law fails."""
+    """Some pair of elements has no meet or no join, or the order is not
+    reflexive or not transitive."""
 
     def __init__(self, message: str, pair: tuple | None = None):
         super().__init__(message)

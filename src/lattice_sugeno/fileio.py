@@ -34,8 +34,9 @@ def read_text(path: str) -> str:
 _NEXT_FACTOR = re.compile(r"x(?=(?:chain|boolean|builtin|file):)")
 
 
-#: most elements a lattice spec or file may name: building a lattice
-#: validates its laws in k^3 steps
+#: most elements a lattice spec or file may name: is_distributive takes
+#: k^3 steps, and the pairwise relations' letter table takes k^4 (it
+#: refuses more than 10^7 entries, so k >= 57, on its own)
 ELEMENT_LIMIT = 128
 
 
@@ -184,6 +185,16 @@ def format_lattice(lattice: Lattice) -> str:
 # -- vectors -----------------------------------------------------------
 
 
+def _parse_element(token: str, lattice: Lattice,
+                   path: str, lineno: int | None = None) -> int:
+    """An element name's index; an unknown name is a ParseError."""
+    token = token.strip()
+    if token not in lattice._index:
+        raise ParseError("unknown element %r in lattice %s"
+                         % (token, lattice.name), path, lineno)
+    return lattice._index[token]
+
+
 def parse_vector(text: str, lattice: Lattice,
                  where: str = "<vector>") -> tuple:
     """Read a "(e1,e2,...)" literal against the lattice's element names."""
@@ -194,14 +205,8 @@ def parse_vector(text: str, lattice: Lattice,
     body = stripped[1:-1].strip()
     if not body:
         raise ParseError("empty vector literal", where)
-    coords = []
-    for token in body.split(","):
-        token = token.strip()
-        if token not in lattice._index:
-            raise ParseError("unknown element %r in lattice %s"
-                             % (token, lattice.name), where)
-        coords.append(lattice._index[token])
-    return tuple(coords)
+    return tuple(_parse_element(token, lattice, where)
+                 for token in body.split(","))
 
 
 def format_vector(lattice: Lattice, x: Sequence[int]) -> str:
@@ -256,15 +261,6 @@ def _parse_subset(token: str, arity: int, path: str, lineno: int) -> int:
                                  path, lineno)
             mask |= 1 << (i - 1)
     return mask
-
-
-def _parse_element(token: str, lattice: Lattice,
-                   path: str, lineno: int) -> int:
-    token = token.strip()
-    if token not in lattice._index:
-        raise ParseError("unknown element %r in lattice %s"
-                         % (token, lattice.name), path, lineno)
-    return lattice._index[token]
 
 
 def parse_capacity(text: str, lattice: Lattice,
@@ -346,9 +342,9 @@ def parse_table(text: str, lattice: Lattice,
 
 def format_table(f: FunctionTable) -> str:
     lines = ["table %s over %s arity %d" % (f.name, f.lattice.name, f.arity)]
-    for x in f.domain():
+    for x, fx in zip(f.domain(), f.values):
         lines.append("%s -> %s" % (format_vector(f.lattice, x),
-                                   f.lattice.elements[f(x)]))
+                                   f.lattice.elements[fx]))
     return "\n".join(lines) + "\n"
 
 

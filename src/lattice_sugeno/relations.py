@@ -15,7 +15,10 @@ opposite directions":
   over every nonempty subset of coordinates instead of pairs.
 
 Checks short-circuit on the first failing identity and report it as a
-witness, along with how many identities were evaluated.
+witness, along with how many identities were evaluated.  Questions over
+the whole domain (regions, related pairs, the theorem suites) read
+verdict rows instead: per anchor x and kind, one bitmask over all k^n
+vectors in product order, built by ``_VerdictRows``.
 """
 
 import itertools
@@ -162,8 +165,10 @@ def compatibility_table(lattice: Lattice, kind: RelationKind) -> list:
     ``[a * k + b][c]`` is a k-bit mask with bit d set when letter (a, b)
     at some coordinate and letter (c, d) at a later one satisfy the
     kind's identity; (x, y) is related exactly when every two of its
-    letters are compatible.  Costs k^4 identity evaluations.
+    letters are compatible.  Costs k^4 identity evaluations, so more
+    than 10^7 of them are refused up front.
     """
+    guard_size(lattice.size, 4, "letter pairs")
     k = lattice.size
     table = []
     for a in range(k):
@@ -274,18 +279,115 @@ def decode(pos: int, k: int, n: int) -> tuple:
     return tuple(out)
 
 
+class _VerdictRows:
+    """Verdict rows of one lattice and arity: for an anchor x and a
+    relation kind, the bitmask over the k^n positions (product order)
+    of the y that x is related to.
+
+    Pairwise kinds come from the relation's compatibility table, grown
+    in time proportional to the row; comparable is the AND of the
+    coordinates' up-masks OR'd with the AND of their down-masks; the
+    two subsetwise kinds come from one pass over every y, kept for the
+    last anchor.  Rows are built per anchor and dropped, so no N x N
+    matrix is kept.
+    """
+
+    def __init__(self, lattice: Lattice, arity: int):
+        self.lattice = lattice
+        self.arity = arity
+        self.masks = None  # order_masks, built for the first comparable row
+        self.tables = {}
+        self.subsetwise = (None, 0, 0)
+
+    def __call__(self, kind: RelationKind, x: tuple) -> int:
+        lattice = self.lattice
+        if kind is RelationKind.COMPARABLE:
+            if self.masks is None:
+                self.masks = order_masks(lattice, self.arity)
+            below, above = self.masks
+            lo = hi = -1
+            for i, v in enumerate(x):
+                lo &= below[i][v]
+                hi &= above[i][v]
+            return lo | hi
+        if kind in PAIRWISE_KINDS:
+            table = self.tables.get(kind)
+            if table is None:
+                table = self.tables[kind] = compatibility_table(lattice, kind)
+            # rows are built as strings of binary digits, position 0
+            # first: OR-ing each bit into an int costs the row's length
+            digits = bytearray(b"0") * lattice.size ** self.arity
+            for pos in related_positions(table, lattice, x)[0]:
+                digits[pos] = 49  # ord("1")
+            return int(digits[::-1], 2)
+        anchor, join_row, meet_row = self.subsetwise
+        if anchor != x:
+            join_row, meet_row = _subsetwise_rows(lattice, x)
+            self.subsetwise = (x, join_row, meet_row)
+        return join_row if kind is RelationKind.SUBSETWISE_JOIN else meet_row
+
+
+def _lowest(mask: int) -> int:
+    """Position of the lowest set bit: the first witness of a row."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _positions(row: int, start: int = 0) -> Iterator[int]:
+    """The set bits of a verdict row from ``start`` on, in increasing
+    order, found in one scan of its binary digits."""
+    bits = bin(row)[:1:-1]
+    pos = bits.find("1", start)
+    while pos >= 0:
+        yield pos
+        pos = bits.find("1", pos + 1)
+
+
+def _subsetwise_rows(lattice: Lattice, x: tuple) -> tuple:
+    """Verdict rows of the subsetwise join and meet kinds for anchor x.
+
+    Every nonempty coordinate subset is visited in increasing mask
+    order; a subset's meets and joins extend those of the subset
+    without its lowest coordinate, so each identity costs a few table
+    lookups on already-validated element indices.
+    """
+    meet, join = lattice._meet, lattice._join
+    size = 1 << len(x)
+    subsets = [(mask, mask & (mask - 1), _lowest(mask))
+               for mask in range(1, size)]
+    x_meets = [lattice.top] * size
+    x_joins = [lattice.bottom] * size
+    for mask, rest, i in subsets:
+        x_meets[mask] = meet[x_meets[rest]][x[i]]
+        x_joins[mask] = join[x_joins[rest]][x[i]]
+    y_meets = [lattice.top] * size
+    y_joins = [lattice.bottom] * size
+    meet_of_joins = [lattice.top] * size
+    join_of_meets = [lattice.bottom] * size
+    # the two rows' binary digits, position 0 first, as for the pairwise
+    # rows; a failing identity clears its y's digit
+    join_digits = bytearray(b"1") * lattice.size ** len(x)
+    meet_digits = bytearray(join_digits)
+    for pos, y in enumerate(itertools.product(range(lattice.size),
+                                              repeat=len(x))):
+        for mask, rest, i in subsets:
+            xi, yi = x[i], y[i]
+            y_meets[mask] = meet[y_meets[rest]][yi]
+            y_joins[mask] = join[y_joins[rest]][yi]
+            meet_of_joins[mask] = meet[meet_of_joins[rest]][join[xi][yi]]
+            join_of_meets[mask] = join[join_of_meets[rest]][meet[xi][yi]]
+            if meet_of_joins[mask] != join[x_meets[mask]][y_meets[mask]]:
+                join_digits[pos] = 48  # ord("0")
+            if join_of_meets[mask] != meet[x_joins[mask]][y_joins[mask]]:
+                meet_digits[pos] = 48
+    return int(join_digits[::-1], 2), int(meet_digits[::-1], 2)
+
+
 def relation_region(lattice: Lattice, kind: RelationKind,
                     x: Sequence[int], limit: int = 10 ** 7) -> tuple:
-    """All vectors y standing in the relation to x, in product order.
-
-    Pairwise kinds are enumerated in time proportional to the region.
-    """
+    """All vectors y standing in the relation to x, in product order:
+    the set bits of x's verdict row.  Pairwise kinds are enumerated in
+    time proportional to the region."""
     x = check_vector(lattice, x)
-    vectors = all_vectors(lattice, len(x), limit)  # raises past the limit
-    if kind in PAIRWISE_KINDS:
-        table = compatibility_table(lattice, kind)
-        return tuple(decode(pos, lattice.size, len(x))
-                     for pos in related_positions(table, lattice, x)[0])
-    return tuple(y for y in vectors
-                 if relation_check(lattice, kind, x, y).holds)
-
+    all_vectors(lattice, len(x), limit)  # raises past the limit
+    row = _VerdictRows(lattice, len(x))(kind, x)
+    return tuple(decode(pos, lattice.size, len(x)) for pos in _positions(row))

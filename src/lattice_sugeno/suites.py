@@ -24,6 +24,10 @@ witness when something fails.  Scope names:
 A suite that cannot apply (wrong lattice shape, domain too large) is
 reported as skipped rather than failed, except where the caller's
 request is outright contradictory.
+
+The relation-quantified suites (thm1, thm2, example1 and the relation
+lemmas) read per-anchor verdict rows from ``relations._VerdictRows``
+and compare them with bitwise operations.
 """
 
 from dataclasses import dataclass, field
@@ -40,15 +44,15 @@ from .axioms import (
 )
 from .capacity import enumerate_capacities, sample_capacities
 from .errors import EnumerationTooLarge, NotDistributive, guard_size
+from .fileio import format_vector
 from .lattice import Lattice, is_distributive
 from .recognizer import RecognitionMethod, recognize
 from .relations import (
     RelationKind,
+    _VerdictRows,
+    _lowest,
     all_vectors,
-    compatibility_table,
     encode,
-    order_masks,
-    related_positions,
 )
 # unused here, but perfbench/tracing.py wraps this name in this module
 from .relations import relation_check  # noqa: F401
@@ -72,89 +76,9 @@ class SuiteResult:
 
 
 def _is_chain(lattice: Lattice) -> bool:
-    return all(lattice.leq(a, b) or lattice.leq(b, a)
-               for a in range(lattice.size) for b in range(lattice.size))
-
-
-def _fmt(lattice: Lattice, x) -> str:
-    return "(%s)" % ",".join(lattice.elements[v] for v in x)
-
-
-class _VerdictRows:
-    """Verdict rows of one lattice and arity: for an anchor x and a
-    relation kind, the bitmask over the k^n positions (product order)
-    of the y that x is related to.
-
-    Pairwise kinds come from the relation's compatibility table, grown
-    in time proportional to the row; comparable is the AND of the
-    coordinates' up-masks OR'd with the AND of their down-masks.  Rows
-    are built per anchor and dropped, so no N x N matrix is kept.
-    """
-
-    def __init__(self, lattice: Lattice, arity: int):
-        self.lattice = lattice
-        self.below, self.above = order_masks(lattice, arity)
-        self.tables = {}
-
-    def __call__(self, kind: RelationKind, x: tuple) -> int:
-        if kind is RelationKind.COMPARABLE:
-            lo = hi = -1
-            for i, v in enumerate(x):
-                lo &= self.below[i][v]
-                hi &= self.above[i][v]
-            return lo | hi
-        table = self.tables.get(kind)
-        if table is None:
-            table = self.tables[kind] = compatibility_table(self.lattice,
-                                                            kind)
-        row = 0
-        for pos in related_positions(table, self.lattice, x)[0]:
-            row |= 1 << pos
-        return row
-
-
-def _lowest(mask: int) -> int:
-    """Position of the lowest set bit: the first witness of a row."""
-    return (mask & -mask).bit_length() - 1
-
-
-def _subsetwise_rows(lattice: Lattice, x: tuple, vectors: list) -> tuple:
-    """Verdict rows of the subsetwise join and meet kinds for anchor x.
-
-    Every nonempty coordinate subset is visited in increasing mask
-    order; a subset's meets and joins extend those of the subset
-    without its lowest coordinate, so each identity costs a few table
-    lookups on already-validated element indices.
-    """
-    meet, join = lattice._meet, lattice._join
-    size = 1 << len(x)
-    subsets = [(mask, mask & (mask - 1), _lowest(mask))
-               for mask in range(1, size)]
-    x_meets = [lattice.top] * size
-    x_joins = [lattice.bottom] * size
-    for mask, rest, i in subsets:
-        x_meets[mask] = meet[x_meets[rest]][x[i]]
-        x_joins[mask] = join[x_joins[rest]][x[i]]
-    y_meets = [lattice.top] * size
-    y_joins = [lattice.bottom] * size
-    meet_of_joins = [lattice.top] * size
-    join_of_meets = [lattice.bottom] * size
-    join_row = meet_row = 0
-    for pos, y in enumerate(vectors):
-        join_ok = meet_ok = True
-        for mask, rest, i in subsets:
-            xi, yi = x[i], y[i]
-            y_meets[mask] = meet[y_meets[rest]][yi]
-            y_joins[mask] = join[y_joins[rest]][yi]
-            meet_of_joins[mask] = meet[meet_of_joins[rest]][join[xi][yi]]
-            join_of_meets[mask] = join[join_of_meets[rest]][meet[xi][yi]]
-            if meet_of_joins[mask] != join[x_meets[mask]][y_meets[mask]]:
-                join_ok = False
-            if join_of_meets[mask] != meet[x_joins[mask]][y_joins[mask]]:
-                meet_ok = False
-        join_row |= join_ok << pos
-        meet_row |= meet_ok << pos
-    return join_row, meet_row
+    full = (1 << lattice.size) - 1
+    return all(up | down == full
+               for up, down in zip(lattice._up, lattice._down))
 
 
 def suite_duality(lattice: Lattice, arity: int,
@@ -184,7 +108,8 @@ def suite_duality(lattice: Lattice, arity: int,
         details.append("distributive lattice: expecting full agreement")
         if first is not None:
             details.append("DIVERGENCE x=%s y=%s g=%s dual=%s"
-                           % (_fmt(lattice, first[0]), _fmt(lattice, first[1]),
+                           % (format_vector(lattice, first[0]),
+                              format_vector(lattice, first[1]),
                               first[2], first[3]))
     else:
         passed = True
@@ -195,8 +120,8 @@ def suite_duality(lattice: Lattice, arity: int,
             details.append(
                 "non-distributive lattice: %d divergent pairs, first "
                 "x=%s y=%s g=%s dual=%s (recorded)"
-                % (divergences, _fmt(lattice, first[0]),
-                   _fmt(lattice, first[1]), first[2], first[3]))
+                % (divergences, format_vector(lattice, first[0]),
+                   format_vector(lattice, first[1]), first[2], first[3]))
     return SuiteResult("thm1", passed, cases, details)
 
 
@@ -216,14 +141,16 @@ def suite_four_equivalences(lattice: Lattice, arity: int,
     for a, x in enumerate(vectors):
         g = rows(RelationKind.G_COMONOTONE, x)
         d = rows(RelationKind.DUAL_G_COMONOTONE, x)
-        sj, sm = _subsetwise_rows(lattice, x, vectors)
+        sj = rows(RelationKind.SUBSETWISE_JOIN, x)
+        sm = rows(RelationKind.SUBSETWISE_MEET, x)
         split = (g ^ d) | (g ^ sj) | (g ^ sm)
         if split:
             b = _lowest(split)
             return SuiteResult(
                 "thm2", False, a * len(vectors) + b + 1,
                 ["conditions split at x=%s y=%s: %s"
-                 % (_fmt(lattice, x), _fmt(lattice, vectors[b]),
+                 % (format_vector(lattice, x),
+                    format_vector(lattice, vectors[b]),
                     " ".join("%s=%s" % (k.value, bool(row >> b & 1))
                              for k, row in zip(kinds, (g, d, sj, sm))))])
     return SuiteResult("thm2", True, len(vectors) ** 2,
@@ -329,13 +256,15 @@ def suite_region_closure(lattice: Lattice, arity: int,
                 return SuiteResult(
                     "example1", False, cases,
                     ["closure breaks at x=%s y=%s: g=%s union=%s"
-                     % (_fmt(lattice, x), _fmt(lattice, vectors[b]),
+                     % (format_vector(lattice, x),
+                        format_vector(lattice, vectors[b]),
                         bool(g >> b & 1), bool(union >> b & 1))])
             return SuiteResult(
                 "example1", True, cases,
                 ["strictness witness: y=%s is g-comonotone with "
                  "x=%s yet neither comonotone nor comparable"
-                 % (_fmt(lattice, vectors[b]), _fmt(lattice, x))])
+                 % (format_vector(lattice, vectors[b]),
+                    format_vector(lattice, x))])
     cases = len(vectors) ** 2
     if arity == 2:
         return SuiteResult("example1", True, cases,
@@ -380,7 +309,8 @@ def suite_lemmas(lattice: Lattice, arity: int, seed: int = 0,
             b = _lowest(broken)
             broken &= broken - 1
             failures.append("relation inclusion breaks at x=%s y=%s"
-                            % (_fmt(lattice, x), _fmt(lattice, vectors[b])))
+                            % (format_vector(lattice, x),
+                               format_vector(lattice, vectors[b])))
         for c, pos in enumerate(constants):
             if not both >> pos & 1:
                 outliers[c].append(x)
@@ -393,7 +323,7 @@ def suite_lemmas(lattice: Lattice, arity: int, seed: int = 0,
         for x in xs:
             constant_failures.append(
                 "constant vector %s not g-comonotone with %s"
-                % (_fmt(lattice, const), _fmt(lattice, x)))
+                % (format_vector(lattice, const), format_vector(lattice, x)))
     cases += lattice.size * len(vectors)
     details.append("constant-vector lemma checked on %d pairs"
                    % (lattice.size * len(vectors)))

@@ -198,7 +198,8 @@ def test_relation_pair_counts_large(chain5):
 
 def test_relation_pairs_cached_and_ordered():
     """One pair plan per (arity, kind) is built once and shared by every
-    later reader; the pairs it yields run x lex <= y, in order."""
+    later pair_plan call; relation_pairs, read off the verdict rows,
+    repeats itself and runs x lex <= y, in order."""
     L = ls.chain(3)
     first = relation_pairs(L, 2, RelationKind.COMONOTONE)
     plan = pair_plan(L, 2, RelationKind.COMONOTONE)

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import resource
 import subprocess
@@ -511,9 +512,11 @@ def _cap_memory():
     (["lattice-validate", "--lattice", "chain:100000"], "error:"),
     (["lattice-validate", "--lattice", "prod:" + "x".join(["chain:2"] * 10)],
      "error:"),
+    (["region", "--lattice", "chain:128", "--arity", "2",
+      "--kind", "g-comonotone", "--x", "(0,1)"], "error:"),
 ], ids=["bench-arity-40", "capacity-arity-62", "table-arity-40",
         "missing-lattice-file", "missing-file-in-product", "negative-arity",
-        "negative-limit", "huge-chain", "huge-product"])
+        "negative-limit", "huge-chain", "huge-product", "huge-letter-table"])
 def test_malformed_input_exits_two(oversized, argv, prefix):
     src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
     proc = subprocess.run(
@@ -550,6 +553,29 @@ def test_reports_are_byte_deterministic(capsys, files):
     second = run(capsys, "region", "--lattice", "chain:3",
                  "--x", "(0,2)", "--kind", "comonotone")
     assert first == second
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    """The benchmark's tracer wraps package names by module and name
+    (importing the CLI above binds every module it patches); a name it
+    wraps that a refactor unbinds fails here, not only in a traced
+    benchmark run."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "tracing", os.path.join(root, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    before = {(m, n): getattr(getattr(ls, m), n)
+              for m, names in tracing._PATCHES.items() for n in names}
+    tracer = tracing.Tracer()
+    tracer.install(ls)
+    try:
+        assert all(getattr(getattr(ls, m), n) is not fn
+                   for (m, n), fn in before.items())
+    finally:
+        tracer.uninstall()
+    assert all(getattr(getattr(ls, m), n) is fn
+               for (m, n), fn in before.items())
 
 
 def test_module_entry_point():

@@ -167,8 +167,12 @@ def test_from_covers_missing_join():
     covers = [("0", "a"), ("0", "b"),
               ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
               ("c", "1"), ("d", "1")]
-    with pytest.raises(NotALattice):
+    with pytest.raises(NotALattice) as info:
         ls.from_covers("bowtie", ["0", "a", "b", "c", "d", "1"], covers)
+    # the meet table is built first, and {c, d} is its first pair with
+    # no greatest common lower bound
+    assert str(info.value) == "elements c and d have no meet"
+    assert info.value.pair == (3, 4)
 
 
 def test_from_covers_no_bounds():

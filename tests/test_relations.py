@@ -18,12 +18,8 @@ from lattice_sugeno import (
 from lattice_sugeno.axioms import relation_pairs
 from lattice_sugeno.cli import build_parser
 from lattice_sugeno.errors import guard_size
-from lattice_sugeno.suites import (
-    _VerdictRows,
-    _subsetwise_rows,
-    suite_duality,
-    suite_lemmas,
-)
+from lattice_sugeno.relations import _VerdictRows, _subsetwise_rows
+from lattice_sugeno.suites import suite_duality, suite_lemmas
 
 from _oracles import (
     RefLattice,
@@ -454,7 +450,7 @@ def test_symmetry_property(which, arity, data):
     assert relation_holds(L, kind, x, y) == relation_holds(L, kind, y, x)
 
 
-# -- the output-sensitive engine of the pairwise kinds ----------------------
+# -- the verdict-row engine: pairwise kinds grown output-sensitively -------
 
 PAIRWISE = [RelationKind.COMONOTONE, RelationKind.G_COMONOTONE,
             RelationKind.DUAL_G_COMONOTONE]
@@ -483,18 +479,18 @@ def _brute_region(ref, kind, x):
                  if _REF[kind](ref, x, y))
 
 
-@pytest.mark.parametrize("kind", PAIRWISE, ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", list(RelationKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("name,arity", [
     (name, arity) for name in _ENGINE_ZOO for arity in (1, 2, 3)
     if _ENGINE_ZOO[name][0].size ** arity <= 125])
 def test_engine_matches_oracle(name, arity, kind):
     """relation_pairs and every region equal the definitional sweep, in
-    value and in order; arity 1 has no coordinate pair, so every pair is
-    related."""
+    value and in order; arity 1 has no coordinate pair, so every pair
+    of a pairwise kind is related."""
     L, ref = _ENGINE_ZOO[name]
     pairs = relation_pairs(L, arity, kind)
     assert pairs == _brute_pairs(ref, kind, arity)
-    if arity == 1:
+    if arity == 1 and kind in PAIRWISE:
         assert len(pairs) == L.size * (L.size + 1) // 2
     for x in itertools.product(range(L.size), repeat=arity):
         assert relation_region(L, kind, x) == _brute_region(ref, kind, x)
@@ -532,6 +528,19 @@ def _closure_lattice(family):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(0, 7)))
+def test_lattice_tables_match_oracle_on_random_lattices(family):
+    """Meets and joins read off the order's down- and up-sets, and the
+    bounds, equal the reference's scan for bounds."""
+    L, ref = _closure_lattice(family)
+    assert (L.bottom, L.top) == (ref.bottom, ref.top)
+    for a in range(L.size):
+        for b in range(L.size):
+            assert L.meet(a, b) == ref.meet(a, b)
+            assert L.join(a, b) == ref.join(a, b)
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.sets(st.integers(0, 7)), st.integers(1, 3),
        st.sampled_from(PAIRWISE), st.data())
 def test_engine_matches_oracle_on_random_lattices(family, arity, kind, data):
@@ -553,8 +562,9 @@ def _ref_row(ref, kind, x, vectors):
 @settings(max_examples=30, deadline=None)
 @given(st.sets(st.integers(0, 7)), st.integers(1, 3))
 def test_verdict_rows_match_oracle_on_random_lattices(family, arity):
-    """Every row of every kind, the two subsetwise kinds included,
-    equals the definitional sweep over all y."""
+    """Every row of every kind, the two subsetwise kinds included (by
+    themselves and through the rows' per-anchor pass), equals the
+    definitional sweep over all y."""
     L, ref = _closure_lattice(family)
     if L.size ** arity > 64:
         arity = 2
@@ -565,9 +575,11 @@ def test_verdict_rows_match_oracle_on_random_lattices(family, arity):
                      RelationKind.G_COMONOTONE,
                      RelationKind.DUAL_G_COMONOTONE):
             assert rows(kind, x) == _ref_row(ref, kind, x, vectors)
-        assert _subsetwise_rows(L, x, vectors) == (
-            _ref_row(ref, RelationKind.SUBSETWISE_JOIN, x, vectors),
-            _ref_row(ref, RelationKind.SUBSETWISE_MEET, x, vectors))
+        expected = (_ref_row(ref, RelationKind.SUBSETWISE_JOIN, x, vectors),
+                    _ref_row(ref, RelationKind.SUBSETWISE_MEET, x, vectors))
+        assert _subsetwise_rows(L, x) == expected
+        assert (rows(RelationKind.SUBSETWISE_JOIN, x),
+                rows(RelationKind.SUBSETWISE_MEET, x)) == expected
 
 
 @settings(max_examples=25, deadline=None)
