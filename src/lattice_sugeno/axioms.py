@@ -30,9 +30,10 @@ import random
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from operator import ne
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .capacity import Capacity, SugenoForm, _integral
+from .capacity import Capacity, SugenoForm, _integral_table
 # unused here, but perfbench/tracing.py wraps this name in this module
 from .capacity import sugeno  # noqa: F401
 from .errors import (
@@ -78,6 +79,19 @@ class FunctionTable:
         self.values = values
         self.name = name
 
+    @classmethod
+    def _trusted(cls, lattice: Lattice, arity: int, values: Sequence[int],
+                 name: str = "f") -> "FunctionTable":
+        """A table of k^n values that are already known to be element
+        indices, such as the package's own integrals and fills or a
+        parsed file's names: built without re-checking each value."""
+        table = cls.__new__(cls)
+        table.lattice = lattice
+        table.arity = arity
+        table.values = tuple(values)
+        table.name = name
+        return table
+
     def index(self, x: Sequence[int]) -> int:
         return encode(x, self.lattice.size)
 
@@ -116,10 +130,9 @@ def sugeno_table(m: Capacity,
                  form: SugenoForm = SugenoForm.SUP_OF_MEETS,
                  name: str | None = None) -> FunctionTable:
     """Tabulate the integral of every vector against one capacity."""
-    values = [_integral(m, x, form) for x in
-              itertools.product(range(m.lattice.size), repeat=m.arity)]
-    return FunctionTable(m.lattice, m.arity, values,
-                         name or "su_" + m.name)
+    return FunctionTable._trusted(m.lattice, m.arity,
+                                  _integral_table(m, form),
+                                  name or "su_" + m.name)
 
 
 class AxiomKind(Enum):
@@ -279,17 +292,31 @@ def axiom_check(f: FunctionTable, kind: AxiomKind) -> AxiomCheck:
         if kind in (AxiomKind.BOOLEAN_INF_HOMOGENEOUS,
                     AxiomKind.BOOLEAN_SUP_HOMOGENEOUS):
             # the abstract {0,1}^n cube: bottom enumerates before top
-            domain = list(itertools.product((lattice.bottom, lattice.top),
-                                            repeat=n))
+            letters = (lattice.bottom, lattice.top)
         else:
-            domain = list(f.domain())
+            letters = range(k)
         op = meet_t if infside else join_t
+
+        def positions(digits) -> list:
+            # positions of the domain's points with each letter replaced
+            # by its digit, in domain order, built one coordinate at a time
+            out = [0]
+            for _ in range(n):
+                out = [p * k + d for p in out for d in digits]
+            return out
+
+        points = positions(letters)
+        fx = [values[a] for a in points]
         for c in range(k):
-            for x in domain:
-                checked += 1
-                scaled = tuple(op[c][v] for v in x)
-                if values[encode(scaled, k)] != op[c][values[encode(x, k)]]:
-                    return AxiomCheck(kind, False, (c, x), checked)
+            scale = op[c]
+            scaled = positions([scale[v] for v in letters])
+            failed = next(itertools.compress(itertools.count(), map(
+                ne, map(values.__getitem__, scaled),
+                map(scale.__getitem__, fx))), None)
+            if failed is not None:
+                return AxiomCheck(kind, False, (c, f.decode(points[failed])),
+                                  checked + failed + 1)
+            checked += len(points)
         return AxiomCheck(kind, True, None, checked)
 
     if kind in _SUPREMAL_RELATION:
@@ -411,7 +438,7 @@ def enumerate_aggregations(lattice: Lattice, arity: int,
 
     def extend(pos: int) -> Iterator[FunctionTable]:
         if pos == count:
-            yield FunctionTable(lattice, arity, tuple(values))
+            yield FunctionTable._trusted(lattice, arity, values)
             return
         for v in ((pinned[pos],) if pos in pinned
                   else choices(values, pos)):
@@ -444,6 +471,6 @@ def sample_aggregations(lattice: Lattice, arity: int, count: int,
                 values[pos] = pinned[pos]
             else:
                 values[pos] = rng.choice(choices(values, pos))
-        out.append(FunctionTable(lattice, arity, tuple(values),
-                                 name="sample%d" % sample_idx))
+        out.append(FunctionTable._trusted(lattice, arity, values,
+                                          name="sample%d" % sample_idx))
     return out

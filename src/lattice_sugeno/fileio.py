@@ -7,6 +7,7 @@ text.  Every formatter here is the inverse of the matching parser, so
 emitted files re-parse to equal values.
 """
 
+import itertools
 import math
 import re
 from typing import Sequence
@@ -311,15 +312,47 @@ def format_capacity(m: Capacity) -> str:
 
 def parse_table(text: str, lattice: Lattice,
                 path: str = "<input>") -> FunctionTable:
-    """Read the function-table file format; every point is required."""
+    """Read the function-table file format; every point is required.
+
+    Well-formed lines are read by one name lookup per token, the
+    position built digit by digit.  From the first line that reading
+    does not take, every line goes through the checks that name the
+    defect, so errors read the same however far the file got.
+    """
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError("empty table file", path)
     lineno, header = lines[0]
     name, arity = _parse_header(header, "table", lattice, path, lineno)
     guard_size(lattice.size, arity, "points")
-    values = [None] * lattice.size ** arity
-    for lineno, line in lines[1:]:
+    k = lattice.size
+    # no empty name, so "()" goes to the checks, which refuse it
+    digit_of = {e: i for e, i in lattice._index.items() if e}.get
+    values = [None] * k ** arity
+    body = lines[1:]
+    taken = 0
+    for lineno, line in body:
+        left, arrow, right = line.partition("->")
+        left = left.strip()
+        if not (arrow and left[:1] == "(" and left[-1:] == ")"):
+            break
+        tokens = left[1:-1].split(",")
+        if len(tokens) != arity:
+            break
+        pos = 0
+        for token in tokens:
+            digit = digit_of(token.strip())
+            if digit is None:
+                break
+            pos = pos * k + digit
+        else:
+            value = digit_of(right.strip())
+            if value is not None and values[pos] is None:
+                values[pos] = value
+                taken += 1
+                continue
+        break
+    for lineno, line in body[taken:]:
         if "->" not in line:
             raise ParseError("expected '(x1,...,xn) -> <element>'",
                              path, lineno)
@@ -328,24 +361,31 @@ def parse_table(text: str, lattice: Lattice,
         if len(x) != arity:
             raise ParseError("vector has %d coordinates, table wants %d"
                              % (len(x), arity), path, lineno)
-        pos = encode(x, lattice.size)
+        pos = encode(x, k)
         if values[pos] is not None:
             raise ParseError("input %s assigned twice"
                              % format_vector(lattice, x), path, lineno)
         values[pos] = _parse_element(right, lattice, path, lineno)
     if None in values:
-        missing = decode(values.index(None), lattice.size, arity)
+        missing = decode(values.index(None), k, arity)
         raise ParseError("missing value for input %s"
                          % format_vector(lattice, missing), path)
-    return FunctionTable(lattice, arity, values, name=name)
+    return FunctionTable._trusted(lattice, arity, values, name=name)
 
 
 def format_table(f: FunctionTable) -> str:
-    lines = ["table %s over %s arity %d" % (f.name, f.lattice.name, f.arity)]
-    for x, fx in zip(f.domain(), f.values):
-        lines.append("%s -> %s" % (format_vector(f.lattice, x),
-                                   f.lattice.elements[fx]))
-    return "\n".join(lines) + "\n"
+    """The table file text.  Point keys are grown from name prefixes one
+    coordinate at a time, and each line ends in one of k^2 precomputed
+    "last name) -> value" tails."""
+    names = f.lattice.elements
+    prefixes = ["("]
+    for _ in range(f.arity - 1):
+        prefixes = [p + e + "," for p in prefixes for e in names]
+    tails = [[e + ") -> " + w for w in names] for e in names]
+    lines = [p + tails[last][v] for (p, last), v in
+             zip(itertools.product(prefixes, range(len(names))), f.values)]
+    return ("table %s over %s arity %d\n" % (f.name, f.lattice.name, f.arity)
+            + "\n".join(lines) + "\n")
 
 
 # -- report rendering --------------------------------------------------

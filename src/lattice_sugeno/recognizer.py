@@ -23,12 +23,14 @@ direct comparison against the sup-of-meets form only.
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, count
+from operator import ne
 
 from .axioms import AxiomKind, FunctionTable, axiom_check
 from .capacity import (
     Capacity,
     SugenoForm,
-    _integral,
+    _integral_table,
     characteristic_vector,
     validate_capacity,
 )
@@ -94,16 +96,23 @@ def _verify_pointwise(f: FunctionTable, m: Capacity,
                       forms: tuple) -> tuple:
     """Compare f with the integral of m at every point, every form.
 
-    Returns (first disagreement or None, comparisons made).
+    Each form is tabulated from its own formula.  The comparisons run
+    point by point in product order and form by form at each point, so
+    the result is the first disagreement in that order (or None) and
+    the number of comparisons made up to it.
     """
-    points = 0
-    for x, fx in zip(f.domain(), f.values):
-        for form in forms:
-            points += 1
-            expected = _integral(m, x, form)
-            if fx != expected:
-                return ("disagreement", x, fx, expected), points
-    return None, points
+    values = f.values
+    first = None  # (position, form rank, expected value)
+    for rank, form in enumerate(forms):
+        expected = _integral_table(m, form)
+        pos = next(compress(count(), map(ne, values, expected)), None)
+        if pos is not None and (first is None or pos < first[0]):
+            first = (pos, rank, expected[pos])
+    if first is None:
+        return None, len(values) * len(forms)
+    pos, rank, expected = first
+    return (("disagreement", f.decode(pos), values[pos], expected),
+            pos * len(forms) + rank + 1)
 
 
 def recognize(f: FunctionTable,

@@ -79,6 +79,22 @@ def test_table_value_validation(chain3):
         FunctionTable(chain3, 0, ())
 
 
+def test_package_built_tables_pass_the_public_checks(n5, prod23):
+    """Integrals, fills and samples skip the per-value check; their
+    values are still tuples of element indices that the public
+    constructor accepts."""
+    for L in (n5, prod23):
+        m = ls.sample_capacities(L, 2, 1, seed=1)[0]
+        tables = ([sugeno_table(m, form) for form in ls.SugenoForm]
+                  + sample_aggregations(L, 2, 3, seed=1)
+                  + list(itertools.islice(enumerate_aggregations(
+                      L, 1, domain_limit=L.size), 3)))
+        for f in tables:
+            assert type(f.values) is tuple
+            again = FunctionTable(L, f.arity, f.values, name=f.name)
+            assert again == f and again.name == f.name
+
+
 def test_table_equality_ignores_name(chain3):
     f = FunctionTable(chain3, 1, (0, 1, 2), name="id")
     g = FunctionTable(chain3, 1, (0, 1, 2), name="other")
@@ -458,6 +474,51 @@ def test_median_table_is_an_integral_satisfier(chain3):
     report = characterization_report(median_table(chain3))
     assert report.consistent
     assert report.condition_verdicts() == (True,) * 7
+
+
+_HOMOGENEITY_AXIOMS = (
+    (AxiomKind.INF_HOMOGENEOUS, "meet", False),
+    (AxiomKind.SUP_HOMOGENEOUS, "join", False),
+    (AxiomKind.BOOLEAN_INF_HOMOGENEOUS, "meet", True),
+    (AxiomKind.BOOLEAN_SUP_HOMOGENEOUS, "join", True),
+)
+
+
+@pytest.mark.parametrize("L, ref, arity", [
+    (ls.chain(4), ref_chain(4), 3),
+    (ls.boolean_lattice(2), ref_boolean(2), 3),
+    (ls.product([ls.chain(2), ls.chain(3)]),
+     ref_product([ref_chain(2), ref_chain(3)]), 2),
+    (ls.n5(), ref_n5(), 2),
+    (ls.m3(), ref_m3(), 1),
+    (ls.chain(1), ref_chain(1), 2),
+], ids=["chain4", "boolean2", "prod23", "N5", "M3", "chain1"])
+def test_homogeneity_matches_an_ordered_oracle_walk(L, ref, arity):
+    """Each homogeneity axiom's verdict, witness and pairs_checked equal
+    a walk over c, then x in product order (the {bottom, top} cube for
+    the Boolean kinds), comparing f(c op x) with c op f(x) through the
+    oracle and stopping at the first failure."""
+    tables = sample_aggregations(L, arity, 6, seed=4) + [
+        sugeno_table(m) for m in ls.sample_capacities(L, arity, 2, seed=4)]
+    failures = 0
+    for f in tables:
+        for kind, opname, boolean in _HOMOGENEITY_AXIOMS:
+            op = getattr(ref, opname)
+            letters = (ref.bottom, ref.top) if boolean else range(ref.size)
+            witness, count = None, 0
+            for c in range(ref.size):
+                for x in itertools.product(letters, repeat=arity):
+                    count += 1
+                    if f(tuple(op(c, v) for v in x)) != op(c, f(x)):
+                        witness = (c, x)
+                        break
+                if witness is not None:
+                    break
+            res = axiom_check(f, kind)
+            assert (res.holds, res.witness, res.pairs_checked) == (
+                witness is None, witness, count)
+            failures += witness is not None
+    assert failures or L.size == 1
 
 
 # -- the order-mask filling against the dense-matrix algorithm it replaced --

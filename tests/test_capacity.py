@@ -17,6 +17,7 @@ from lattice_sugeno import (
     enumerate_capacities,
     sample_capacities,
     sugeno,
+    sugeno_table,
     validate_capacity,
 )
 
@@ -30,6 +31,7 @@ from _oracles import (
     ref_sugeno_inf,
     ref_sugeno_sup,
 )
+from test_relations import _closure_lattice
 
 
 def test_form_tokens():
@@ -310,3 +312,52 @@ def test_sampled_integrals_match_oracle(which, arity, seed, data):
         ref, m.values, x)
     assert sugeno(m, x, SugenoForm.INF_OF_JOINS) == ref_sugeno_inf(
         ref, m.values, x)
+
+
+# -- the tabulation kernel ---------------------------------------------------
+
+_TABLE_ZOO = {
+    "chain1": (ls.chain(1), ref_chain(1)),
+    "chain3": (ls.chain(3), ref_chain(3)),
+    "chain4": (ls.chain(4), ref_chain(4)),
+    "boolean2": (ls.boolean_lattice(2), ref_boolean(2)),
+    "boolean3": (ls.boolean_lattice(3), ref_boolean(3)),
+    "prod23": (ls.product([ls.chain(2), ls.chain(3)]),
+               ref_product([ref_chain(2), ref_chain(3)])),
+    "N5": (ls.n5(), ref_n5()),
+    "M3": (ls.m3(), ref_m3()),
+}
+
+_REF_FORMS = {SugenoForm.SUP_OF_MEETS: ref_sugeno_sup,
+              SugenoForm.INF_OF_JOINS: ref_sugeno_inf}
+
+
+def _ref_table(ref, m, form):
+    return tuple(_REF_FORMS[form](ref, m.values, x) for x in
+                 itertools.product(range(ref.size), repeat=m.arity))
+
+
+@pytest.mark.parametrize("form", list(SugenoForm), ids=lambda f: f.value)
+@pytest.mark.parametrize("name,arity", [
+    (name, arity) for name in _TABLE_ZOO for arity in (1, 2, 3)
+    if _TABLE_ZOO[name][0].size ** arity <= 125])
+def test_sugeno_table_matches_oracle(name, arity, form):
+    """Each form's table equals the literal double loop at every point,
+    on the non-distributive lattices too, for the first capacities in
+    enumeration order and a few sampled ones."""
+    L, ref = _TABLE_ZOO[name]
+    capacities = (list(itertools.islice(enumerate_capacities(L, arity), 20))
+                  + sample_capacities(L, arity, 3, seed=arity))
+    for m in capacities:
+        assert sugeno_table(m, form).values == _ref_table(ref, m, form)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(0, 7)), st.integers(1, 3), st.integers(0, 10 ** 6))
+def test_sugeno_table_matches_oracle_on_random_lattices(family, arity, seed):
+    L, ref = _closure_lattice(family)
+    if L.size ** arity > 216:
+        arity = 2
+    m = sample_capacities(L, arity, 1, seed)[0]
+    for form in SugenoForm:
+        assert sugeno_table(m, form).values == _ref_table(ref, m, form)

@@ -278,6 +278,86 @@ def test_missing_table_point_is_decoded(chain3):
         parse_table("\n".join(lines) + "\n", chain3)
 
 
+def _per_point_text(f):
+    """The table file as it was rendered: one format_vector per point."""
+    lines = ["table %s over %s arity %d" % (f.name, f.lattice.name, f.arity)]
+    for x, fx in zip(f.domain(), f.values):
+        lines.append("%s -> %s" % (format_vector(f.lattice, x),
+                                   f.lattice.elements[fx]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("spec,arity", [
+    ("chain:1", 1), ("chain:1", 3), ("chain:3", 1), ("chain:4", 3),
+    ("boolean:2", 2), ("boolean:3", 2), ("prod:chain:2xchain:3", 2),
+    ("builtin:N5", 3), ("builtin:M3", 2)])
+def test_table_text_pinned_and_round_trips(spec, arity):
+    L = build_lattice(spec)
+    for m in ls.sample_capacities(L, arity, 2, seed=arity):
+        for form in ls.SugenoForm:
+            f = sugeno_table(m, form)
+            text = format_table(f)
+            assert text == _per_point_text(f)
+            again = parse_table(text, L, path="t.tbl")
+            assert again == f and again.name == f.name
+
+
+# the nine points of a chain3 table, (2,1) on line 9 after seven others
+_GOOD_LINES = ["(%d,%d) -> %d" % (a, b, max(a, b))
+               for a in range(3) for b in range(3)]
+
+
+@pytest.mark.parametrize("line,message", [
+    ("(2,1) 2", "t.tbl:9: expected '(x1,...,xn) -> <element>'"),
+    ("2,1 -> 2", "t.tbl: vector literal must be parenthesized, got '2,1 '"),
+    ("() -> 2", "t.tbl: empty vector literal"),
+    ("(2,7) -> 2", "t.tbl: unknown element '7' in lattice chain3"),
+    ("(2,) -> 2", "t.tbl: unknown element '' in lattice chain3"),
+    ("(2,1,0) -> 2", "t.tbl:9: vector has 3 coordinates, table wants 2"),
+    ("(2) -> 2", "t.tbl:9: vector has 1 coordinates, table wants 2"),
+    ("(0,0) -> 0", "t.tbl:9: input (0,0) assigned twice"),
+    ("(2,1) -> 9", "t.tbl:9: unknown element '9' in lattice chain3"),
+    (None, "t.tbl: missing value for input (2,1)"),
+], ids=["arrow", "parens", "empty", "element", "empty-element", "long",
+        "short", "twice", "value", "missing"])
+def test_table_body_errors_pinned(chain3, line, message):
+    """A defect after well-formed lines is reported with the same text,
+    path and line number as a defect on the first line would be."""
+    body = list(_GOOD_LINES)
+    if line is None:
+        del body[7]
+    else:
+        body[7] = line
+    text = "table f over chain3 arity 2\n" + "\n".join(body) + "\n"
+    with pytest.raises(ParseError) as info:
+        parse_table(text, chain3, path="t.tbl")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "t.tbl: empty table file"),
+    ("# only a comment\n", "t.tbl: empty table file"),
+    ("table f chain3 arity 2\n",
+     "t.tbl:1: header must read 'table <name> over <lattice> arity <n>'"),
+    ("table f over chain3 arity x\n",
+     "t.tbl:1: arity must be an integer, got 'x'"),
+    ("table f over chain3 arity 0\n", "t.tbl:1: arity must be positive"),
+], ids=["empty", "comment", "header", "arity", "zero"])
+def test_table_header_errors_pinned(chain3, text, message):
+    with pytest.raises(ParseError) as info:
+        parse_table(text, chain3, path="t.tbl")
+    assert str(info.value) == message
+
+
+def test_table_lines_may_carry_spaces_and_comments(chain3):
+    body = list(_GOOD_LINES)
+    body[0] = "  ( 0 , 0 )  ->  0   # the bottom corner"
+    body[8] = "(2, 2)->2"
+    f = parse_table("table f over chain3 arity 2\n" + "\n".join(body),
+                    chain3)
+    assert f.values == tuple(max(a, b) for a in range(3) for b in range(3))
+
+
 # -- rendered reports ---------------------------------------------------
 
 

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 import lattice_sugeno as ls
 import lattice_sugeno.recognizer as recognizer_module
+from lattice_sugeno.capacity import _integral
 from lattice_sugeno.cli import build_parser
 from lattice_sugeno import (
     AxiomKind,
@@ -228,3 +230,71 @@ def test_pentagon_override_rejects_non_integrals(n5):
     res = recognize(top_heavy, allow_nondistributive=True)
     assert not res.accepted
     assert res.witness[0] == "disagreement"
+
+
+# -- the tabulated re-check against the per-point loop it replaced -----------
+
+
+def _per_point_verify(f, m, forms):
+    """The pointwise re-check as it was: one subset sweep per point and
+    form, in product order, sup before inf."""
+    points = 0
+    for x, fx in zip(f.domain(), f.values):
+        for form in forms:
+            points += 1
+            expected = _integral(m, x, form)
+            if fx != expected:
+                return ("disagreement", x, fx, expected), points
+    return None, points
+
+
+def _perturbed_tables(L, arity, seed):
+    """Integrals of sampled capacities in both forms, and copies with one
+    to three values moved, some late and some early in product order."""
+    rng = random.Random(seed)
+    out = []
+    for m in ls.sample_capacities(L, arity, 3, seed):
+        for form in ls.SugenoForm:
+            base = sugeno_table(m, form)
+            out.append((m, base))
+            for moved in (1, 2, 3):
+                values = list(base.values)
+                for _ in range(moved):
+                    values[rng.randrange(len(values))] = rng.randrange(L.size)
+                out.append((m, FunctionTable(L, arity, values)))
+    return out
+
+
+@pytest.mark.parametrize("spec,arity", [
+    ("chain:3", 2), ("chain:4", 3), ("boolean:2", 3), ("chain:1", 2),
+    ("chain:5", 1), ("prod:chain:2xchain:3", 2), ("builtin:N5", 2),
+    ("builtin:M3", 2)])
+def test_verify_pointwise_pinned_to_the_per_point_loop(spec, arity):
+    """Same first witness and the same comparison count as the per-point
+    loop, in both-form mode everywhere and in the sup-only mode used on
+    non-distributive lattices."""
+    L = ls.build_lattice(spec)
+    both = (ls.SugenoForm.SUP_OF_MEETS, ls.SugenoForm.INF_OF_JOINS)
+    witnesses = 0
+    for seed in (0, 1):
+        for m, f in _perturbed_tables(L, arity, seed):
+            for forms in (both, both[:1]):
+                got = recognizer_module._verify_pointwise(f, m, forms)
+                assert got == _per_point_verify(f, m, forms)
+                witnesses += got[0] is not None
+    assert witnesses or L.size == 1
+
+
+def test_pentagon_sup_only_recheck_pinned(n5):
+    """On N5 the override compares the sup form only: the inf-form
+    integral is refused at the first point where the forms split."""
+    m = next(m for m in enumerate_capacities(n5, 2)
+             if sugeno_table(m).values
+             != sugeno_table(m, ls.SugenoForm.INF_OF_JOINS).values)
+    inf_table = sugeno_table(m, ls.SugenoForm.INF_OF_JOINS)
+    res = recognize(inf_table, allow_nondistributive=True)
+    witness, points = _per_point_verify(
+        inf_table, recover_capacity(inf_table), (ls.SugenoForm.SUP_OF_MEETS,))
+    assert not res.accepted
+    assert (res.witness, res.pairs_checked) == (witness, points)
+    assert res.verification_points == 0
