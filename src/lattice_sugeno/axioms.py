@@ -7,6 +7,9 @@ same order itertools.product uses).  Ten checkable properties are
 provided, from plain monotonicity up to homogeneity and the supremal /
 infimal identities quantified over comonotone or g-comonotone pairs.
 
+Aggregation tables are enumerated and sampled by capacity's monotone
+fill, bounded by the componentwise order of the domain.
+
 Seven two-axiom conjunctions, each claimed to pin down exactly the
 Sugeno integrals, can be evaluated together by characterization_report;
 the report records whether they in fact agree on the given table.
@@ -26,14 +29,13 @@ only for the witness.
 """
 
 import itertools
-import random
 from array import array
 from dataclasses import dataclass
 from enum import Enum
 from operator import ne
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .capacity import Capacity, SugenoForm, _integral_table
+from .capacity import Capacity, SugenoForm, _MonotoneFill, _integral_table
 # unused here, but perfbench/tracing.py wraps this name in this module
 from .capacity import sugeno  # noqa: F401
 from .errors import (
@@ -375,46 +377,27 @@ def characterization_report(f: FunctionTable) -> CheckReport:
                        pairs_checked_total=total)
 
 
-def _monotone_fill(lattice: Lattice, arity: int) -> tuple:
-    """How to fill an aggregation table entry by entry in product
-    order: (pinned, choices).
+def _aggregation_fill(lattice: Lattice, arity: int) -> _MonotoneFill:
+    """Aggregation tables as fills of the domain in product order.
 
-    ``pinned`` maps the positions of the all-bottom and all-top points
-    to bottom and top.  ``choices(values, pos)`` lists, in element
-    order, the values at pos compatible with every earlier point: above
-    the join of the earlier values below it and under the meet of the
-    earlier values above it.  The earlier points below (above) a point
-    are the AND, over coordinates, of the points whose coordinate lies
-    below (above) its own, cut to the earlier positions.
+    The earlier points below (above) a point are the AND, over
+    coordinates, of the points whose coordinate lies below (above) its
+    own, cut to the earlier positions; both are needed, since element
+    indices need not run along the order.  The all-bottom and all-top
+    points are pinned to bottom and top.
     """
-    points = list(itertools.product(range(lattice.size), repeat=arity))
     below, above = order_masks(lattice, arity)
     bounds = []
-    for pos, x in enumerate(points):
+    for pos, x in enumerate(itertools.product(range(lattice.size),
+                                              repeat=arity)):
         lo = hi = (1 << pos) - 1
         for i, v in enumerate(x):
             lo &= below[i][v]
             hi &= above[i][v]
         bounds.append((lo, hi))
-    pinned = {points.index((lattice.bottom,) * arity): lattice.bottom,
-              points.index((lattice.top,) * arity): lattice.top}
-    up, join_t, meet_t = lattice._up, lattice._join, lattice._meet
-
-    def choices(values: list, pos: int) -> list:
-        lo, hi = bounds[pos]
-        floor, ceil = lattice.bottom, lattice.top
-        while lo:
-            low = lo & -lo
-            lo ^= low
-            floor = join_t[floor][values[low.bit_length() - 1]]
-        while hi:
-            low = hi & -hi
-            hi ^= low
-            ceil = meet_t[ceil][values[low.bit_length() - 1]]
-        return [v for v in range(lattice.size)
-                if up[floor] >> v & 1 and up[v] >> ceil & 1]
-
-    return pinned, choices
+    pinned = {encode((lattice.bottom,) * arity, lattice.size): lattice.bottom,
+              encode((lattice.top,) * arity, lattice.size): lattice.top}
+    return _MonotoneFill(lattice, bounds, pinned)
 
 
 def enumerate_aggregations(lattice: Lattice, arity: int,
@@ -433,20 +416,8 @@ def enumerate_aggregations(lattice: Lattice, arity: int,
         raise EnumerationTooLarge(
             "domain of %d points exceeds the exhaustive cap of %d"
             % (count, domain_limit))
-    pinned, choices = _monotone_fill(lattice, arity)
-    values = [lattice.bottom] * count
-
-    def extend(pos: int) -> Iterator[FunctionTable]:
-        if pos == count:
-            yield FunctionTable._trusted(lattice, arity, values)
-            return
-        for v in ((pinned[pos],) if pos in pinned
-                  else choices(values, pos)):
-            values[pos] = v
-            yield from extend(pos + 1)
-        values[pos] = lattice.bottom
-
-    return extend(0)
+    return (FunctionTable._trusted(lattice, arity, values)
+            for values in _aggregation_fill(lattice, arity).tables())
 
 
 def sample_aggregations(lattice: Lattice, arity: int, count: int,
@@ -460,17 +431,7 @@ def sample_aggregations(lattice: Lattice, arity: int, count: int,
     assignments always leave the interval between the join of the
     floors and the meet of the ceilings inhabited.
     """
-    rng = random.Random(seed)
-    total = lattice.size ** arity
-    pinned, choices = _monotone_fill(lattice, arity)
-    out = []
-    for sample_idx in range(count):
-        values = [lattice.bottom] * total
-        for pos in range(total):
-            if pos in pinned:
-                values[pos] = pinned[pos]
-            else:
-                values[pos] = rng.choice(choices(values, pos))
-        out.append(FunctionTable._trusted(lattice, arity, values,
-                                          name="sample%d" % sample_idx))
-    return out
+    fill = _aggregation_fill(lattice, arity)
+    return [FunctionTable._trusted(lattice, arity, values,
+                                   name="sample%d" % sample_idx)
+            for sample_idx, values in enumerate(fill.draws(count, seed))]

@@ -10,12 +10,13 @@ The integral of a vector x against a capacity m comes in two forms:
 * inf of joins:  meet over all subsets I of  m(full - I) v join_{i in I} x_i
 
 On distributive lattices the two forms coincide; elsewhere they may
-differ and both are exposed.
+differ and both are exposed.  Capacities are enumerated and sampled by
+_MonotoneFill, which fills the aggregation tables of axioms as well.
 """
 
 import random
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -199,15 +200,80 @@ def _integral_table(m: Capacity, form: SugenoForm) -> list:
     return [value[mask] for mask in masks]
 
 
-def _candidates(lattice: Lattice, values: list, mask: int,
-                arity: int) -> list:
-    """The elements, in order, above the join of the values already
-    fixed at the lower covers of mask: its monotone choices."""
-    floor = lattice.bottom
-    for i in range(arity):
-        if mask >> i & 1:
-            floor = lattice._join[floor][values[mask & ~(1 << i)]]
-    return [v for v in range(lattice.size) if lattice._up[floor] >> v & 1]
+class _MonotoneFill(NamedTuple):
+    """Fills a table into a lattice entry by entry in position order,
+    monotonely: each entry lies above the earlier entries below it and
+    under the earlier entries above it.
+
+    ``bounds[pos]`` is the pair (lo, hi) of bitmasks over the positions
+    before pos that lie below and above it; ``pinned`` maps positions
+    to the values they take outright.  The options of any other
+    position are the elements, in element order, above every lo entry
+    and under every hi entry: the AND of their up- and down-sets, since
+    an element is above a join exactly when it is above each joinand.
+    Capacities and aggregation tables are both filled by it; only their
+    bounds differ.
+    """
+
+    lattice: Lattice
+    bounds: list
+    pinned: dict
+
+    def _choices(self, values: list, pos: int) -> list:
+        if pos in self.pinned:
+            return [self.pinned[pos]]
+        up, down = self.lattice._up, self.lattice._down
+        lo, hi = self.bounds[pos]
+        allowed = (1 << self.lattice.size) - 1
+        while lo:
+            low = lo & -lo
+            lo ^= low
+            allowed &= up[values[low.bit_length() - 1]]
+        while hi:
+            low = hi & -hi
+            hi ^= low
+            allowed &= down[values[low.bit_length() - 1]]
+        return list(_positions(allowed))
+
+    def tables(self) -> Iterator[tuple]:
+        """Every fill once, in lexicographic order.  The backtracking
+        search keeps one options iterator per fixed position and only
+        ever extends a prefix by an option, so it visits monotone
+        prefixes only."""
+        values = [self.lattice.bottom] * len(self.bounds)
+        stack = [iter(self._choices(values, 0))]
+        while stack:
+            pos = len(stack) - 1
+            values[pos] = next(stack[-1], None)
+            if values[pos] is None:
+                stack.pop()
+            elif pos + 1 == len(values):
+                yield tuple(values)
+            else:
+                stack.append(iter(self._choices(values, pos + 1)))
+
+    def draws(self, count: int, seed: int) -> Iterator[list]:
+        """count fills from one ``random.Random(seed)``: each free entry
+        is drawn by ``rng.choice`` among its options, and pinned entries
+        take their value without a draw."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            values = [self.lattice.bottom] * len(self.bounds)
+            for pos in range(len(values)):
+                values[pos] = (self.pinned[pos] if pos in self.pinned
+                               else rng.choice(self._choices(values, pos)))
+            yield values
+
+
+def _capacity_fill(lattice: Lattice, arity: int) -> _MonotoneFill:
+    """Capacities as fills of the subset table in mask order: each
+    subset lies above its lower covers (the mask less one set bit), and
+    the empty and full sets are pinned to bottom and top."""
+    size = 1 << arity
+    bounds = [(sum(1 << (mask ^ 1 << i) for i in range(arity)
+                   if mask >> i & 1), 0) for mask in range(size)]
+    return _MonotoneFill(lattice, bounds,
+                         {0: lattice.bottom, size - 1: lattice.top})
 
 
 def enumerate_capacities(lattice: Lattice, arity: int,
@@ -222,20 +288,8 @@ def enumerate_capacities(lattice: Lattice, arity: int,
     if arity < 1:
         raise ArityMismatch("capacity arity must be at least 1")
     guard_size(lattice.size, (1 << arity) - 2, "candidate tables", limit)
-    size = 1 << arity
-    values = [lattice.bottom] * size
-    values[size - 1] = lattice.top
-
-    def extend(mask: int) -> Iterator[Capacity]:
-        if mask == size - 1:
-            yield Capacity(lattice, arity, tuple(values))
-            return
-        for v in _candidates(lattice, values, mask, arity):
-            values[mask] = v
-            yield from extend(mask + 1)
-        values[mask] = lattice.bottom
-
-    return extend(1)
+    return (Capacity(lattice, arity, values)
+            for values in _capacity_fill(lattice, arity).tables())
 
 
 def sample_capacities(lattice: Lattice, arity: int, count: int,
@@ -246,14 +300,6 @@ def sample_capacities(lattice: Lattice, arity: int, count: int,
     the elements compatible with the already-fixed lower covers.  Not a
     uniform distribution over capacities, but deterministic per seed.
     """
-    rng = random.Random(seed)
-    size = 1 << arity
-    out = []
-    for k in range(count):
-        values = [lattice.bottom] * size
-        values[size - 1] = lattice.top
-        for mask in range(1, size - 1):
-            values[mask] = rng.choice(
-                _candidates(lattice, values, mask, arity))
-        out.append(Capacity(lattice, arity, values, name="sample%d" % k))
-    return out
+    fill = _capacity_fill(lattice, arity)
+    return [Capacity(lattice, arity, values, name="sample%d" % k)
+            for k, values in enumerate(fill.draws(count, seed))]

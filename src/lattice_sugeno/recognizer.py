@@ -2,13 +2,14 @@
 
 Every aggregation function determines one candidate capacity: its
 values at the characteristic vectors (top on a subset, bottom off it).
-The table is a Sugeno integral exactly when it equals the integral of
-that candidate, which can be decided two ways:
+recognize recovers it once, after the aggregation gate.  The table is a
+Sugeno integral exactly when it equals the integral of that candidate,
+which can be decided two ways:
 
 * boolean_homogeneity: test the two homogeneity identities restricted
-  to {bottom, top}^n inputs (2 * |L| * 2^n identity evaluations), then
-  recover the capacity;
-* direct_comparison: recover the capacity and compare tables pointwise.
+  to {bottom, top}^n inputs (2 * |L| * 2^n identity evaluations);
+* direct_comparison: compare the table with the candidate's integral
+  pointwise.
 
 Whichever method decides, an accepting verdict is only returned after
 re-checking f(x) == integral(x) in both forms at every point.  That
@@ -71,21 +72,12 @@ class RecognitionResult:
 def recover_capacity(f: FunctionTable) -> Capacity:
     """The only capacity f can be an integral of: its values at the
     characteristic vectors.  Monotonicity and the boundary values of f
-    make the result a valid capacity."""
-    _gate(f)
-    return _read_capacity(f)
-
-
-def _gate(f: FunctionTable) -> None:
+    make the result a valid capacity, so f must pass the aggregation
+    gate first; anything else raises NotAggregation."""
     gate = axiom_check(f, AxiomKind.MONOTONE_BOUNDARY)
     if not gate.holds:
         raise NotAggregation("table %s is not an aggregation function"
                              % f.name, witness=gate.witness)
-
-
-def _read_capacity(f: FunctionTable) -> Capacity:
-    """f's values at the characteristic vectors; f must have passed the
-    aggregation gate."""
     lattice, n = f.lattice, f.arity
     values = [f(characteristic_vector(lattice, n, mask))
               for mask in range(1 << n)]
@@ -124,7 +116,7 @@ def recognize(f: FunctionTable,
     side in lexicographic (c, x) order, so refusal witnesses are
     deterministic.
     """
-    _gate(f)
+    m = recover_capacity(f)
 
     forms = (SugenoForm.SUP_OF_MEETS, SugenoForm.INF_OF_JOINS)
     if not is_distributive(f.lattice):
@@ -147,19 +139,14 @@ def recognize(f: FunctionTable,
             if not res.holds:
                 return RecognitionResult(method, False, None,
                                          (tag,) + res.witness, checked, 0)
-        m = _read_capacity(f)
-        witness, points = _verify_pointwise(f, m, forms)
-        if witness is not None:
-            return RecognitionResult(method, False, None, witness,
-                                     checked, points)
-        return RecognitionResult(method, True, m, None, checked, points)
+    elif method is not RecognitionMethod.DIRECT_COMPARISON:
+        raise ValueError("unknown method: %r" % (method,))
 
+    witness, points = _verify_pointwise(f, m, forms)
+    accepted = witness is None
     if method is RecognitionMethod.DIRECT_COMPARISON:
-        m = _read_capacity(f)
-        witness, points = _verify_pointwise(f, m, forms)
-        if witness is not None:
-            return RecognitionResult(method, False, None, witness,
-                                     points, 0)
-        return RecognitionResult(method, True, m, None, points, points)
-
-    raise ValueError("unknown method: %r" % (method,))
+        # the comparisons are the method's own identities; only an
+        # acceptance counts them again as the re-check
+        checked, points = points, points if accepted else 0
+    return RecognitionResult(method, accepted, m if accepted else None,
+                             witness, checked, points)

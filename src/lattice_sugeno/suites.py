@@ -27,7 +27,8 @@ request is outright contradictory.
 
 The relation-quantified suites (thm1, thm2, example1 and the relation
 lemmas) read per-anchor verdict rows from ``relations._VerdictRows``
-and compare them with bitwise operations.
+and compare them with bitwise operations; thm1, thm2 and lemmas
+refuse more than ``limit`` k^2n vector pairs.
 """
 
 from dataclasses import dataclass, field
@@ -75,6 +76,14 @@ class SuiteResult:
         return out
 
 
+def _anchor_vectors(lattice: Lattice, arity: int, limit: int) -> list:
+    """Every vector, listed for a suite that walks each as an anchor:
+    more than ``limit`` vectors or k^2n vector pairs are refused first."""
+    vectors = all_vectors(lattice, arity, limit)
+    guard_size(lattice.size, 2 * arity, "vector pairs", limit)
+    return list(vectors)
+
+
 def _is_chain(lattice: Lattice) -> bool:
     full = (1 << lattice.size) - 1
     return all(up | down == full
@@ -87,8 +96,7 @@ def suite_duality(lattice: Lattice, arity: int,
     dual must agree on every ordered vector pair; on non-distributive
     ones the suite searches for a divergence and records the outcome
     either way."""
-    vectors = list(all_vectors(lattice, arity, limit))
-    guard_size(lattice.size, 2 * arity, "vector pairs", limit)
+    vectors = _anchor_vectors(lattice, arity, limit)
     distributive = is_distributive(lattice)
     rows = _VerdictRows(lattice, arity)
     divergences = 0
@@ -134,7 +142,7 @@ def suite_four_equivalences(lattice: Lattice, arity: int,
             "thm2 asserts equivalence on distributive lattices only; "
             "run thm1 on %s for the divergence search" % lattice.name,
             witness=lattice._distributive_witness)
-    vectors = list(all_vectors(lattice, arity, limit))
+    vectors = _anchor_vectors(lattice, arity, limit)
     kinds = (RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE,
              RelationKind.SUBSETWISE_JOIN, RelationKind.SUBSETWISE_MEET)
     rows = _VerdictRows(lattice, arity)
@@ -275,7 +283,7 @@ def suite_region_closure(lattice: Lattice, arity: int,
 
 
 def suite_lemmas(lattice: Lattice, arity: int, seed: int = 0,
-                 samples: int = 50) -> SuiteResult:
+                 samples: int = 50, limit: int = 10 ** 7) -> SuiteResult:
     """lemmas: the small always-true implications.
 
     Covers: comonotone or comparable vectors are g-comonotone and
@@ -294,7 +302,7 @@ def suite_lemmas(lattice: Lattice, arity: int, seed: int = 0,
     constant_failures = failures if distributive else []
     integral_failures = failures if distributive else []
 
-    vectors = list(all_vectors(lattice, arity, 10 ** 5))
+    vectors = _anchor_vectors(lattice, arity, limit)
     rows = _VerdictRows(lattice, arity)
     constants = [encode((c,) * arity, lattice.size)
                  for c in range(lattice.size)]
@@ -377,35 +385,26 @@ def suite_lemmas(lattice: Lattice, arity: int, seed: int = 0,
 def run_scope(scope: str, lattice: Lattice, arity: int,
               seed: int = 0, limit: int = 10 ** 7) -> list:
     """Run one scope (or all of them) and return SuiteResult list."""
-    if scope == "thm1":
-        return [suite_duality(lattice, arity, limit)]
-    if scope == "thm2":
-        return [suite_four_equivalences(lattice, arity, limit)]
-    if scope == "thm3":
-        return [suite_characterizations(lattice, arity)]
-    if scope == "prop1":
-        return [suite_chain_characterization(lattice, arity)]
-    if scope == "example1":
-        return [suite_region_closure(lattice, arity, limit)]
-    if scope == "lemmas":
-        return [suite_lemmas(lattice, arity, seed)]
-    if scope == "all":
-        results = [suite_duality(lattice, arity, limit)]
-        runners = (
-            ("thm2", lambda: suite_four_equivalences(lattice, arity, limit)),
-            ("thm3", lambda: suite_characterizations(lattice, arity)),
-            ("prop1", lambda: suite_chain_characterization(lattice, arity)),
-            ("example1", lambda: suite_region_closure(lattice, arity, limit)),
-        )
-        for name, runner in runners:
-            try:
-                results.append(runner())
-            except (NotDistributive, ValueError,
-                    EnumerationTooLarge) as exc:
-                results.append(SuiteResult(name, True, 0,
-                                           ["skipped: %s" % exc],
-                                           skipped=True))
-        results.append(suite_lemmas(lattice, arity, seed))
-        return results
-    raise ValueError("unknown scope %r (choose from %s)"
-                     % (scope, ", ".join(SCOPES)))
+    runners = {
+        "thm1": lambda: suite_duality(lattice, arity, limit),
+        "thm2": lambda: suite_four_equivalences(lattice, arity, limit),
+        "thm3": lambda: suite_characterizations(lattice, arity),
+        "prop1": lambda: suite_chain_characterization(lattice, arity),
+        "example1": lambda: suite_region_closure(lattice, arity, limit),
+        "lemmas": lambda: suite_lemmas(lattice, arity, seed, limit=limit),
+    }
+    if scope in runners:
+        return [runners[scope]()]
+    if scope != "all":
+        raise ValueError("unknown scope %r (choose from %s)"
+                         % (scope, ", ".join(SCOPES)))
+    results = []
+    for name, runner in runners.items():
+        try:
+            results.append(runner())
+        except (NotDistributive, ValueError, EnumerationTooLarge) as exc:
+            if name in ("thm1", "lemmas"):  # they apply to every lattice
+                raise
+            results.append(SuiteResult(name, True, 0, ["skipped: %s" % exc],
+                                       skipped=True))
+    return results

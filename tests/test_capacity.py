@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from _oracles import (
     ref_sugeno_inf,
     ref_sugeno_sup,
 )
+from test_axioms import _pinned_lattice
 from test_relations import _closure_lattice
 
 
@@ -290,6 +292,65 @@ def test_samples_are_valid_capacities(n5, prod23):
 def test_sample_names_are_sequential(chain3):
     names = [m.name for m in sample_capacities(chain3, 2, 3, seed=1)]
     assert names == ["sample0", "sample1", "sample2"]
+
+
+def _lower_cover_candidates(L, values, mask, arity):
+    """The elements, in order, above the join of the values at the
+    lower covers of mask."""
+    floor = L.bottom
+    for i in range(arity):
+        if mask >> i & 1:
+            floor = L.join(floor, values[mask & ~(1 << i)])
+    return [v for v in range(L.size) if L.leq(floor, v)]
+
+
+def _cover_sample(L, arity, count, seed):
+    """The capacity sampler as it was with its own candidate loop."""
+    rng = random.Random(seed)
+    size = 1 << arity
+    out = []
+    for _ in range(count):
+        values = [L.bottom] * size
+        values[size - 1] = L.top
+        for mask in range(1, size - 1):
+            values[mask] = rng.choice(
+                _lower_cover_candidates(L, values, mask, arity))
+        out.append(tuple(values))
+    return out
+
+
+def _cover_enumerate(L, arity):
+    """The capacity search as it was with its own candidate loop."""
+    size = 1 << arity
+    values = [L.bottom] * size
+    values[size - 1] = L.top
+    out = []
+
+    def extend(mask):
+        if mask == size - 1:
+            out.append(tuple(values))
+            return
+        for v in _lower_cover_candidates(L, values, mask, arity):
+            values[mask] = v
+            extend(mask + 1)
+
+    extend(1)
+    return out
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("spec", [
+    "chain:4", "boolean:2", "builtin:N5", "builtin:M3",
+    "prod:chain:2xchain:3", "unsorted-N5"])
+def test_capacity_fills_pinned_to_the_cover_loop(spec, arity):
+    # sampled capacities reach the lemmas suite's output, so their exact
+    # values, not only their validity, are part of the contract
+    L = _pinned_lattice(spec)
+    for seed in (0, 9):
+        ours = [m.values for m in sample_capacities(L, arity, 8, seed)]
+        assert ours == _cover_sample(L, arity, 8, seed)
+    ours = [m.values for m in enumerate_capacities(L, arity)]
+    assert ours == _cover_enumerate(L, arity)
 
 
 # -- property probes -------------------------------------------------------

@@ -514,9 +514,14 @@ def _cap_memory():
      "error:"),
     (["region", "--lattice", "chain:128", "--arity", "2",
       "--kind", "g-comonotone", "--x", "(0,1)"], "error:"),
+    (["theorem-suite", "thm2", "--lattice", "chain:4", "--arity", "6"],
+     "error:"),
+    (["theorem-suite", "lemmas", "--lattice", "chain:2", "--arity", "16"],
+     "error:"),
 ], ids=["bench-arity-40", "capacity-arity-62", "table-arity-40",
         "missing-lattice-file", "missing-file-in-product", "negative-arity",
-        "negative-limit", "huge-chain", "huge-product", "huge-letter-table"])
+        "negative-limit", "huge-chain", "huge-product", "huge-letter-table",
+        "huge-thm2", "huge-lemmas"])
 def test_malformed_input_exits_two(oversized, argv, prefix):
     src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
     proc = subprocess.run(
@@ -555,16 +560,21 @@ def test_reports_are_byte_deterministic(capsys, files):
     assert first == second
 
 
-def test_benchmark_tracer_installs_and_uninstalls():
-    """The benchmark's tracer wraps package names by module and name
-    (importing the CLI above binds every module it patches); a name it
-    wraps that a refactor unbinds fails here, not only in a traced
-    benchmark run."""
+def _benchmark_tracing():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
         "tracing", os.path.join(root, "perfbench", "tracing.py"))
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    """The benchmark's tracer wraps package names by module and name
+    (importing the CLI above binds every module it patches); a name it
+    wraps that a refactor unbinds fails here, not only in a traced
+    benchmark run."""
+    tracing = _benchmark_tracing()
     before = {(m, n): getattr(getattr(ls, m), n)
               for m, names in tracing._PATCHES.items() for n in names}
     tracer = tracing.Tracer()
@@ -576,6 +586,20 @@ def test_benchmark_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert all(getattr(getattr(ls, m), n) is fn
                for (m, n), fn in before.items())
+
+
+def test_benchmark_tracer_times_capacity_recovery(capsys, files):
+    """recognize recovers its capacity through the public
+    recover_capacity, so the benchmark's recover span is not empty."""
+    tracer = _benchmark_tracing().Tracer()
+    tracer.install(ls)
+    try:
+        code, _, _ = run(capsys, "recognize", "--lattice", "chain:3",
+                         "--table", files["h.tbl"])
+    finally:
+        tracer.uninstall()
+    assert code in (0, 1)
+    assert tracer.metrics(1)["recognizer.recover_ms"]["value"] > 0
 
 
 def test_module_entry_point():
