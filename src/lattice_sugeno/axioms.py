@@ -42,6 +42,7 @@ from .errors import (
     ArityMismatch,
     EnumerationTooLarge,
     NotAggregation,
+    guard_size,
 )
 from .lattice import Lattice
 from .relations import (
@@ -187,14 +188,6 @@ class PairPlan(NamedTuple):
     meets: array
 
 
-def _guard_pairs(lattice: Lattice, arity: int, limit: int):
-    count = lattice.size ** arity
-    if count * (count + 1) // 2 > limit:
-        raise EnumerationTooLarge(
-            "%d vector pairs exceed the limit of %d"
-            % (count * (count + 1) // 2, limit))
-
-
 def pair_plan(lattice: Lattice, arity: int, kind: RelationKind,
               limit: int = 10 ** 7) -> PairPlan:
     """The PairPlan of a pairwise kind, built once per (arity, kind).
@@ -205,7 +198,8 @@ def pair_plan(lattice: Lattice, arity: int, kind: RelationKind,
     the supremal and infimal checks of every table, the census and the
     sampled lemma tables all walk the same relation on the same lattice.
     """
-    _guard_pairs(lattice, arity, limit)
+    count = lattice.size ** arity
+    guard_size(count * (count + 1) // 2, 1, "vector pairs", limit)
     key = (arity, kind)
     plan = lattice._pair_cache.get(key)
     if plan is None:
@@ -230,7 +224,8 @@ def relation_pairs(lattice: Lattice, arity: int, kind: RelationKind,
     shared tuple however many pairs hold it.  The pairs of each x are
     read off its verdict row.
     """
-    _guard_pairs(lattice, arity, limit)
+    count = lattice.size ** arity
+    guard_size(count * (count + 1) // 2, 1, "vector pairs", limit)
     vectors = list(itertools.product(range(lattice.size), repeat=arity))
     rows = _VerdictRows(lattice, arity)
     return tuple((x, vectors[b]) for a, x in enumerate(vectors)
@@ -382,9 +377,10 @@ def _aggregation_fill(lattice: Lattice, arity: int) -> _MonotoneFill:
 
     The earlier points below (above) a point are the AND, over
     coordinates, of the points whose coordinate lies below (above) its
-    own, cut to the earlier positions; both are needed, since element
-    indices need not run along the order.  The all-bottom and all-top
-    points are pinned to bottom and top.
+    own, cut to the earlier positions and listed once as positions;
+    both are needed, since element indices need not run along the
+    order.  The all-bottom and all-top points are pinned to bottom and
+    top.
     """
     below, above = order_masks(lattice, arity)
     bounds = []
@@ -394,7 +390,7 @@ def _aggregation_fill(lattice: Lattice, arity: int) -> _MonotoneFill:
         for i, v in enumerate(x):
             lo &= below[i][v]
             hi &= above[i][v]
-        bounds.append((lo, hi))
+        bounds.append((tuple(_positions(lo)), tuple(_positions(hi))))
     pinned = {encode((lattice.bottom,) * arity, lattice.size): lattice.bottom,
               encode((lattice.top,) * arity, lattice.size): lattice.top}
     return _MonotoneFill(lattice, bounds, pinned)

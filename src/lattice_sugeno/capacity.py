@@ -205,8 +205,8 @@ class _MonotoneFill(NamedTuple):
     monotonely: each entry lies above the earlier entries below it and
     under the earlier entries above it.
 
-    ``bounds[pos]`` is the pair (lo, hi) of bitmasks over the positions
-    before pos that lie below and above it; ``pinned`` maps positions
+    ``bounds[pos]`` is the pair (lo, hi) of tuples of positions before
+    pos that lie below and above it; ``pinned`` maps positions
     to the values they take outright.  The options of any other
     position are the elements, in element order, above every lo entry
     and under every hi entry: the AND of their up- and down-sets, since
@@ -225,14 +225,10 @@ class _MonotoneFill(NamedTuple):
         up, down = self.lattice._up, self.lattice._down
         lo, hi = self.bounds[pos]
         allowed = (1 << self.lattice.size) - 1
-        while lo:
-            low = lo & -lo
-            lo ^= low
-            allowed &= up[values[low.bit_length() - 1]]
-        while hi:
-            low = hi & -hi
-            hi ^= low
-            allowed &= down[values[low.bit_length() - 1]]
+        for p in lo:
+            allowed &= up[values[p]]
+        for p in hi:
+            allowed &= down[values[p]]
         return list(_positions(allowed))
 
     def tables(self) -> Iterator[tuple]:
@@ -270,8 +266,8 @@ def _capacity_fill(lattice: Lattice, arity: int) -> _MonotoneFill:
     subset lies above its lower covers (the mask less one set bit), and
     the empty and full sets are pinned to bottom and top."""
     size = 1 << arity
-    bounds = [(sum(1 << (mask ^ 1 << i) for i in range(arity)
-                   if mask >> i & 1), 0) for mask in range(size)]
+    bounds = [(tuple(mask ^ 1 << i for i in range(arity) if mask >> i & 1),
+               ()) for mask in range(size)]
     return _MonotoneFill(lattice, bounds,
                          {0: lattice.bottom, size - 1: lattice.top})
 

@@ -119,6 +119,8 @@ def cmd_sugeno(args) -> int:
     lattice = build_lattice(args.lattice)
     m = _load(args, lattice, parse_capacity, "capacity")
     x = parse_vector(args.x, lattice, where="--x")
+    if args.emit_table:
+        guard_size(lattice.size, m.arity, "points", args.limit)
     if args.form is not None:
         form = SugenoForm(args.form)
         value = sugeno(m, x, form)

@@ -4,7 +4,8 @@ and the rendered reports.
 All formats are line-oriented UTF-8 with `#` comments.  Elements are
 referred to by name; coordinates and subset members are 1-based in
 text.  Every formatter here is the inverse of the matching parser, so
-emitted files re-parse to equal values.
+emitted files re-parse to equal values.  Vector literals have one
+grammar, read by the same code in command-line vectors and table lines.
 """
 
 import itertools
@@ -17,7 +18,7 @@ from .capacity import Capacity, format_subset, validate_capacity
 from .errors import LatticeMismatch, ParseError, guard_size
 from .lattice import Lattice, chain, boolean_lattice, from_covers, m3, n5, product
 from .recognizer import RecognitionResult
-from .relations import decode, encode
+from .relations import decode
 
 
 def read_text(path: str) -> str:
@@ -105,8 +106,10 @@ def _positive_int(token: str, spec: str) -> int:
 
 
 def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        line = line.strip()
         if line:
             yield lineno, line
 
@@ -196,18 +199,24 @@ def _parse_element(token: str, lattice: Lattice,
     return lattice._index[token]
 
 
+def _literal_tokens(text: str, where: str) -> list:
+    """The comma-split, unstripped tokens of a "(e1,e2,...)" literal; a
+    literal without its parentheses or without a token is a ParseError."""
+    stripped = text.strip()
+    if not (stripped[:1] == "(" and stripped[-1:] == ")"):
+        raise ParseError("vector literal must be parenthesized, got %r"
+                         % text, where)
+    body = stripped[1:-1]
+    if not body or body.isspace():
+        raise ParseError("empty vector literal", where)
+    return body.split(",")
+
+
 def parse_vector(text: str, lattice: Lattice,
                  where: str = "<vector>") -> tuple:
     """Read a "(e1,e2,...)" literal against the lattice's element names."""
-    stripped = text.strip()
-    if not (stripped.startswith("(") and stripped.endswith(")")):
-        raise ParseError("vector literal must be parenthesized, got %r"
-                         % text, where)
-    body = stripped[1:-1].strip()
-    if not body:
-        raise ParseError("empty vector literal", where)
-    return tuple(_parse_element(token, lattice, where)
-                 for token in body.split(","))
+    return tuple(_parse_element(t, lattice, where)
+                 for t in _literal_tokens(text, where))
 
 
 def format_vector(lattice: Lattice, x: Sequence[int]) -> str:
@@ -314,10 +323,13 @@ def parse_table(text: str, lattice: Lattice,
                 path: str = "<input>") -> FunctionTable:
     """Read the function-table file format; every point is required.
 
-    Well-formed lines are read by one name lookup per token, the
-    position built digit by digit.  From the first line that reading
-    does not take, every line goes through the checks that name the
-    defect, so errors read the same however far the file got.
+    Each body line is checked in one pass, in a fixed order: the arrow,
+    the vector literal, the names of its coordinates, their count, a
+    repeated point, then the value.  An unknown coordinate name is
+    reported before a wrong count, without a line number, as
+    parse_vector reports it.  The position is built digit by digit only
+    once the count is right, so an overlong line costs time linear in
+    its length.
     """
     lines = list(_content_lines(text))
     if not lines:
@@ -326,46 +338,32 @@ def parse_table(text: str, lattice: Lattice,
     name, arity = _parse_header(header, "table", lattice, path, lineno)
     guard_size(lattice.size, arity, "points")
     k = lattice.size
-    # no empty name, so "()" goes to the checks, which refuse it
-    digit_of = {e: i for e, i in lattice._index.items() if e}.get
+    digit_of = lattice._index.get
     values = [None] * k ** arity
-    body = lines[1:]
-    taken = 0
-    for lineno, line in body:
+    for lineno, line in lines[1:]:
         left, arrow, right = line.partition("->")
-        left = left.strip()
-        if not (arrow and left[:1] == "(" and left[-1:] == ")"):
-            break
-        tokens = left[1:-1].split(",")
+        if not arrow:
+            raise ParseError("expected '(x1,...,xn) -> <element>'",
+                             path, lineno)
+        tokens = _literal_tokens(left, path)
         if len(tokens) != arity:
-            break
+            for token in tokens:
+                _parse_element(token, lattice, path)
+            raise ParseError("vector has %d coordinates, table wants %d"
+                             % (len(tokens), arity), path, lineno)
         pos = 0
         for token in tokens:
             digit = digit_of(token.strip())
             if digit is None:
-                break
+                _parse_element(token, lattice, path)  # raises
             pos = pos * k + digit
-        else:
-            value = digit_of(right.strip())
-            if value is not None and values[pos] is None:
-                values[pos] = value
-                taken += 1
-                continue
-        break
-    for lineno, line in body[taken:]:
-        if "->" not in line:
-            raise ParseError("expected '(x1,...,xn) -> <element>'",
-                             path, lineno)
-        left, right = line.split("->", 1)
-        x = parse_vector(left, lattice, where=path)
-        if len(x) != arity:
-            raise ParseError("vector has %d coordinates, table wants %d"
-                             % (len(x), arity), path, lineno)
-        pos = encode(x, k)
         if values[pos] is not None:
-            raise ParseError("input %s assigned twice"
-                             % format_vector(lattice, x), path, lineno)
-        values[pos] = _parse_element(right, lattice, path, lineno)
+            raise ParseError("input %s assigned twice" % format_vector(
+                lattice, decode(pos, k, arity)), path, lineno)
+        value = digit_of(right.strip())
+        if value is None:
+            _parse_element(right, lattice, path, lineno)  # raises
+        values[pos] = value
     if None in values:
         missing = decode(values.index(None), k, arity)
         raise ParseError("missing value for input %s"

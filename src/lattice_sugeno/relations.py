@@ -88,7 +88,8 @@ def relation_check(lattice: Lattice, kind: RelationKind,
     diagonal identities hold trivially so only i < j is evaluated.  For
     the comparable relation the witness pairs the first coordinate
     breaking each direction.  For subsetwise kinds it is the first
-    failing subset, as a tuple of coordinate positions.
+    failing subset, as a tuple of coordinate positions.  More than 10^7
+    coordinate pairs or subsets to sweep are refused up front.
     """
     x = check_vector(lattice, x)
     y = check_vector(lattice, y)
@@ -96,6 +97,10 @@ def relation_check(lattice: Lattice, kind: RelationKind,
         raise ArityMismatch("vectors have %d and %d coordinates"
                             % (len(x), len(y)))
     n = len(x)
+    if kind in PAIRWISE_KINDS:
+        guard_size(n * (n - 1) // 2, 1, "coordinate pairs")
+    elif kind is not RelationKind.COMPARABLE:
+        guard_size(2, n, "coordinate subsets")
     checked = 0
 
     if kind in PAIRWISE_KINDS:
@@ -388,6 +393,6 @@ def relation_region(lattice: Lattice, kind: RelationKind,
     the set bits of x's verdict row.  Pairwise kinds are enumerated in
     time proportional to the region."""
     x = check_vector(lattice, x)
-    all_vectors(lattice, len(x), limit)  # raises past the limit
+    guard_size(lattice.size, len(x), "vectors", limit)
     row = _VerdictRows(lattice, len(x))(kind, x)
     return tuple(decode(pos, lattice.size, len(x)) for pos in _positions(row))

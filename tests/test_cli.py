@@ -487,8 +487,18 @@ def oversized(tmp_path_factory):
     (root / "huge.tbl").write_text("table f over chain3 arity 40\n",
                                    encoding="utf-8")
     (root / "xdir").mkdir()
+    # 11^7 points to tabulate from a valid 128-line capacity
+    (root / "chain11.cap").write_text(ls.format_capacity(
+        ls.validate_capacity(ls.chain(11), 7, [0] + [10] * 127)),
+        encoding="utf-8")
+    # nonzero digits: a position built from all 10^6 would be huge
+    (root / "long.tbl").write_text(
+        "table f over chain3 arity 2\n(%s) -> 0\n" % ",".join(["1"] * 10 ** 6),
+        encoding="utf-8")
     return {"huge_cap": str(root / "huge.cap"),
             "huge_tbl": str(root / "huge.tbl"),
+            "chain11_cap": str(root / "chain11.cap"),
+            "long_tbl": str(root / "long.tbl"),
             "missing_lat": str(root / "none.lat"),
             "missing_in_xdir": str(root / "xdir" / "none.lat")}
 
@@ -518,10 +528,20 @@ def _cap_memory():
      "error:"),
     (["theorem-suite", "lemmas", "--lattice", "chain:2", "--arity", "16"],
      "error:"),
+    (["relations", "--lattice", "chain:2", "--kind", "subsetwise-join",
+      "--x", "(%s)" % ",".join(["0"] * 40), "--y",
+      "(%s)" % ",".join(["1"] * 40)], "error:"),
+    (["relations", "--lattice", "chain:2", "--kind", "g-comonotone",
+      "--x", "(%s)" % ",".join(["0"] * 20000), "--y",
+      "(%s)" % ",".join(["1"] * 20000)], "error:"),
+    (["sugeno", "--lattice", "chain:11", "--capacity", "{chain11_cap}",
+      "--x", "(0,0,0,0,0,0,0)", "--emit-table"], "error:"),
+    (["axioms", "--lattice", "chain:3", "--table", "{long_tbl}"], "error:"),
 ], ids=["bench-arity-40", "capacity-arity-62", "table-arity-40",
         "missing-lattice-file", "missing-file-in-product", "negative-arity",
         "negative-limit", "huge-chain", "huge-product", "huge-letter-table",
-        "huge-thm2", "huge-lemmas"])
+        "huge-thm2", "huge-lemmas", "huge-subsetwise", "huge-pairwise",
+        "huge-emit-table", "long-table-line"])
 def test_malformed_input_exits_two(oversized, argv, prefix):
     src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
     proc = subprocess.run(
@@ -530,6 +550,7 @@ def test_malformed_input_exits_two(oversized, argv, prefix):
         capture_output=True, text=True, timeout=20,
         env=dict(os.environ, PYTHONPATH=src), preexec_fn=_cap_memory)
     assert proc.returncode == 2
+    assert proc.stdout == ""
     assert proc.stderr.startswith(prefix)
     assert "Traceback" not in proc.stderr
 

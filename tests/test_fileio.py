@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lattice_sugeno as ls
 from lattice_sugeno import (
@@ -167,10 +168,16 @@ def test_vector_round_trip(chain3, prod23):
     assert parse_vector(" ( 0 , 2 ) ", chain3) == (0, 2)
 
 
-@pytest.mark.parametrize("text", ["0,1", "()", "(0,9)", "(0;1)"])
-def test_bad_vectors_raise(text, chain3):
-    with pytest.raises(ParseError):
-        parse_vector(text, chain3)
+@pytest.mark.parametrize("text,message", [
+    ("0,1", "--x: vector literal must be parenthesized, got '0,1'"),
+    ("()", "--x: empty vector literal"),
+    ("(0,9)", "--x: unknown element '9' in lattice chain3"),
+    ("(0;1)", "--x: unknown element '0;1' in lattice chain3"),
+], ids=["0,1", "()", "(0,9)", "(0;1)"])
+def test_bad_vectors_raise(text, message, chain3):
+    with pytest.raises(ParseError) as info:
+        parse_vector(text, chain3, where="--x")
+    assert str(info.value) == message
 
 
 # -- capacity files -----------------------------------------------------
@@ -302,36 +309,115 @@ def test_table_text_pinned_and_round_trips(spec, arity):
             assert again == f and again.name == f.name
 
 
-# the nine points of a chain3 table, (2,1) on line 9 after seven others
+# the nine points of a chain3 table, (0,0) on line 2 and (2,1) on line 9
 _GOOD_LINES = ["(%d,%d) -> %d" % (a, b, max(a, b))
                for a in range(3) for b in range(3)]
 
 
 @pytest.mark.parametrize("line,message", [
-    ("(2,1) 2", "t.tbl:9: expected '(x1,...,xn) -> <element>'"),
+    ("(2,1) 2", "t.tbl:{line}: expected '(x1,...,xn) -> <element>'"),
     ("2,1 -> 2", "t.tbl: vector literal must be parenthesized, got '2,1 '"),
     ("() -> 2", "t.tbl: empty vector literal"),
     ("(2,7) -> 2", "t.tbl: unknown element '7' in lattice chain3"),
     ("(2,) -> 2", "t.tbl: unknown element '' in lattice chain3"),
-    ("(2,1,0) -> 2", "t.tbl:9: vector has 3 coordinates, table wants 2"),
-    ("(2) -> 2", "t.tbl:9: vector has 1 coordinates, table wants 2"),
-    ("(0,0) -> 0", "t.tbl:9: input (0,0) assigned twice"),
-    ("(2,1) -> 9", "t.tbl:9: unknown element '9' in lattice chain3"),
-    (None, "t.tbl: missing value for input (2,1)"),
-], ids=["arrow", "parens", "empty", "element", "empty-element", "long",
-        "short", "twice", "value", "missing"])
+    ("(2,7,0) -> 2", "t.tbl: unknown element '7' in lattice chain3"),
+    ("(2,1,0) -> 2", "t.tbl:{line}: vector has 3 coordinates, table wants 2"),
+    ("(2) -> 2", "t.tbl:{line}: vector has 1 coordinates, table wants 2"),
+    # a repeat is reported on its second occurrence, the last line
+    ("(2,2) -> 2", "t.tbl:10: input (2,2) assigned twice"),
+    ("(2,1) -> 9", "t.tbl:{line}: unknown element '9' in lattice chain3"),
+    (None, "t.tbl: missing value for input {point}"),
+], ids=["arrow", "parens", "empty", "element", "empty-element",
+        "element-before-count", "long", "short", "twice", "value",
+        "missing"])
 def test_table_body_errors_pinned(chain3, line, message):
-    """A defect after well-formed lines is reported with the same text,
-    path and line number as a defect on the first line would be."""
+    """A defect on the first body line, or after seven well-formed
+    lines, is reported with the same text and path, and with its own
+    line number."""
+    for at in (0, 7):
+        body = list(_GOOD_LINES)
+        point = body[at].split(" ")[0]
+        if line is None:
+            del body[at]
+        else:
+            body[at] = line
+        text = "table f over chain3 arity 2\n" + "\n".join(body) + "\n"
+        with pytest.raises(ParseError) as info:
+            parse_table(text, chain3, path="t.tbl")
+        assert str(info.value) == message.format(line=at + 2, point=point)
+
+
+def _reference_table(text, lattice):
+    """The checked per-line reader of a two-coordinate "table f" file
+    at path t.tbl, kept as the reference: every body line is split at
+    its arrow, its literal read as a whole and its count checked, and
+    only then is the point placed.  Returns the values or raises."""
+    k = lattice.size
+
+    def element(token, lineno=None):
+        token = token.strip()
+        if token not in lattice._index:
+            raise ParseError("unknown element %r in lattice %s"
+                             % (token, lattice.name), "t.tbl", lineno)
+        return lattice._index[token]
+
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append((lineno, line))
+    values = [None] * k * k
+    for lineno, line in lines[1:]:
+        if "->" not in line:
+            raise ParseError("expected '(x1,...,xn) -> <element>'",
+                             "t.tbl", lineno)
+        left, right = line.split("->", 1)
+        stripped = left.strip()
+        if not (stripped.startswith("(") and stripped.endswith(")")):
+            raise ParseError("vector literal must be parenthesized, got %r"
+                             % left, "t.tbl")
+        body = stripped[1:-1].strip()
+        if not body:
+            raise ParseError("empty vector literal", "t.tbl")
+        x = tuple(element(token) for token in body.split(","))
+        if len(x) != 2:
+            raise ParseError("vector has %d coordinates, table wants 2"
+                             % len(x), "t.tbl", lineno)
+        if values[x[0] * k + x[1]] is not None:
+            raise ParseError("input %s assigned twice"
+                             % format_vector(lattice, x), "t.tbl", lineno)
+        values[x[0] * k + x[1]] = element(right, lineno)
+    if None in values:
+        a, b = divmod(values.index(None), k)
+        raise ParseError("missing value for input %s"
+                         % format_vector(lattice, (a, b)), "t.tbl")
+    return tuple(values)
+
+
+_NAMES = st.sampled_from(["0", "1", "2", " 1 ", "", "9", "x"])
+_TABLE_LINES = st.one_of(
+    st.lists(st.sampled_from(["0", "1", "2", " ", ",", "(", ")", "->", "#",
+                              "-", ">", "x", "9", "\t"]),
+             max_size=14).map("".join),
+    st.builds(lambda xs, arrow, v: "(%s)%s%s" % (",".join(xs), arrow, v),
+              st.lists(_NAMES, max_size=3), st.sampled_from([" -> ", "->"]),
+              _NAMES))
+
+
+@settings(max_examples=400, deadline=None)
+@given(at=st.integers(0, 8), line=_TABLE_LINES)
+def test_one_pass_reader_matches_the_checked_reader(chain3, at, line):
     body = list(_GOOD_LINES)
-    if line is None:
-        del body[7]
-    else:
-        body[7] = line
+    body[at] = line
     text = "table f over chain3 arity 2\n" + "\n".join(body) + "\n"
-    with pytest.raises(ParseError) as info:
-        parse_table(text, chain3, path="t.tbl")
-    assert str(info.value) == message
+    outcomes = []
+    for read in (lambda: parse_table(text, chain3, path="t.tbl").values,
+                 lambda: _reference_table(text, chain3)):
+        try:
+            outcomes.append(read())
+        except ParseError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("text,message", [
