@@ -10,8 +10,11 @@ The integral of a vector x against a capacity m comes in two forms:
 * inf of joins:  meet over all subsets I of  m(full - I) v join_{i in I} x_i
 
 On distributive lattices the two forms coincide; elsewhere they may
-differ and both are exposed.  Capacities are enumerated and sampled by
-_MonotoneFill, which fills the aggregation tables of axioms as well.
+differ and both are exposed.  One kernel, _integral_table, computes
+either form at a single point (sugeno) or at every point of the domain
+(sugeno_table, the recognizer's re-check).  Capacities are enumerated
+and sampled by _MonotoneFill, which fills the aggregation tables of
+axioms as well.
 """
 
 import random
@@ -131,41 +134,14 @@ def sugeno(m: Capacity, x: Sequence[int],
     if len(x) != m.arity:
         raise ArityMismatch("vector has %d coordinates, capacity wants %d"
                             % (len(x), m.arity))
-    return _integral(m, x, form)
+    return _integral_table(m, form, x)[0]
 
 
-def _integral(m: Capacity, x: tuple, form: SugenoForm) -> int:
-    """The integral of a vector of m's arity whose coordinates are
-    element indices already known to be valid.
-
-    Subset meets and joins of x are tabulated by a low-bit recurrence,
-    so the whole evaluation is one pass over the 2^n masks.
-    """
-    lattice = m.lattice
-    size = 1 << m.arity
-    meet_t, join_t = lattice._meet, lattice._join
-    if form is SugenoForm.SUP_OF_MEETS:
-        meets = [lattice.top] * size
-        out = lattice.bottom
-        for mask in range(1, size):
-            low = mask & -mask
-            meets[mask] = meet_t[meets[mask & (mask - 1)]][x[low.bit_length() - 1]]
-            out = join_t[out][meet_t[m.values[mask]][meets[mask]]]
-        return out
-    if form is SugenoForm.INF_OF_JOINS:
-        joins = [lattice.bottom] * size
-        out = lattice.top
-        full = size - 1
-        for mask in range(1, size):
-            low = mask & -mask
-            joins[mask] = join_t[joins[mask & (mask - 1)]][x[low.bit_length() - 1]]
-            out = meet_t[out][join_t[m.values[full ^ mask]][joins[mask]]]
-        return out
-    raise ValueError("unknown form: %r" % (form,))
-
-
-def _integral_table(m: Capacity, form: SugenoForm) -> list:
-    """The integral of every vector of m's arity, in product order.
+def _integral_table(m: Capacity, form: SugenoForm,
+                    x: tuple | None = None) -> list:
+    """The integral of every vector of m's arity, in product order, or
+    only of x, a vector of m's arity whose coordinates are element
+    indices already known to be valid.
 
     The sup form is S(x) = join over I of m(I) ^ meet_{i in I} x_i.
     Fixing the coordinates one at a time, each prefix keeps, for every
@@ -176,11 +152,12 @@ def _integral_table(m: Capacity, form: SugenoForm) -> list:
     lattice {t ^ v : t in down(T)} = down(T) & down(v); at the end S(x)
     is the join of D(empty set).  The inf form is the dual, with up-sets
     from m(full - J) and a final meet.  Both are exact on every lattice
-    and cost about k^n * k/(k-2) mask operations, not k^n * 2^n.
+    and cost about k^n * k/(k-2) mask operations, not k^n * 2^n; fixing
+    the single digit x_j at each coordinate j costs 2^n in all.
 
     Levels are stored subset-major: level[J] holds the masks of all
     prefixes in product order, so each fixed coordinate extends every
-    row by one digit.
+    row by the digits fixed there.
     """
     lattice = m.lattice
     if form is SugenoForm.SUP_OF_MEETS:
@@ -191,9 +168,10 @@ def _integral_table(m: Capacity, form: SugenoForm) -> list:
         level = [[closure[v]] for v in reversed(m.values)]
     else:
         raise ValueError("unknown form: %r" % (form,))
-    for _ in range(m.arity):
-        # J without the coordinate being fixed at even rows, with it at odd
-        level = [[a | b & c for a, b in zip(without, with_) for c in closure]
+    for j in range(m.arity):
+        digits = closure if x is None else [closure[x[j]]]
+        # J without coordinate j at even rows, with it at odd
+        level = [[a | b & c for a, b in zip(without, with_) for c in digits]
                  for without, with_ in zip(level[0::2], level[1::2])]
     masks = level[0]
     value = {mask: bound(_positions(mask)) for mask in set(masks)}

@@ -246,9 +246,9 @@ def suite_region_closure(lattice: Lattice, arity: int,
         raise ValueError("example1 at arity 3 needs a chain of at least "
                          "four elements; %s has %d"
                          % (lattice.name, lattice.size))
-    vectors = list(all_vectors(lattice, arity, limit))
     if arity not in (2, 3):
         raise ValueError("example1 runs at arity 2 or 3, not %d" % arity)
+    vectors = list(all_vectors(lattice, arity, limit))
     rows = _VerdictRows(lattice, arity)
     for a, x in enumerate(vectors):
         g = rows(RelationKind.G_COMONOTONE, x)

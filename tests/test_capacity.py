@@ -398,19 +398,28 @@ def _ref_table(ref, m, form):
                  itertools.product(range(ref.size), repeat=m.arity))
 
 
+def _check_against_oracle(ref, m, form):
+    """The table and the single-point evaluation at every point both
+    equal the literal double loop."""
+    expected = _ref_table(ref, m, form)
+    assert sugeno_table(m, form).values == expected
+    assert tuple(sugeno(m, x, form) for x in itertools.product(
+        range(ref.size), repeat=m.arity)) == expected
+
+
 @pytest.mark.parametrize("form", list(SugenoForm), ids=lambda f: f.value)
 @pytest.mark.parametrize("name,arity", [
     (name, arity) for name in _TABLE_ZOO for arity in (1, 2, 3)
     if _TABLE_ZOO[name][0].size ** arity <= 125])
 def test_sugeno_table_matches_oracle(name, arity, form):
-    """Each form's table equals the literal double loop at every point,
-    on the non-distributive lattices too, for the first capacities in
-    enumeration order and a few sampled ones."""
+    """Each form's table and single-point value equal the literal double
+    loop at every point, on the non-distributive lattices too, for the
+    first capacities in enumeration order and a few sampled ones."""
     L, ref = _TABLE_ZOO[name]
     capacities = (list(itertools.islice(enumerate_capacities(L, arity), 20))
                   + sample_capacities(L, arity, 3, seed=arity))
     for m in capacities:
-        assert sugeno_table(m, form).values == _ref_table(ref, m, form)
+        _check_against_oracle(ref, m, form)
 
 
 @settings(max_examples=60, deadline=None)
@@ -421,4 +430,4 @@ def test_sugeno_table_matches_oracle_on_random_lattices(family, arity, seed):
         arity = 2
     m = sample_capacities(L, arity, 1, seed)[0]
     for form in SugenoForm:
-        assert sugeno_table(m, form).values == _ref_table(ref, m, form)
+        _check_against_oracle(ref, m, form)

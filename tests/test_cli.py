@@ -537,11 +537,16 @@ def _cap_memory():
     (["sugeno", "--lattice", "chain:11", "--capacity", "{chain11_cap}",
       "--x", "(0,0,0,0,0,0,0)", "--emit-table"], "error:"),
     (["axioms", "--lattice", "chain:3", "--table", "{long_tbl}"], "error:"),
+    (["region", "--lattice", "chain:2", "--kind", "subsetwise-join",
+      "--x", "(%s)" % ",".join(["0"] * 16)], "error:"),
+    (["theorem-suite", "example1", "--lattice", "chain:2", "--arity", "23"],
+     "error:"),
 ], ids=["bench-arity-40", "capacity-arity-62", "table-arity-40",
         "missing-lattice-file", "missing-file-in-product", "negative-arity",
         "negative-limit", "huge-chain", "huge-product", "huge-letter-table",
         "huge-thm2", "huge-lemmas", "huge-subsetwise", "huge-pairwise",
-        "huge-emit-table", "long-table-line"])
+        "huge-emit-table", "long-table-line", "huge-region-subsetwise",
+        "huge-example1"])
 def test_malformed_input_exits_two(oversized, argv, prefix):
     src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
     proc = subprocess.run(
@@ -553,6 +558,21 @@ def test_malformed_input_exits_two(oversized, argv, prefix):
     assert proc.stdout == ""
     assert proc.stderr.startswith(prefix)
     assert "Traceback" not in proc.stderr
+
+
+def test_long_subsetwise_sweep_holds():
+    """All 2^22 - 1 subsets of two 22-coordinate vectors are swept
+    incrementally, well inside the subprocess timeout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
+    zeros = "(%s)" % ",".join(["0"] * 22)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lattice_sugeno.cli", "relations",
+         "--lattice", "chain:2", "--kind", "subsetwise-join",
+         "--x", zeros, "--y", zeros],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=src), preexec_fn=_cap_memory)
+    assert proc.returncode == 0
+    assert proc.stdout == "subsetwise-join: true\n"
 
 
 def test_bad_usage_exits_two(capsys):

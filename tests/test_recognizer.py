@@ -5,7 +5,6 @@ import pytest
 
 import lattice_sugeno as ls
 import lattice_sugeno.recognizer as recognizer_module
-from lattice_sugeno.capacity import _integral
 from lattice_sugeno.cli import build_parser
 from lattice_sugeno import (
     AxiomKind,
@@ -22,6 +21,8 @@ from lattice_sugeno import (
     table_from_function,
     validate_capacity,
 )
+
+from _oracles import RefLattice, ref_sugeno_inf, ref_sugeno_sup
 
 
 def h_table(chain3):
@@ -237,12 +238,17 @@ def test_pentagon_override_rejects_non_integrals(n5):
 
 def _per_point_verify(f, m, forms):
     """The pointwise re-check as it was: one subset sweep per point and
-    form, in product order, sup before inf."""
+    form, in product order, sup before inf.  The integral's values come
+    from the literal double loop over a reference built from the order
+    alone, not from the package's kernel."""
+    ref = RefLattice(m.lattice.size, m.lattice.leq)
+    oracle = {ls.SugenoForm.SUP_OF_MEETS: ref_sugeno_sup,
+              ls.SugenoForm.INF_OF_JOINS: ref_sugeno_inf}
     points = 0
     for x, fx in zip(f.domain(), f.values):
         for form in forms:
             points += 1
-            expected = _integral(m, x, form)
+            expected = oracle[form](ref, m.values, x)
             if fx != expected:
                 return ("disagreement", x, fx, expected), points
     return None, points
