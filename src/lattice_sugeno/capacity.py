@@ -138,10 +138,11 @@ def sugeno(m: Capacity, x: Sequence[int],
 
 
 def _integral_table(m: Capacity, form: SugenoForm,
-                    x: tuple | None = None) -> list:
+                    x: tuple | None = None, stop: int | None = None) -> list:
     """The integral of every vector of m's arity, in product order, or
     only of x, a vector of m's arity whose coordinates are element
-    indices already known to be valid.
+    indices already known to be valid.  With ``stop``, only the first
+    ``stop`` vectors in product order are evaluated.
 
     The sup form is S(x) = join over I of m(I) ^ meet_{i in I} x_i.
     Fixing the coordinates one at a time, each prefix keeps, for every
@@ -157,7 +158,9 @@ def _integral_table(m: Capacity, form: SugenoForm,
 
     Levels are stored subset-major: level[J] holds the masks of all
     prefixes in product order, so each fixed coordinate extends every
-    row by the digits fixed there.
+    row by the digits fixed there.  Once coordinate j is fixed, only the
+    first ceil(stop / k^(n-1-j)) prefixes lead to a vector before
+    ``stop``, and each row is cut to them.
     """
     lattice = m.lattice
     if form is SugenoForm.SUP_OF_MEETS:
@@ -173,6 +176,9 @@ def _integral_table(m: Capacity, form: SugenoForm,
         # J without coordinate j at even rows, with it at odd
         level = [[a | b & c for a, b in zip(without, with_) for c in digits]
                  for without, with_ in zip(level[0::2], level[1::2])]
+        if stop is not None:
+            keep = -(-stop // len(closure) ** (m.arity - 1 - j))
+            level = [row[:keep] for row in level]
     masks = level[0]
     value = {mask: bound(_positions(mask)) for mask in set(masks)}
     return [value[mask] for mask in masks]

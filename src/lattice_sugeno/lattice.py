@@ -13,6 +13,7 @@ re-checked.
 """
 
 import itertools
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CyclicOrder, NoBounds, NotALattice, UnknownElement
@@ -176,6 +177,14 @@ class Lattice:
             downs.append(tuple(b for b in range(size) if a in ups[b]))
         self._upper_covers = tuple(ups)
         self._lower_covers = tuple(downs)
+
+    @cached_property
+    def _leq_bytes(self) -> bytes:
+        """The order as one flat byte table: entry a * k + b is 1 when
+        a <= b, so a batch of comparisons is a batch of index lookups."""
+        size = len(self.elements)
+        return bytes(self._up[a] >> b & 1
+                     for a in range(size) for b in range(size))
 
     def cover_pairs(self) -> Iterator[tuple]:
         """All covering pairs (lower, upper) in element order."""

@@ -2,9 +2,8 @@
 
 Every aggregation function determines one candidate capacity: its
 values at the characteristic vectors (top on a subset, bottom off it).
-recognize recovers it once, after the aggregation gate.  The table is a
-Sugeno integral exactly when it equals the integral of that candidate,
-which can be decided two ways:
+The table is a Sugeno integral exactly when it equals the integral of
+that candidate, which can be decided two ways:
 
 * boolean_homogeneity: test the two homogeneity identities restricted
   to {bottom, top}^n inputs (2 * |L| * 2^n identity evaluations);
@@ -16,6 +15,16 @@ re-checking f(x) == integral(x) in both forms at every point.  That
 re-check is deliberately redundant for the boolean method on
 distributive lattices -- it is the cheap regression test of the claim
 that Boolean homogeneity suffices -- and it is never skipped.
+
+recognize reads the candidate before it knows that f is an aggregation
+function, and runs the aggregation gate (monotonicity and the boundary
+values) only where the gate could change the outcome.  An acceptance
+skips it: f equals the integral of a valid capacity at every point,
+and every such integral passes the gate.  A rejection, an invalid
+candidate or a refused lattice runs it first, so a table that is no
+aggregation function still raises NotAggregation before any other
+outcome.  An invalid candidate always fails the gate, since 1_I <= 1_J
+whenever I is a subset of J.
 
 Non-distributive lattices are refused by default, since the two
 integral forms can split there; an explicit override switches to
@@ -37,7 +46,7 @@ from .capacity import (
 )
 # unused here, but perfbench/tracing.py wraps this name in this module
 from .capacity import sugeno  # noqa: F401
-from .errors import NotAggregation, NotDistributive
+from .errors import InvalidCapacity, NotAggregation, NotDistributive
 from .lattice import is_distributive
 
 
@@ -78,6 +87,12 @@ def recover_capacity(f: FunctionTable) -> Capacity:
     if not gate.holds:
         raise NotAggregation("table %s is not an aggregation function"
                              % f.name, witness=gate.witness)
+    return _read_capacity(f)
+
+
+def _read_capacity(f: FunctionTable) -> Capacity:
+    """f's values at the characteristic vectors, validated as a capacity
+    named after f; raises InvalidCapacity when they are not one."""
     lattice, n = f.lattice, f.arity
     values = [f(characteristic_vector(lattice, n, mask))
               for mask in range(1 << n)]
@@ -96,9 +111,11 @@ def _verify_pointwise(f: FunctionTable, m: Capacity,
     values = f.values
     first = None  # (position, form rank, expected value)
     for rank, form in enumerate(forms):
-        expected = _integral_table(m, form)
+        # a later form matters only before the first disagreement so far
+        expected = _integral_table(m, form,
+                                   stop=None if first is None else first[0])
         pos = next(compress(count(), map(ne, values, expected)), None)
-        if pos is not None and (first is None or pos < first[0]):
+        if pos is not None:
             first = (pos, rank, expected[pos])
     if first is None:
         return None, len(values) * len(forms)
@@ -114,13 +131,22 @@ def recognize(f: FunctionTable,
 
     Boolean-inf failures are searched before Boolean-sup failures, each
     side in lexicographic (c, x) order, so refusal witnesses are
-    deterministic.
+    deterministic.  Every outcome but an acceptance runs the aggregation
+    gate first, through recover_capacity, and raises NotAggregation when
+    f fails it.
     """
-    m = recover_capacity(f)
+    try:
+        m = _read_capacity(f)
+    except InvalidCapacity:
+        m = None
+    if m is None:
+        # an invalid candidate fails the gate: NotAggregation is raised
+        m = recover_capacity(f)
 
     forms = (SugenoForm.SUP_OF_MEETS, SugenoForm.INF_OF_JOINS)
     if not is_distributive(f.lattice):
         if not allow_nondistributive:
+            recover_capacity(f)
             raise NotDistributive(
                 "lattice %s is not distributive; recognition is only "
                 "defined on distributive lattices (pass "
@@ -137,6 +163,7 @@ def recognize(f: FunctionTable,
             res = axiom_check(f, kind)
             checked += res.pairs_checked
             if not res.holds:
+                recover_capacity(f)
                 return RecognitionResult(method, False, None,
                                          (tag,) + res.witness, checked, 0)
     elif method is not RecognitionMethod.DIRECT_COMPARISON:
@@ -144,6 +171,8 @@ def recognize(f: FunctionTable,
 
     witness, points = _verify_pointwise(f, m, forms)
     accepted = witness is None
+    if not accepted:
+        recover_capacity(f)
     if method is RecognitionMethod.DIRECT_COMPARISON:
         # the comparisons are the method's own identities; only an
         # acceptance counts them again as the re-check

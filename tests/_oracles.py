@@ -230,6 +230,19 @@ def ref_aggregations(L, n):
 # -- axiom predicates from the definitions ------------------------------
 
 
+def ref_monotone_boundary(L, n, table):
+    """Whether the table (dict vector -> element) is monotone over every
+    comparable pair of points and maps the all-bottom and all-top points
+    to bottom and top."""
+    points = list(itertools.product(range(L.size), repeat=n))
+    monotone = all(
+        L.leq(table[p], table[q])
+        for p in points for q in points
+        if all(L.leq(a, b) for a, b in zip(p, q)))
+    return (monotone and table[(L.bottom,) * n] == L.bottom
+            and table[(L.top,) * n] == L.top)
+
+
 def ref_axioms(L, n, table):
     """table: dict vector -> element.  Returns dict of the ten verdicts."""
     points = list(itertools.product(range(L.size), repeat=n))
@@ -240,12 +253,6 @@ def ref_axioms(L, n, table):
                    for c in consts for x in domain)
 
     cube = list(itertools.product((L.bottom, L.top), repeat=n))
-    monotone = all(
-        L.leq(table[p], table[q])
-        for p in points for q in points
-        if all(L.leq(a, b) for a, b in zip(p, q)))
-    boundary = (table[(L.bottom,) * n] == L.bottom
-                and table[(L.top,) * n] == L.top)
 
     def quantified(rel, op):
         for x in points:
@@ -257,7 +264,7 @@ def ref_axioms(L, n, table):
         return True
 
     return {
-        "monotone_boundary": monotone and boundary,
+        "monotone_boundary": ref_monotone_boundary(L, n, table),
         "idempotent": all(table[(c,) * n] == c for c in consts),
         "inf_homogeneous": hom(L.meet, points),
         "sup_homogeneous": hom(L.join, points),

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lattice_sugeno as ls
 from lattice_sugeno import (
@@ -11,6 +12,7 @@ from lattice_sugeno import (
     EnumerationTooLarge,
     FunctionTable,
     NotAggregation,
+    RecognitionMethod,
     RelationKind,
     UnknownElement,
     axiom_check,
@@ -18,8 +20,10 @@ from lattice_sugeno import (
     characterization_report,
     enumerate_aggregations,
     enumerate_capacities,
+    recognize,
     relation_pairs,
     sample_aggregations,
+    sample_capacities,
     sugeno_table,
     table_from_function,
     validate_capacity,
@@ -28,6 +32,7 @@ from lattice_sugeno import (
 from lattice_sugeno.axioms import pair_plan
 
 from _oracles import (
+    RefLattice,
     ref_aggregations,
     ref_axioms,
     ref_boolean,
@@ -35,9 +40,11 @@ from _oracles import (
     ref_comonotone,
     ref_g_com,
     ref_m3,
+    ref_monotone_boundary,
     ref_n5,
     ref_product,
 )
+from test_relations import _closure_lattice
 
 
 def h_table(chain3):
@@ -607,3 +614,91 @@ def test_enumeration_pinned_to_the_dense_algorithm(spec, arity):
     L = _pinned_lattice(spec)
     ours = [f.values for f in enumerate_aggregations(L, arity)]
     assert ours == _dense_enumerate(L, arity)
+
+
+# -- the sliced aggregation gate against the per-point loop ----------------
+
+
+def _per_point_gate(f):
+    """The aggregation gate as one loop: the two boundary probes, then one
+    probe per (point, coordinate, upper cover of that coordinate) in
+    product order, up to the first failing step.  Returns the verdict,
+    the witness and the number of probes."""
+    L, n = f.lattice, f.arity
+    checked = 0
+    for corner in (L.bottom, L.top):
+        checked += 1
+        if f((corner,) * n) != corner:
+            return False, ("boundary", (corner,) * n), checked
+    for x in f.domain():
+        for i, v in enumerate(x):
+            for c in L.upper_covers(v):
+                checked += 1
+                y = x[:i] + (c,) + x[i + 1:]
+                if not L.leq(f(x), f(y)):
+                    return False, ("monotone", x, y), checked
+    return True, None, checked
+
+
+def _gate_tables(L, arity, seed):
+    """Every aggregation table where the domain is small enough to list,
+    sampled ones, and sampled integrals with one value moved, most of
+    which fail the gate."""
+    rng = random.Random(seed)
+    tables = sample_aggregations(L, arity, 4, seed)
+    if L.size ** arity <= 9:
+        tables += enumerate_aggregations(L, arity)
+    for m in sample_capacities(L, arity, 3, seed):
+        for _ in range(4):
+            values = list(sugeno_table(m).values)
+            values[rng.randrange(len(values))] = rng.randrange(L.size)
+            tables.append(FunctionTable(L, arity, values, name="moved"))
+    return tables
+
+
+def _check_gate(L, arity, seed):
+    """The sliced gate's verdict, witness and count equal the per-point
+    loop's and its verdict the definition's; a holding gate counts the
+    closed form, and recognize refuses a failing table with the gate's
+    witness under both methods, with and without the override.  Returns
+    the number of failing tables."""
+    ref = RefLattice(L.size, L.leq)
+    edges = len(list(L.cover_pairs()))
+    failures = 0
+    for f in _gate_tables(L, arity, seed):
+        res = axiom_check(f, AxiomKind.MONOTONE_BOUNDARY)
+        assert (res.holds, res.witness, res.pairs_checked) == \
+            _per_point_gate(f), f.values
+        table = dict(zip(f.domain(), f.values))
+        assert res.holds == ref_monotone_boundary(ref, arity, table)
+        if res.holds:
+            assert res.pairs_checked == \
+                2 + arity * L.size ** (arity - 1) * edges
+            continue
+        failures += 1
+        for method in RecognitionMethod:
+            for allow in (False, True):
+                with pytest.raises(NotAggregation) as info:
+                    recognize(f, method, allow)
+                assert info.value.witness == res.witness
+    return failures
+
+
+@pytest.mark.parametrize("spec,arity", [
+    ("chain:3", 1), ("chain:3", 2), ("chain:3", 3), ("chain:3", 4),
+    ("chain:2", 5), ("chain:11", 1), ("chain:11", 2), ("boolean:2", 2),
+    ("boolean:2", 3), ("builtin:N5", 2), ("builtin:M3", 2),
+    ("unsorted-N5", 2), ("unsorted-N5", 3)])
+def test_sliced_gate_matches_the_per_point_loop(spec, arity):
+    L = _pinned_lattice(spec)
+    assert sum(_check_gate(L, arity, seed) for seed in (0, 1)) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.integers(0, 7)), st.integers(1, 3), st.integers(0, 10 ** 6))
+def test_sliced_gate_matches_the_per_point_loop_on_random_lattices(
+        family, arity, seed):
+    L, _ = _closure_lattice(family)
+    if L.size ** arity > 125:
+        arity = 2
+    _check_gate(L, arity, seed)

@@ -21,6 +21,7 @@ from lattice_sugeno import (
     sugeno_table,
     validate_capacity,
 )
+from lattice_sugeno.capacity import _integral_table
 
 from _oracles import (
     ref_boolean,
@@ -420,6 +421,20 @@ def test_sugeno_table_matches_oracle(name, arity, form):
                   + sample_capacities(L, arity, 3, seed=arity))
     for m in capacities:
         _check_against_oracle(ref, m, form)
+
+
+@pytest.mark.parametrize("form", list(SugenoForm), ids=lambda f: f.value)
+@pytest.mark.parametrize("name,arity", [
+    (name, arity) for name in _TABLE_ZOO for arity in (1, 2, 3)
+    if _TABLE_ZOO[name][0].size ** arity <= 125])
+def test_integral_table_stop_gives_the_prefix(name, arity, form):
+    """With stop, the kernel returns exactly the first stop values of the
+    full table, for every stop from 0 to k^n."""
+    L, _ = _TABLE_ZOO[name]
+    for m in sample_capacities(L, arity, 2, seed=arity):
+        full = _integral_table(m, form)
+        for stop in range(len(full) + 1):
+            assert _integral_table(m, form, stop=stop) == full[:stop]
 
 
 @settings(max_examples=60, deadline=None)

@@ -178,19 +178,35 @@ def test_pointwise_recheck_always_runs_and_never_disagrees(chain3, chain4):
 
 
 @pytest.mark.parametrize("method", list(RecognitionMethod))
-def test_recognize_runs_the_aggregation_gate_once(chain3, monkeypatch,
+def test_recognize_runs_the_aggregation_gate_once(chain3, n5, monkeypatch,
                                                   method):
+    """The gate runs at most once, and only where it can change the
+    outcome: never on an accepted table, since the re-check implies it;
+    once on a rejected table and before NotDistributive; once in
+    recover_capacity."""
     gates = []
 
     def counting(f, kind, *args, **kwargs):
         gates.append(kind is AxiomKind.MONOTONE_BOUNDARY)
         return axiom_check(f, kind, *args, **kwargs)
 
+    def gates_run(f, **kwargs):
+        gates.clear()
+        recognize(f, method, **kwargs)
+        return sum(gates)
+
     monkeypatch.setattr(recognizer_module, "axiom_check", counting)
     m = validate_capacity(chain3, 2, (0, 1, 1, 2))
-    for f in (sugeno_table(m), h_table(chain3)):
-        gates.clear()
-        recognize(f, method)
+    assert gates_run(sugeno_table(m)) == 0
+    assert gates_run(h_table(chain3)) == 1
+    integral5 = sugeno_table(next(iter(enumerate_capacities(n5, 2))))
+    step5 = table_from_function(
+        n5, 2, lambda a, b: 4 if (a, b) != (0, 0) else 0, name="step5")
+    assert gates_run(integral5, allow_nondistributive=True) == 0
+    assert gates_run(step5, allow_nondistributive=True) == 1
+    for f in (integral5, step5):
+        with pytest.raises(NotDistributive):
+            gates_run(f)
         assert sum(gates) == 1
     gates.clear()
     assert recover_capacity(sugeno_table(m)).values == m.values
@@ -271,6 +287,23 @@ def _perturbed_tables(L, arity, seed):
     return out
 
 
+def _moved_at_the_ends(L, arity, seed):
+    """Integrals of sampled capacities in both forms with one value moved
+    at the first, the second or the last position, so that the first
+    disagreement of some form falls there."""
+    out = []
+    for m in ls.sample_capacities(L, arity, 2, seed):
+        for form in ls.SugenoForm:
+            base = sugeno_table(m, form).values
+            for pos in {0, min(1, len(base) - 1), len(base) - 1}:
+                for v in range(L.size):
+                    if v != base[pos]:
+                        values = list(base)
+                        values[pos] = v
+                        out.append((m, FunctionTable(L, arity, values)))
+    return out
+
+
 @pytest.mark.parametrize("spec,arity", [
     ("chain:3", 2), ("chain:4", 3), ("boolean:2", 3), ("chain:1", 2),
     ("chain:5", 1), ("prod:chain:2xchain:3", 2), ("builtin:N5", 2),
@@ -283,7 +316,8 @@ def test_verify_pointwise_pinned_to_the_per_point_loop(spec, arity):
     both = (ls.SugenoForm.SUP_OF_MEETS, ls.SugenoForm.INF_OF_JOINS)
     witnesses = 0
     for seed in (0, 1):
-        for m, f in _perturbed_tables(L, arity, seed):
+        for m, f in (_perturbed_tables(L, arity, seed)
+                     + _moved_at_the_ends(L, arity, seed)):
             for forms in (both, both[:1]):
                 got = recognizer_module._verify_pointwise(f, m, forms)
                 assert got == _per_point_verify(f, m, forms)
