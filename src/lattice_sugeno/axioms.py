@@ -35,7 +35,13 @@ from enum import Enum
 from operator import add, ne
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .capacity import Capacity, SugenoForm, _MonotoneFill, _integral_table
+from .capacity import (
+    Capacity,
+    SugenoForm,
+    _MonotoneFill,
+    _Table,
+    _integral_table,
+)
 # unused here, but perfbench/tracing.py wraps this name in this module
 from .capacity import sugeno  # noqa: F401
 from .errors import (
@@ -54,6 +60,7 @@ from .relations import (
     encode,
     order_masks,
     related_positions,
+    strides,
 )
 # unused here, but perfbench/tracing.py wraps this name in this module
 from .relations import relation_check  # noqa: F401
@@ -61,10 +68,10 @@ from .relations import relation_check  # noqa: F401
 DOMAIN_LIMIT = 9  # exhaustive table enumeration caps |L|^n at this
 
 
-class FunctionTable:
+class FunctionTable(_Table):
     """Dense table of an n-ary function on a lattice."""
 
-    __slots__ = ("lattice", "arity", "values", "name")
+    __slots__ = ()
 
     def __init__(self, lattice: Lattice, arity: int, values: Sequence[int],
                  name: str = "f"):
@@ -107,15 +114,6 @@ class FunctionTable:
     def domain(self) -> Iterator[tuple]:
         return itertools.product(range(self.lattice.size), repeat=self.arity)
 
-    def __eq__(self, other):
-        return (isinstance(other, FunctionTable)
-                and self.lattice is other.lattice
-                and self.arity == other.arity
-                and self.values == other.values)
-
-    def __hash__(self):
-        return hash((id(self.lattice), self.arity, self.values))
-
     def __repr__(self):
         return "FunctionTable(%s, arity=%d, %s)" % (
             self.lattice.name, self.arity, self.name)
@@ -130,12 +128,10 @@ def table_from_function(lattice: Lattice, arity: int,
 
 
 def sugeno_table(m: Capacity,
-                 form: SugenoForm = SugenoForm.SUP_OF_MEETS,
-                 name: str | None = None) -> FunctionTable:
+                 form: SugenoForm = SugenoForm.SUP_OF_MEETS) -> FunctionTable:
     """Tabulate the integral of every vector against one capacity."""
     return FunctionTable._trusted(m.lattice, m.arity,
-                                  _integral_table(m, form),
-                                  name or "su_" + m.name)
+                                  _integral_table(m, form), "su_" + m.name)
 
 
 class AxiomKind(Enum):
@@ -149,6 +145,15 @@ class AxiomKind(Enum):
     COMONOTONE_INFIMAL = "comonotone_infimal"
     G_COMONOTONE_SUPREMAL = "g_comonotone_supremal"
     G_COMONOTONE_INFIMAL = "g_comonotone_infimal"
+
+
+#: homogeneity kind -> (inf side?, only x in the {bottom, top}^n cube?)
+_HOMOGENEITY = {
+    AxiomKind.INF_HOMOGENEOUS: (True, False),
+    AxiomKind.SUP_HOMOGENEOUS: (False, False),
+    AxiomKind.BOOLEAN_INF_HOMOGENEOUS: (True, True),
+    AxiomKind.BOOLEAN_SUP_HOMOGENEOUS: (False, True),
+}
 
 
 @dataclass(frozen=True)
@@ -188,8 +193,7 @@ class PairPlan(NamedTuple):
     meets: array
 
 
-def pair_plan(lattice: Lattice, arity: int, kind: RelationKind,
-              limit: int = 10 ** 7) -> PairPlan:
+def pair_plan(lattice: Lattice, arity: int, kind: RelationKind) -> PairPlan:
     """The PairPlan of a pairwise kind, built once per (arity, kind).
 
     Related y are grown from letter-compatibility bitsets in time
@@ -197,9 +201,10 @@ def pair_plan(lattice: Lattice, arity: int, kind: RelationKind,
     carried digit by digit.  Plans are cached on the lattice because
     the supremal and infimal checks of every table, the census and the
     sampled lemma tables all walk the same relation on the same lattice.
+    More than 10^7 vector pairs are refused up front.
     """
     count = lattice.size ** arity
-    guard_size(count * (count + 1) // 2, 1, "vector pairs", limit)
+    guard_size(count * (count + 1) // 2, 1, "vector pairs")
     key = (arity, kind)
     plan = lattice._pair_cache.get(key)
     if plan is None:
@@ -256,13 +261,12 @@ def _monotone_along_covers(lattice: Lattice, n: int, values: tuple,
     leq = lattice._leq_bytes
     scaled = [v * k for v in values]
     total = len(values)
-    for i in range(n):
-        stride = k ** (n - 1 - i)
+    for stride in strides(k, n):
         block = stride * k
         for v, c in edges:
             shift = (c - v) * stride
             first = v * stride
-            if k ** i <= stride:
+            if total // block <= stride:
                 batches = ((scaled[a:a + stride],
                             values[a + shift:a + shift + stride])
                            for a in range(first, total, block))
@@ -297,16 +301,16 @@ def axiom_check(f: FunctionTable, kind: AxiomKind) -> AxiomCheck:
         edges = list(lattice.cover_pairs())
         if _monotone_along_covers(lattice, n, values, edges):
             return AxiomCheck(kind, True, None,
-                              checked + n * k ** (n - 1) * len(edges))
+                              checked + n * (len(values) // k) * len(edges))
         # a step fails: find the first one point by point, for its witness
         # and count; a step from x_i to its cover c moves the position by
         # the difference times coordinate i's stride
         up = lattice._up
         covers = [lattice.upper_covers(a) for a in range(k)]
-        strides = [k ** (n - 1 - i) for i in range(n)]
+        place = strides(k, n)
         for pos, x in enumerate(f.domain()):
             above = up[values[pos]]
-            for i, (v, stride) in enumerate(zip(x, strides)):
+            for i, (v, stride) in enumerate(zip(x, place)):
                 for c in covers[v]:
                     checked += 1
                     if not above >> values[pos + (c - v) * stride] & 1:
@@ -322,17 +326,10 @@ def axiom_check(f: FunctionTable, kind: AxiomKind) -> AxiomCheck:
                 return AxiomCheck(kind, False, (c,), checked)
         return AxiomCheck(kind, True, None, checked)
 
-    if kind in (AxiomKind.INF_HOMOGENEOUS, AxiomKind.SUP_HOMOGENEOUS,
-                AxiomKind.BOOLEAN_INF_HOMOGENEOUS,
-                AxiomKind.BOOLEAN_SUP_HOMOGENEOUS):
-        infside = kind in (AxiomKind.INF_HOMOGENEOUS,
-                           AxiomKind.BOOLEAN_INF_HOMOGENEOUS)
-        if kind in (AxiomKind.BOOLEAN_INF_HOMOGENEOUS,
-                    AxiomKind.BOOLEAN_SUP_HOMOGENEOUS):
-            # the abstract {0,1}^n cube: bottom enumerates before top
-            letters = (lattice.bottom, lattice.top)
-        else:
-            letters = range(k)
+    if kind in _HOMOGENEITY:
+        infside, cube = _HOMOGENEITY[kind]
+        # the abstract {0,1}^n cube: bottom enumerates before top
+        letters = (lattice.bottom, lattice.top) if cube else range(k)
         op = meet_t if infside else join_t
 
         def positions(digits) -> list:

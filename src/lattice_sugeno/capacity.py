@@ -28,7 +28,7 @@ from .errors import (
     guard_size,
 )
 from .lattice import Lattice
-from .relations import _positions, check_vector
+from .relations import _positions, check_vector, strides
 
 
 class SugenoForm(Enum):
@@ -36,10 +36,27 @@ class SugenoForm(Enum):
     INF_OF_JOINS = "inf"
 
 
-class Capacity:
-    """Validated monotone set function; build via validate_capacity."""
+class _Table:
+    """Values over one lattice at one arity, with a name.  Two tables are
+    equal when they are of the same class, over the same lattice object,
+    with the same arity and values; the name plays no part."""
 
     __slots__ = ("lattice", "arity", "values", "name")
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and self.lattice is other.lattice
+                and self.arity == other.arity
+                and self.values == other.values)
+
+    def __hash__(self):
+        return hash((id(self.lattice), self.arity, self.values))
+
+
+class Capacity(_Table):
+    """Validated monotone set function; build via validate_capacity."""
+
+    __slots__ = ()
 
     def __init__(self, lattice: Lattice, arity: int, values: Sequence[int],
                  name: str = "m"):
@@ -53,15 +70,6 @@ class Capacity:
             raise ArityMismatch("subset mask %#x out of range for arity %d"
                                 % (mask, self.arity))
         return self.values[mask]
-
-    def __eq__(self, other):
-        return (isinstance(other, Capacity)
-                and self.lattice is other.lattice
-                and self.arity == other.arity
-                and self.values == other.values)
-
-    def __hash__(self):
-        return hash((id(self.lattice), self.arity, self.values))
 
     def __repr__(self):
         return "Capacity(%s, arity=%d, %r)" % (self.lattice.name, self.arity,
@@ -171,13 +179,14 @@ def _integral_table(m: Capacity, form: SugenoForm,
         level = [[closure[v]] for v in reversed(m.values)]
     else:
         raise ValueError("unknown form: %r" % (form,))
+    place = strides(len(closure), m.arity)
     for j in range(m.arity):
         digits = closure if x is None else [closure[x[j]]]
         # J without coordinate j at even rows, with it at odd
         level = [[a | b & c for a, b in zip(without, with_) for c in digits]
                  for without, with_ in zip(level[0::2], level[1::2])]
         if stop is not None:
-            keep = -(-stop // len(closure) ** (m.arity - 1 - j))
+            keep = -(-stop // place[j])
             level = [row[:keep] for row in level]
     masks = level[0]
     value = {mask: bound(_positions(mask)) for mask in set(masks)}

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 when the requested check holds (or the enumeration ran),
-1 when a verdict is negative (the witness is printed), 2 for usage and
-input-format problems.  All reports are plain deterministic text on
-standard output; diagnostics go to standard error.
+1 when a verdict is negative (the witness is printed, or the table is
+no aggregation function), 2 for usage and input-format problems; main
+maps the package's errors to them.  All reports are plain deterministic
+text on standard output; diagnostics go to standard error.
 """
 
 import argparse
@@ -13,17 +14,12 @@ from .axioms import characterization_report, sugeno_table
 from .bench import format_cost_report, run_bench
 from .capacity import Capacity, SugenoForm, format_subset, sugeno
 from .errors import (
-    ArityMismatch,
     CyclicOrder,
-    EnumerationTooLarge,
-    InvalidCapacity,
-    LatticeMismatch,
+    Error,
     NoBounds,
     NotAggregation,
     NotALattice,
-    NotDistributive,
     ParseError,
-    UnknownElement,
     guard_size,
 )
 from .fileio import (
@@ -42,8 +38,6 @@ from .lattice import is_distributive
 from .recognizer import RecognitionMethod, recognize
 from .relations import PAIRWISE_KINDS, RelationKind, relation_check, relation_region
 from .suites import SCOPES, run_scope
-
-_STRUCTURAL = (CyclicOrder, NoBounds, NotALattice)
 
 
 def _bool(value: bool) -> str:
@@ -64,7 +58,7 @@ def _load(args, lattice, parse, noun: str):
 def cmd_lattice_validate(args) -> int:
     try:
         lattice = build_lattice(args.lattice)
-    except _STRUCTURAL as exc:
+    except (CyclicOrder, NoBounds, NotALattice) as exc:
         print("invalid lattice: %s" % exc)
         return 1
     print("lattice %s: %d elements, bottom %s, top %s"
@@ -121,33 +115,23 @@ def cmd_sugeno(args) -> int:
     x = parse_vector(args.x, lattice, where="--x")
     if args.emit_table:
         guard_size(lattice.size, m.arity, "points", args.limit)
-    if args.form is not None:
-        form = SugenoForm(args.form)
+    forms = list(SugenoForm) if args.form is None else [SugenoForm(args.form)]
+    values = set()
+    for form in forms:
         value = sugeno(m, x, form)
-        label = ("sup_of_meets" if form is SugenoForm.SUP_OF_MEETS
-                 else "inf_of_joins")
-        print("%s: %s" % (label, lattice.elements[value]))
-        if args.emit_table:
-            sys.stdout.write(format_table(sugeno_table(m, form)))
-        return 0
-    sup = sugeno(m, x, SugenoForm.SUP_OF_MEETS)
-    inf = sugeno(m, x, SugenoForm.INF_OF_JOINS)
-    print("sup_of_meets: %s" % lattice.elements[sup])
-    print("inf_of_joins: %s" % lattice.elements[inf])
-    print("forms agree: %s" % _bool(sup == inf))
+        values.add(value)
+        print("%s: %s" % (form.name.lower(), lattice.elements[value]))
+    if len(forms) > 1:
+        print("forms agree: %s" % _bool(len(values) == 1))
     if args.emit_table:
-        sys.stdout.write(format_table(sugeno_table(m)))
-    return 0 if sup == inf else 1
+        sys.stdout.write(format_table(sugeno_table(m, forms[0])))
+    return 0 if len(values) == 1 else 1
 
 
 def cmd_axioms(args) -> int:
     lattice = build_lattice(args.lattice)
     f = _load(args, lattice, parse_table, "table")
-    try:
-        report = characterization_report(f)
-    except NotAggregation as exc:
-        print("not an aggregation function: %s" % exc)
-        return 1
+    report = characterization_report(f)
     sys.stdout.write(render_check_report(report, lattice))
     return 0 if report.consistent else 1
 
@@ -156,12 +140,8 @@ def cmd_recognize(args) -> int:
     lattice = build_lattice(args.lattice)
     f = _load(args, lattice, parse_table, "table")
     method = RecognitionMethod(args.method)
-    try:
-        result = recognize(f, method,
-                           allow_nondistributive=args.allow_nondistributive)
-    except NotAggregation as exc:
-        print("not an aggregation function: %s" % exc)
-        return 1
+    result = recognize(f, method,
+                       allow_nondistributive=args.allow_nondistributive)
     sys.stdout.write(render_recognition(result, f))
     return 0 if result.accepted else 1
 
@@ -287,9 +267,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, InvalidCapacity, LatticeMismatch, ArityMismatch,
-            UnknownElement, EnumerationTooLarge, NotDistributive,
-            *_STRUCTURAL, ValueError) as exc:
+    except NotAggregation as exc:
+        # a table that is no aggregation function is a negative verdict
+        print("not an aggregation function: %s" % exc)
+        return 1
+    except (Error, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

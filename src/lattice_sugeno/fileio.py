@@ -13,7 +13,13 @@ import math
 import re
 from typing import Sequence
 
-from .axioms import AxiomKind, CheckReport, FunctionTable, characterization_label
+from .axioms import (
+    AxiomKind,
+    CheckReport,
+    FunctionTable,
+    _HOMOGENEITY,
+    characterization_label,
+)
 from .capacity import Capacity, format_subset, validate_capacity
 from .errors import LatticeMismatch, ParseError, guard_size
 from .lattice import Lattice, chain, boolean_lattice, from_covers, m3, n5, product
@@ -399,9 +405,7 @@ def _axiom_witness_text(lattice: Lattice, kind: AxiomKind,
             format_vector(lattice, witness[2]))
     if kind is AxiomKind.IDEMPOTENT:
         return "fails at c=%s" % lattice.elements[witness[0]]
-    if kind in (AxiomKind.INF_HOMOGENEOUS, AxiomKind.SUP_HOMOGENEOUS,
-                AxiomKind.BOOLEAN_INF_HOMOGENEOUS,
-                AxiomKind.BOOLEAN_SUP_HOMOGENEOUS):
+    if kind in _HOMOGENEITY:
         return "fails at c=%s, x=%s" % (lattice.elements[witness[0]],
                                         format_vector(lattice, witness[1]))
     return "fails at x=%s, y=%s" % (format_vector(lattice, witness[0]),

@@ -80,8 +80,6 @@ class Lattice:
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._distributive = distributive
         self._distributive_witness: tuple | None = None
-        self._upper_covers: tuple | None = None
-        self._lower_covers: tuple | None = None
         # (arity, relation kind) -> axioms.PairPlan, built on first use
         self._pair_cache: dict = {}
 
@@ -151,18 +149,12 @@ class Lattice:
         return out
 
     def upper_covers(self, a: int) -> tuple:
-        if self._upper_covers is None:
-            self._compute_covers()
         return self._upper_covers[self._check(a)]
 
-    def lower_covers(self, a: int) -> tuple:
-        if self._lower_covers is None:
-            self._compute_covers()
-        return self._lower_covers[self._check(a)]
-
-    def _compute_covers(self):
+    @cached_property
+    def _upper_covers(self) -> tuple:
         size = len(self.elements)
-        ups, downs = [], []
+        ups = []
         for a in range(size):
             strictly_up = self._up[a] & ~(1 << a)
             covers = []
@@ -173,10 +165,7 @@ class Lattice:
                 if between == 0:
                     covers.append(b)
             ups.append(tuple(covers))
-        for a in range(size):
-            downs.append(tuple(b for b in range(size) if a in ups[b]))
-        self._upper_covers = tuple(ups)
-        self._lower_covers = tuple(downs)
+        return tuple(ups)
 
     @cached_property
     def _leq_bytes(self) -> bytes:

@@ -21,9 +21,9 @@ function, and runs the aggregation gate (monotonicity and the boundary
 values) only where the gate could change the outcome.  An acceptance
 skips it: f equals the integral of a valid capacity at every point,
 and every such integral passes the gate.  A rejection, an invalid
-candidate or a refused lattice runs it first, so a table that is no
-aggregation function still raises NotAggregation before any other
-outcome.  An invalid candidate always fails the gate, since 1_I <= 1_J
+candidate or a refused lattice runs it before it is reported, so a
+table that is no aggregation function still raises NotAggregation in
+place of any other outcome.  An invalid candidate always fails the gate, since 1_I <= 1_J
 whenever I is a subset of J.
 
 Non-distributive lattices are refused by default, since the two
@@ -132,21 +132,30 @@ def recognize(f: FunctionTable,
     Boolean-inf failures are searched before Boolean-sup failures, each
     side in lexicographic (c, x) order, so refusal witnesses are
     deterministic.  Every outcome but an acceptance runs the aggregation
-    gate first, through recover_capacity, and raises NotAggregation when
-    f fails it.
+    gate before it is reported, through recover_capacity, and raises
+    NotAggregation in its place when f fails it.
     """
     try:
-        m = _read_capacity(f)
-    except InvalidCapacity:
-        m = None
-    if m is None:
-        # an invalid candidate fails the gate: NotAggregation is raised
-        m = recover_capacity(f)
+        result = _decide(f, method, allow_nondistributive)
+    except (InvalidCapacity, NotDistributive):
+        # an invalid candidate always fails the gate; a refused lattice
+        # still owes it, so NotAggregation comes first either way
+        recover_capacity(f)
+        raise
+    if not result.accepted:
+        recover_capacity(f)
+    return result
 
+
+def _decide(f: FunctionTable, method: RecognitionMethod,
+            allow_nondistributive: bool) -> RecognitionResult:
+    """recognize without the gate: reads the candidate, refuses a
+    non-distributive lattice without the override, and returns the
+    deciding method's verdict after the two-form re-check."""
+    m = _read_capacity(f)
     forms = (SugenoForm.SUP_OF_MEETS, SugenoForm.INF_OF_JOINS)
     if not is_distributive(f.lattice):
         if not allow_nondistributive:
-            recover_capacity(f)
             raise NotDistributive(
                 "lattice %s is not distributive; recognition is only "
                 "defined on distributive lattices (pass "
@@ -163,7 +172,6 @@ def recognize(f: FunctionTable,
             res = axiom_check(f, kind)
             checked += res.pairs_checked
             if not res.holds:
-                recover_capacity(f)
                 return RecognitionResult(method, False, None,
                                          (tag,) + res.witness, checked, 0)
     elif method is not RecognitionMethod.DIRECT_COMPARISON:
@@ -171,8 +179,6 @@ def recognize(f: FunctionTable,
 
     witness, points = _verify_pointwise(f, m, forms)
     accepted = witness is None
-    if not accepted:
-        recover_capacity(f)
     if method is RecognitionMethod.DIRECT_COMPARISON:
         # the comparisons are the method's own identities; only an
         # acceptance counts them again as the re-check

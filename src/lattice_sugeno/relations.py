@@ -218,9 +218,10 @@ def related_positions(table: list, lattice: Lattice, x: tuple,
     # (prefix positions of y, x v y and x ^ y, allowed-value masks of
     # the coordinates still open)
     frontier = [(0, 0, 0, ((1 << k) - 1,) * n)]
+    place = strides(k, n)
     for j in range(n - 1):
         later = x[j + 1:]
-        lo = floor // k ** (n - 1 - j)
+        lo = floor // place[j]
         letters = table[x[j] * k:(x[j] + 1) * k]
         join_x, meet_x = join[x[j]], meet[x[j]]
         grown = []
@@ -266,8 +267,7 @@ def order_masks(lattice: Lattice, n: int) -> tuple:
     k, up = lattice.size, lattice._up
     total = k ** n
     below, above = [], []
-    for i in range(n):
-        stride = k ** (n - 1 - i)
+    for stride in strides(k, n):
         period = stride * k
         repeat = ((1 << total) - 1) // ((1 << period) - 1)
         digit = [((1 << stride) - 1) << (u * stride) for u in range(k)]
@@ -276,6 +276,13 @@ def order_masks(lattice: Lattice, n: int) -> tuple:
         above.append([sum(digit[u] for u in range(k) if up[v] >> u & 1)
                       * repeat for v in range(k)])
     return below, above
+
+
+def strides(k: int, n: int) -> list:
+    """Place values of the n coordinates over k elements: strides[i] =
+    k^(n-1-i) positions separate x from x with x_i raised by one, so
+    ``encode(x, k)`` is the sum of x_i * strides[i]."""
+    return [k ** (n - 1 - i) for i in range(n)]
 
 
 def encode(x: Sequence[int], k: int) -> int:

@@ -108,6 +108,23 @@ def test_table_equality_ignores_name(chain3):
     assert f == g and hash(f) == hash(g)
 
 
+def test_tables_and_capacities_equal_only_their_own_kind(chain3, chain2):
+    """Equality ignores the name but needs the same lattice object, arity
+    and values, and the same class: a function table never equals a
+    capacity, even one with the same values."""
+    twin = ls.chain(3)
+    for make in (lambda L, name: FunctionTable(L, 1, (0, 1, 2), name=name),
+                 lambda L, name: validate_capacity(L, 2, (0, 1, 1, 2),
+                                                   name=name)):
+        a, b = make(chain3, "a"), make(chain3, "b")
+        assert a == b and hash(a) == hash(b)
+        assert make(twin, "a") != a and a != make(twin, "a")
+    f = FunctionTable(chain2, 2, (0, 1, 1, 1))
+    m = validate_capacity(chain2, 2, (0, 1, 1, 1))
+    assert (f.lattice, f.arity, f.values) == (m.lattice, m.arity, m.values)
+    assert f != m and m != f
+
+
 def test_sugeno_table_name_and_values(chain3):
     m = validate_capacity(chain3, 2, (0, 1, 1, 2), name="sym")
     f = sugeno_table(m)

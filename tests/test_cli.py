@@ -34,6 +34,8 @@ def files(tmp_path_factory):
         paths[name] = str(path)
 
     put("h.tbl", format_table(FunctionTable(c3, 2, [0] + [2] * 8, name="h")))
+    put("droop.tbl", format_table(FunctionTable(c3, 2, [0] + [2] * 7 + [1],
+                                                name="droop")))
     med = validate_capacity(c3, 2, (0, 1, 1, 2), name="med")
     put("med.cap", format_capacity(med))
     put("med.tbl", format_table(sugeno_table(med)))
@@ -217,6 +219,15 @@ def test_recognize_integral_table(capsys, files, chain3):
     assert recovered == validate_capacity(chain3, 2, (0, 1, 1, 2))
     assert "pairs_checked: 24" in lines
     assert "verification_points: 18" in lines
+
+
+@pytest.mark.parametrize("command", ["axioms", "recognize"])
+def test_non_aggregation_table_is_a_negative_verdict(capsys, files, command):
+    code, out, err = run(capsys, command, "--lattice", "chain:3",
+                         "--table", files["droop.tbl"])
+    assert (code, err) == (1, "")
+    assert out == ("not an aggregation function: table droop is not an "
+                   "aggregation function\n")
 
 
 # -- theorem-suite ------------------------------------------------------

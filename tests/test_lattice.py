@@ -129,14 +129,12 @@ def test_two_maximal_elements_rejected():
 
 def test_covers_on_chain(chain4):
     assert chain4.upper_covers(1) == (2,)
-    assert chain4.lower_covers(1) == (0,)
     assert chain4.upper_covers(3) == ()
     assert list(chain4.cover_pairs()) == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_covers_on_boolean(bool2):
     assert bool2.upper_covers(0) == (1, 2)
-    assert bool2.lower_covers(3) == (1, 2)
 
 
 def test_from_covers_rebuilds_boolean(bool2):

@@ -18,7 +18,13 @@ from lattice_sugeno import (
 from lattice_sugeno.axioms import relation_pairs
 from lattice_sugeno.cli import build_parser
 from lattice_sugeno.errors import guard_size
-from lattice_sugeno.relations import _VerdictRows, _subsetwise_rows
+from lattice_sugeno.relations import (
+    _VerdictRows,
+    _subsetwise_rows,
+    decode,
+    encode,
+    strides,
+)
 from lattice_sugeno.suites import suite_duality, suite_lemmas
 
 from _oracles import (
@@ -335,6 +341,25 @@ def test_arity_mismatch(chain3):
 def test_unknown_index(chain3):
     with pytest.raises(UnknownElement):
         relation_check(chain3, RelationKind.COMONOTONE, (0, 9), (0, 1))
+
+
+@pytest.mark.parametrize("build,arity,digits", [
+    # chain(300) is built through the API: its element indices pass 255
+    (lambda: ls.chain(300), 2, (0, 1, 2, 254, 255, 256, 298, 299)),
+    (lambda: ls.boolean_lattice(2), 5, (0, 1, 2, 3)),
+])
+def test_strides_are_the_place_values_of_encode_and_decode(build, arity,
+                                                           digits):
+    k = build().size
+    place = strides(k, arity)
+    assert len(place) == arity and place[-1] == 1
+    for x in itertools.product(digits, repeat=arity):
+        pos = encode(x, k)
+        assert pos == sum(v * s for v, s in zip(x, place))
+        assert decode(pos, k, arity) == x == tuple(pos // s % k
+                                                   for s in place)
+    for i, s in enumerate(place[:-1]):
+        assert s == place[i + 1] * k
 
 
 def test_all_vectors_guard(chain11):
