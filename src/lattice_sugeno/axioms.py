@@ -53,12 +53,12 @@ from .errors import (
 from .lattice import Lattice
 from .relations import (
     RelationKind,
-    _VerdictRows,
+    _order_rows,
     _positions,
+    _relation_row,
     compatibility_table,
     decode,
     encode,
-    order_masks,
     related_positions,
     strides,
 )
@@ -227,14 +227,19 @@ def relation_pairs(lattice: Lattice, arity: int, kind: RelationKind,
 
     The diagonal pairs (x, x) are included, and each vector is one
     shared tuple however many pairs hold it.  The pairs of each x are
-    read off its verdict row.
+    read off its verdict row.  More than ``limit`` vector pairs are
+    refused up front, and for the subsetwise kinds, which test every
+    subset of every pair, more than ``limit`` vector-subset identities,
+    (2k^2)^n, as well.
     """
-    count = lattice.size ** arity
+    k = lattice.size
+    count = k ** arity
     guard_size(count * (count + 1) // 2, 1, "vector pairs", limit)
-    vectors = list(itertools.product(range(lattice.size), repeat=arity))
-    rows = _VerdictRows(lattice, arity)
+    if kind in (RelationKind.SUBSETWISE_JOIN, RelationKind.SUBSETWISE_MEET):
+        guard_size(2 * k * k, arity, "vector-subset identities", limit)
+    vectors = list(itertools.product(range(k), repeat=arity))
     return tuple((x, vectors[b]) for a, x in enumerate(vectors)
-                 for b in _positions(rows(kind, x), a))
+                 for b in _positions(_relation_row(lattice, kind, x), a))
 
 
 _SUPREMAL_RELATION = {
@@ -413,22 +418,18 @@ def characterization_report(f: FunctionTable) -> CheckReport:
 def _aggregation_fill(lattice: Lattice, arity: int) -> _MonotoneFill:
     """Aggregation tables as fills of the domain in product order.
 
-    The earlier points below (above) a point are the AND, over
-    coordinates, of the points whose coordinate lies below (above) its
-    own, cut to the earlier positions and listed once as positions;
-    both are needed, since element indices need not run along the
-    order.  The all-bottom and all-top points are pinned to bottom and
-    top.
+    The earlier points below (above) a point are its order rows cut to
+    the earlier positions and listed once as positions; both are
+    needed, since element indices need not run along the order.  The
+    all-bottom and all-top points are pinned to bottom and top.
     """
-    below, above = order_masks(lattice, arity)
     bounds = []
     for pos, x in enumerate(itertools.product(range(lattice.size),
                                               repeat=arity)):
-        lo = hi = (1 << pos) - 1
-        for i, v in enumerate(x):
-            lo &= below[i][v]
-            hi &= above[i][v]
-        bounds.append((tuple(_positions(lo)), tuple(_positions(hi))))
+        earlier = (1 << pos) - 1
+        below, above = _order_rows(lattice, x)
+        bounds.append((tuple(_positions(below & earlier)),
+                       tuple(_positions(above & earlier))))
     pinned = {encode((lattice.bottom,) * arity, lattice.size): lattice.bottom,
               encode((lattice.top,) * arity, lattice.size): lattice.top}
     return _MonotoneFill(lattice, bounds, pinned)

@@ -80,8 +80,10 @@ class Lattice:
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._distributive = distributive
         self._distributive_witness: tuple | None = None
-        # (arity, relation kind) -> axioms.PairPlan, built on first use
+        # built on first use: (arity, relation kind) -> axioms.PairPlan,
+        # and pairwise relation kind -> relations.compatibility_table
         self._pair_cache: dict = {}
+        self._letter_tables: dict = {}
 
     def _bound_table(self, rows, kind: str):
         # glb(a, b) is the c whose down-set is exactly the common lower

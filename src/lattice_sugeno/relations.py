@@ -18,7 +18,8 @@ Checks short-circuit on the first failing identity and report it as a
 witness, along with how many identities were evaluated.  Questions over
 the whole domain (regions, related pairs, the theorem suites) read
 verdict rows instead: per anchor x and kind, one bitmask over all k^n
-vectors in product order, built by ``_VerdictRows``.
+vectors in product order, built by ``_relation_row``.  Componentwise
+order rows, y <= x and y >= x, come from ``_order_rows`` alone.
 """
 
 import itertools
@@ -182,8 +183,12 @@ def compatibility_table(lattice: Lattice, kind: RelationKind) -> list:
     at some coordinate and letter (c, d) at a later one satisfy the
     kind's identity; (x, y) is related exactly when every two of its
     letters are compatible.  Costs k^4 identity evaluations, so more
-    than 10^7 of them are refused up front.
+    than 10^7 of them are refused up front; each table is built once
+    per lattice and kind and kept on the lattice.
     """
+    table = lattice._letter_tables.get(kind)
+    if table is not None:
+        return table
     guard_size(lattice.size, 4, "letter pairs")
     k = lattice.size
     table = []
@@ -197,6 +202,7 @@ def compatibility_table(lattice: Lattice, kind: RelationKind) -> list:
                         mask |= 1 << d
                 row.append(mask)
             table.append(row)
+    lattice._letter_tables[kind] = table
     return table
 
 
@@ -255,29 +261,6 @@ def related_positions(table: list, lattice: Lattice, x: tuple,
     return ys, joins, meets
 
 
-def order_masks(lattice: Lattice, n: int) -> tuple:
-    """(below, above): ``below[i][v]`` is the bitmask, over the k^n
-    positions in product order, of the vectors whose coordinate i lies
-    below v; ``above[i][v]`` of those whose coordinate i lies above v.
-
-    The positions with digit u at coordinate i form one block of
-    k^(n-1-i) bits per period of k^(n-i); multiplying a period's blocks
-    by a repunit with one bit per period repeats them over the domain.
-    """
-    k, up = lattice.size, lattice._up
-    total = k ** n
-    below, above = [], []
-    for stride in strides(k, n):
-        period = stride * k
-        repeat = ((1 << total) - 1) // ((1 << period) - 1)
-        digit = [((1 << stride) - 1) << (u * stride) for u in range(k)]
-        below.append([sum(digit[u] for u in range(k) if up[u] >> v & 1)
-                      * repeat for v in range(k)])
-        above.append([sum(digit[u] for u in range(k) if up[v] >> u & 1)
-                      * repeat for v in range(k)])
-    return below, above
-
-
 def strides(k: int, n: int) -> list:
     """Place values of the n coordinates over k elements: strides[i] =
     k^(n-1-i) positions separate x from x with x_i raised by one, so
@@ -302,52 +285,48 @@ def decode(pos: int, k: int, n: int) -> tuple:
     return tuple(out)
 
 
-class _VerdictRows:
-    """Verdict rows of one lattice and arity: for an anchor x and a
-    relation kind, the bitmask over the k^n positions (product order)
-    of the y that x is related to.
+def _order_rows(lattice: Lattice, x: tuple) -> tuple:
+    """(below, above): the verdict rows of the y with y <= x and with
+    y >= x coordinatewise.
 
-    Pairwise kinds come from the relation's compatibility table, grown
-    in time proportional to the row; comparable is the AND of the
-    coordinates' up-masks OR'd with the AND of their down-masks; the
-    two subsetwise kinds come from one pass over every y, kept for the
-    last anchor.  Rows are built per anchor and dropped, so no N x N
-    matrix is kept.
+    Each row is built as a string of binary digits, position 0 first,
+    one coordinate at a time from the last: the digits so far are
+    repeated for each value of the new coordinate that lies below
+    (above) x's, and zeros stand for the others, so the work is linear
+    in the k^n positions.
     """
+    up = lattice._up
+    below = above = b"1"
+    for v in reversed(x):
+        zeros = b"0" * len(below)
+        below = b"".join([below if up[u] >> v & 1 else zeros
+                          for u in range(lattice.size)])
+        above = b"".join([above if up[v] >> u & 1 else zeros
+                          for u in range(lattice.size)])
+    return int(below[::-1], 2), int(above[::-1], 2)
 
-    def __init__(self, lattice: Lattice, arity: int):
-        self.lattice = lattice
-        self.arity = arity
-        self.masks = None  # order_masks, built for the first comparable row
-        self.tables = {}
-        self.subsetwise = (None, 0, 0)
 
-    def __call__(self, kind: RelationKind, x: tuple) -> int:
-        lattice = self.lattice
-        if kind is RelationKind.COMPARABLE:
-            if self.masks is None:
-                self.masks = order_masks(lattice, self.arity)
-            below, above = self.masks
-            lo = hi = -1
-            for i, v in enumerate(x):
-                lo &= below[i][v]
-                hi &= above[i][v]
-            return lo | hi
-        if kind in PAIRWISE_KINDS:
-            table = self.tables.get(kind)
-            if table is None:
-                table = self.tables[kind] = compatibility_table(lattice, kind)
-            # rows are built as strings of binary digits, position 0
-            # first: OR-ing each bit into an int costs the row's length
-            digits = bytearray(b"0") * lattice.size ** self.arity
-            for pos in related_positions(table, lattice, x)[0]:
-                digits[pos] = 49  # ord("1")
-            return int(digits[::-1], 2)
-        anchor, join_row, meet_row = self.subsetwise
-        if anchor != x:
-            join_row, meet_row = _subsetwise_rows(lattice, x)
-            self.subsetwise = (x, join_row, meet_row)
-        return join_row if kind is RelationKind.SUBSETWISE_JOIN else meet_row
+def _relation_row(lattice: Lattice, kind: RelationKind, x: tuple) -> int:
+    """The verdict row of x: the bitmask over the k^n positions
+    (product order) of the y that x is related to.
+
+    Pairwise kinds are grown from the relation's compatibility table in
+    time proportional to the row; comparable is the union of the two
+    order rows; the subsetwise kinds take one pass over every y.
+    """
+    if kind is RelationKind.COMPARABLE:
+        below, above = _order_rows(lattice, x)
+        return below | above
+    if kind in PAIRWISE_KINDS:
+        # rows are built as strings of binary digits, position 0 first:
+        # OR-ing each bit into an int costs the row's length
+        digits = bytearray(b"0") * lattice.size ** len(x)
+        table = compatibility_table(lattice, kind)
+        for pos in related_positions(table, lattice, x)[0]:
+            digits[pos] = 49  # ord("1")
+        return int(digits[::-1], 2)
+    join_row, meet_row = _subsetwise_rows(lattice, x)
+    return join_row if kind is RelationKind.SUBSETWISE_JOIN else meet_row
 
 
 def _lowest(mask: int) -> int:
@@ -417,5 +396,5 @@ def relation_region(lattice: Lattice, kind: RelationKind,
     if kind in (RelationKind.SUBSETWISE_JOIN, RelationKind.SUBSETWISE_MEET):
         guard_size(2 * lattice.size, len(x), "vector-subset identities",
                    limit)
-    row = _VerdictRows(lattice, len(x))(kind, x)
+    row = _relation_row(lattice, kind, x)
     return tuple(decode(pos, lattice.size, len(x)) for pos in _positions(row))

@@ -586,6 +586,23 @@ def test_long_subsetwise_sweep_holds():
     assert proc.stdout == "subsetwise-join: true\n"
 
 
+def test_wide_comparable_region_is_built_in_linear_time():
+    """The order rows of a 10^7-point domain are grown coordinate by
+    coordinate, inside the timeout and the memory cap."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lattice_sugeno.cli", "region",
+         "--lattice", "chain:10", "--arity", "7", "--kind", "comparable",
+         "--x", "(0,9,0,9,0,9,0)"],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=src), preexec_fn=_cap_memory)
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "region comparable around (0,9,0,9,0,9,0): 10999 vectors"
+    assert len(lines) == 11000
+    assert lines[1] == "(0,0,0,0,0,0,0)" and lines[-1] == "(9,9,9,9,9,9,9)"
+
+
 def test_bad_usage_exits_two(capsys):
     for argv in ([], ["relations", "--lattice", "chain:3"],
                  ["no-such-command"],

@@ -1,9 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lattice_sugeno as ls
+from lattice_sugeno import axioms, relations
 from lattice_sugeno import (
     ArityMismatch,
     EnumerationTooLarge,
@@ -19,13 +23,14 @@ from lattice_sugeno.axioms import relation_pairs
 from lattice_sugeno.cli import build_parser
 from lattice_sugeno.errors import guard_size
 from lattice_sugeno.relations import (
-    _VerdictRows,
+    _order_rows,
+    _relation_row,
     _subsetwise_rows,
     decode,
     encode,
     strides,
 )
-from lattice_sugeno.suites import suite_duality, suite_lemmas
+from lattice_sugeno.suites import run_scope, suite_duality, suite_lemmas
 
 from _oracles import (
     RefLattice,
@@ -594,17 +599,98 @@ def test_verdict_rows_match_oracle_on_random_lattices(family, arity):
     if L.size ** arity > 64:
         arity = 2
     vectors = list(itertools.product(range(L.size), repeat=arity))
-    rows = _VerdictRows(L, arity)
     for x in vectors:
         for kind in (RelationKind.COMONOTONE, RelationKind.COMPARABLE,
                      RelationKind.G_COMONOTONE,
                      RelationKind.DUAL_G_COMONOTONE):
-            assert rows(kind, x) == _ref_row(ref, kind, x, vectors)
+            assert _relation_row(L, kind, x) == _ref_row(ref, kind, x,
+                                                         vectors)
         expected = (_ref_row(ref, RelationKind.SUBSETWISE_JOIN, x, vectors),
                     _ref_row(ref, RelationKind.SUBSETWISE_MEET, x, vectors))
         assert _subsetwise_rows(L, x) == expected
-        assert (rows(RelationKind.SUBSETWISE_JOIN, x),
-                rows(RelationKind.SUBSETWISE_MEET, x)) == expected
+        assert (_relation_row(L, RelationKind.SUBSETWISE_JOIN, x),
+                _relation_row(L, RelationKind.SUBSETWISE_MEET, x)) == expected
+
+
+def _assert_order_rows_match(L, ref, arity):
+    vectors = list(itertools.product(range(L.size), repeat=arity))
+    for x in vectors:
+        below = sum(1 << b for b, y in enumerate(vectors)
+                    if all(ref.leq(v, u) for v, u in zip(y, x)))
+        above = sum(1 << b for b, y in enumerate(vectors)
+                    if all(ref.leq(u, v) for v, u in zip(y, x)))
+        assert _order_rows(L, x) == (below, above)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sets(st.integers(0, 7)), st.integers(1, 3))
+def test_order_rows_match_the_oracle_sweep(family, arity):
+    """The rows of y <= x and of y >= x equal the reference order's
+    sweep over every y."""
+    L, ref = _closure_lattice(family)
+    if L.size ** arity > 64:
+        arity = 2
+    _assert_order_rows_match(L, ref, arity)
+
+
+def test_order_rows_on_an_n5_with_unsorted_indices():
+    """Element indices that are no linear extension of the order: a
+    row is not a prefix or suffix of the domain."""
+    names = ["1", "b", "c", "0", "a"]
+    L = ls.from_covers("unsorted-N5", names,
+                       [("0", "a"), ("a", "b"), ("b", "1"),
+                        ("0", "c"), ("c", "1")])
+    below = {"0": "0", "a": "0a", "b": "0ab", "c": "0c", "1": "0abc1"}
+    ref = RefLattice(5, lambda p, q: names[p] in below[names[q]])
+    for arity in (1, 2, 3):
+        _assert_order_rows_match(L, ref, arity)
+
+
+def test_theorem_suites_build_each_letter_table_once(monkeypatch):
+    """Every scope of ``all`` on chain:4 at arity 3, the verdict rows
+    and the pair plans alike, shares one letter table per pairwise
+    kind: counted as the distinct tables handed out."""
+    built = {}
+    original = relations.compatibility_table
+
+    def counted(lattice, kind):
+        table = original(lattice, kind)
+        built.setdefault(kind, {})[id(table)] = table
+        return table
+
+    monkeypatch.setattr(relations, "compatibility_table", counted)
+    monkeypatch.setattr(axioms, "compatibility_table", counted)
+    run_scope("all", ls.chain(4), 3)
+    assert {kind: len(tables) for kind, tables in built.items()} == {
+        kind: 1 for kind in PAIRWISE}
+
+
+def test_relation_pairs_refuses_too_many_subset_identities():
+    """The subsetwise kinds test every subset of every pair: 8^12
+    vector-subset identities on chain(2) at arity 12 are refused before
+    any row is built.  Run apart, with a timeout, since an unguarded
+    call runs for hours."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
+    code = ("import lattice_sugeno as ls\n"
+            "from lattice_sugeno.axioms import relation_pairs\n"
+            "for kind in ('subsetwise-join', 'subsetwise-meet'):\n"
+            "    try:\n"
+            "        relation_pairs(ls.chain(2), 12, ls.RelationKind(kind))\n"
+            "    except ls.EnumerationTooLarge as exc:\n"
+            "        print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=20,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("8^12 vector-subset identities exceed the limit "
+                           "of 10000000\n") * 2
+    # the same identities within the limit are admitted
+    assert relation_pairs(ls.chain(2), 2, RelationKind.SUBSETWISE_JOIN,
+                          limit=64) == relation_pairs(
+        ls.chain(2), 2, RelationKind.SUBSETWISE_JOIN)
+    with pytest.raises(EnumerationTooLarge):
+        relation_pairs(ls.chain(2), 2, RelationKind.SUBSETWISE_MEET,
+                       limit=63)
 
 
 @settings(max_examples=25, deadline=None)
