@@ -56,7 +56,6 @@ from .relations import (
     _order_rows,
     _positions,
     _relation_row,
-    compatibility_table,
     decode,
     encode,
     related_positions,
@@ -182,10 +181,10 @@ def characterization_label(pair: tuple) -> str:
 
 
 class PairPlan(NamedTuple):
-    """The related vector pairs (x, y), x lex <= y, of one relation at
-    one arity, as four aligned columns of mixed-radix positions: x, y,
-    x v y and x ^ y.  Rows run with x in product order and, for each
-    x, y ascending from x itself."""
+    """The related vector pairs (x, y), x lex <= y, of one pairwise
+    relation at one arity, as four aligned columns of mixed-radix
+    positions: x, y, x v y and x ^ y.  Rows run with x in product order
+    and, for each x, y ascending from x itself."""
 
     xs: array
     ys: array
@@ -196,11 +195,12 @@ class PairPlan(NamedTuple):
 def pair_plan(lattice: Lattice, arity: int, kind: RelationKind) -> PairPlan:
     """The PairPlan of a pairwise kind, built once per (arity, kind).
 
-    Related y are grown from letter-compatibility bitsets in time
-    proportional to the output, with the positions of x v y and x ^ y
-    carried digit by digit.  Plans are cached on the lattice because
-    the supremal and infimal checks of every table, the census and the
-    sampled lemma tables all walk the same relation on the same lattice.
+    The y related to each x come from ``related_positions``, grown from
+    the relation's letter table in time proportional to the output,
+    with the positions of x v y and x ^ y carried digit by digit.
+    Plans are cached on the lattice because the supremal and infimal
+    checks of every table, the census and the sampled lemma tables all
+    walk the same relation on the same lattice.
     More than 10^7 vector pairs are refused up front.
     """
     count = lattice.size ** arity
@@ -208,11 +208,10 @@ def pair_plan(lattice: Lattice, arity: int, kind: RelationKind) -> PairPlan:
     key = (arity, kind)
     plan = lattice._pair_cache.get(key)
     if plan is None:
-        table = compatibility_table(lattice, kind)
         plan = PairPlan(array("i"), array("i"), array("i"), array("i"))
         for a, x in enumerate(itertools.product(range(lattice.size),
                                                 repeat=arity)):
-            ys, joins, meets = related_positions(table, lattice, x, a)
+            ys, joins, meets = related_positions(lattice, kind, x, a)
             plan.xs.extend(array("i", (a,)) * len(ys))
             plan.ys.extend(ys)
             plan.joins.extend(joins)

@@ -81,7 +81,7 @@ class Lattice:
         self._distributive = distributive
         self._distributive_witness: tuple | None = None
         # built on first use: (arity, relation kind) -> axioms.PairPlan,
-        # and pairwise relation kind -> relations.compatibility_table
+        # and pairwise kind -> its k^2 relations.compatibility_table bitsets
         self._pair_cache: dict = {}
         self._letter_tables: dict = {}
 

@@ -176,15 +176,15 @@ def all_vectors(lattice: Lattice, n: int,
 
 
 def compatibility_table(lattice: Lattice, kind: RelationKind) -> list:
-    """Letter compatibility of a pairwise kind, as bitsets.
+    """Letter compatibility of a pairwise kind, as k^2 bitsets.
 
-    A vector pair (x, y) is a word of letters (x_i, y_i).  Entry
-    ``[a * k + b][c]`` is a k-bit mask with bit d set when letter (a, b)
-    at some coordinate and letter (c, d) at a later one satisfy the
-    kind's identity; (x, y) is related exactly when every two of its
-    letters are compatible.  Costs k^4 identity evaluations, so more
-    than 10^7 of them are refused up front; each table is built once
-    per lattice and kind and kept on the lattice.
+    A vector pair (x, y) is a word of letters (x_i, y_i); letter (c, d)
+    is bit c * k + d.  Entry ``[a * k + b]`` has bit c * k + d set when
+    letter (a, b) at some coordinate and letter (c, d) at a later one
+    satisfy the kind's identity; (x, y) is related exactly when every
+    two of its letters are compatible.  Costs k^4 identity evaluations,
+    so more than 10^7 of them are refused up front; each table is built
+    once per lattice and kind and kept on the lattice.
     """
     table = lattice._letter_tables.get(kind)
     if table is not None:
@@ -194,61 +194,58 @@ def compatibility_table(lattice: Lattice, kind: RelationKind) -> list:
     table = []
     for a in range(k):
         for b in range(k):
-            row = []
+            mask = 0
             for c in range(k):
-                mask = 0
                 for d in range(k):
                     if _pair_identity(lattice, kind, a, c, b, d):
-                        mask |= 1 << d
-                row.append(mask)
-            table.append(row)
+                        mask |= 1 << (c * k + d)
+            table.append(mask)
     lattice._letter_tables[kind] = table
     return table
 
 
-def related_positions(table: list, lattice: Lattice, x: tuple,
+def related_positions(lattice: Lattice, kind: RelationKind, x: tuple,
                       floor: int = 0) -> tuple:
-    """The y related to x, as three lists of mixed-radix positions:
-    y itself in increasing order, then x v y and x ^ y pair by pair.
+    """The y related to x by a pairwise kind, as three lists of
+    mixed-radix positions: y itself in increasing order, then x v y and
+    x ^ y pair by pair.
 
-    ``table`` is a compatibility_table of the lattice.  y is grown one
-    coordinate at a time: the values allowed at coordinate j are the
-    AND of the table rows of the letters already chosen, so only
+    y is grown one coordinate at a time, each prefix carrying the set of
+    letters compatible with all of its own (compatibility_table): the
+    values allowed at coordinate j are its letters (x_j, d), so only
     prefixes of related vectors are visited.  The positions of x v y
     and x ^ y grow digit by digit alongside, so nothing is decoded.
     Positions below ``floor`` are pruned as soon as their prefix falls
     below floor's.
     """
+    table = compatibility_table(lattice, kind)
     k, join, meet = lattice.size, lattice._join, lattice._meet
-    n = len(x)
-    # (prefix positions of y, x v y and x ^ y, allowed-value masks of
-    # the coordinates still open)
-    frontier = [(0, 0, 0, ((1 << k) - 1,) * n)]
-    place = strides(k, n)
-    for j in range(n - 1):
-        later = x[j + 1:]
-        lo = floor // place[j]
-        letters = table[x[j] * k:(x[j] + 1) * k]
-        join_x, meet_x = join[x[j]], meet[x[j]]
+    digits = (1 << k) - 1
+    # (prefix positions of y, x v y and x ^ y, compatible letters)
+    frontier = [(0, 0, 0, (1 << k * k) - 1)]
+    for v, place in zip(x, strides(k, len(x))[:-1]):
+        lo = floor // place
+        shift = v * k
+        entries = table[shift:shift + k]
+        join_x, meet_x = join[v], meet[v]
         grown = []
-        for pos, pos_join, pos_meet, masks in frontier:
-            allowed = masks[0]
-            rest = masks[1:]
+        for pos, pos_join, pos_meet, letters in frontier:
+            allowed = letters >> shift & digits
             base, base_join, base_meet = pos * k, pos_join * k, pos_meet * k
             while allowed:
                 low = allowed & -allowed
                 allowed ^= low
                 d = low.bit_length() - 1
                 if base + d >= lo:
-                    row = letters[d]
-                    still_open = tuple([m & row[c]
-                                        for m, c in zip(rest, later)])
                     grown.append((base + d, base_join + join_x[d],
-                                  base_meet + meet_x[d], still_open))
+                                  base_meet + meet_x[d],
+                                  letters & entries[d]))
         frontier = grown
     ys, joins, meets = [], [], []
+    shift = x[-1] * k
     join_x, meet_x = join[x[-1]], meet[x[-1]]
-    for pos, pos_join, pos_meet, (allowed,) in frontier:
+    for pos, pos_join, pos_meet, letters in frontier:
+        allowed = letters >> shift & digits
         base, base_join, base_meet = pos * k, pos_join * k, pos_meet * k
         while allowed:
             low = allowed & -allowed
@@ -321,8 +318,7 @@ def _relation_row(lattice: Lattice, kind: RelationKind, x: tuple) -> int:
         # rows are built as strings of binary digits, position 0 first:
         # OR-ing each bit into an int costs the row's length
         digits = bytearray(b"0") * lattice.size ** len(x)
-        table = compatibility_table(lattice, kind)
-        for pos in related_positions(table, lattice, x)[0]:
+        for pos in related_positions(lattice, kind, x)[0]:
             digits[pos] = 49  # ord("1")
         return int(digits[::-1], 2)
     join_row, meet_row = _subsetwise_rows(lattice, x)
@@ -365,8 +361,8 @@ def _subsetwise_rows(lattice: Lattice, x: tuple) -> tuple:
     y_joins = [lattice.bottom] * size
     meet_of_joins = [lattice.top] * size
     join_of_meets = [lattice.bottom] * size
-    # the two rows' binary digits, position 0 first, as for the pairwise
-    # rows; a failing identity clears its y's digit
+    # row digits, position 0 first; a failing identity clears y's digit, and
+    # once both are clear y is done: the next y reads only masks it rewrote
     join_digits = bytearray(b"1") * lattice.size ** len(x)
     meet_digits = bytearray(join_digits)
     for pos, y in enumerate(itertools.product(range(lattice.size),
@@ -379,8 +375,12 @@ def _subsetwise_rows(lattice: Lattice, x: tuple) -> tuple:
             join_of_meets[mask] = join[join_of_meets[rest]][meet[xi][yi]]
             if meet_of_joins[mask] != join[x_meets[mask]][y_meets[mask]]:
                 join_digits[pos] = 48  # ord("0")
+                if meet_digits[pos] == 48:
+                    break
             if join_of_meets[mask] != meet[x_joins[mask]][y_joins[mask]]:
                 meet_digits[pos] = 48
+                if join_digits[pos] == 48:
+                    break
     return int(join_digits[::-1], 2), int(meet_digits[::-1], 2)
 
 

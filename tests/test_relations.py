@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lattice_sugeno as ls
-from lattice_sugeno import axioms, relations
+from lattice_sugeno import relations
 from lattice_sugeno import (
     ArityMismatch,
     EnumerationTooLarge,
@@ -19,13 +19,14 @@ from lattice_sugeno import (
     relation_region,
 )
 
-from lattice_sugeno.axioms import relation_pairs
+from lattice_sugeno.axioms import pair_plan, relation_pairs
 from lattice_sugeno.cli import build_parser
 from lattice_sugeno.errors import guard_size
 from lattice_sugeno.relations import (
     _order_rows,
     _relation_row,
     _subsetwise_rows,
+    compatibility_table,
     decode,
     encode,
     strides,
@@ -557,6 +558,17 @@ def _closure_lattice(family):
     return L, RefLattice(len(sets), lambda a, b: sets[a] <= sets[b])
 
 
+def _unsorted_n5():
+    """N5 with element indices that are no linear extension of the
+    order, and its reference."""
+    names = ["1", "b", "c", "0", "a"]
+    L = ls.from_covers("unsorted-N5", names,
+                       [("0", "a"), ("a", "b"), ("b", "1"),
+                        ("0", "c"), ("c", "1")])
+    below = {"0": "0", "a": "0a", "b": "0ab", "c": "0c", "1": "0abc1"}
+    return L, RefLattice(5, lambda p, q: names[p] in below[names[q]])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sets(st.integers(0, 7)))
 def test_lattice_tables_match_oracle_on_random_lattices(family):
@@ -580,6 +592,75 @@ def test_engine_matches_oracle_on_random_lattices(family, arity, kind, data):
     assert relation_pairs(L, arity, kind) == _brute_pairs(ref, kind, arity)
     x = tuple(data.draw(st.integers(0, L.size - 1)) for _ in range(arity))
     assert relation_region(L, kind, x) == _brute_region(ref, kind, x)
+
+
+# -- the letter tables and pair plans of the pairwise kinds ----------------
+
+_TABLE_ZOO = {**_ENGINE_ZOO, "unsorted-N5": _unsorted_n5()}
+
+
+def _assert_letter_table_matches(L, ref, kind):
+    """Bit c*k+d of entry a*k+b is the verdict on x = (a, c), y = (b, d):
+    letter (a, b) at the earlier coordinate, (c, d) at the later one."""
+    k = L.size
+    table = compatibility_table(L, kind)
+    assert len(table) == k * k
+    for a, b, c, d in itertools.product(range(k), repeat=4):
+        assert (table[a * k + b] >> (c * k + d) & 1
+                == _REF[kind](ref, (a, c), (b, d))), (a, b, c, d)
+
+
+def _assert_plan_matches(L, ref, kind, arity):
+    """The plan's four columns equal a plain walk: x in product order,
+    then every y from x on that the oracle relates to x, with x v y and
+    x ^ y taken from the oracle."""
+    vectors = list(itertools.product(range(L.size), repeat=arity))
+    index = {v: i for i, v in enumerate(vectors)}
+    xs, ys, joins, meets = [], [], [], []
+    for a, x in enumerate(vectors):
+        for b in range(a, len(vectors)):
+            y = vectors[b]
+            if _REF[kind](ref, x, y):
+                xs.append(a)
+                ys.append(b)
+                joins.append(index[tuple(map(ref.join, x, y))])
+                meets.append(index[tuple(map(ref.meet, x, y))])
+    plan = pair_plan(L, arity, kind)
+    assert (list(plan.xs), list(plan.ys)) == (xs, ys)
+    assert (list(plan.joins), list(plan.meets)) == (joins, meets)
+
+
+@pytest.mark.parametrize("kind", PAIRWISE, ids=lambda k: k.value)
+@pytest.mark.parametrize("name", _TABLE_ZOO)
+def test_letter_table_matches_oracle(name, kind):
+    _assert_letter_table_matches(*_TABLE_ZOO[name], kind)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sets(st.integers(0, 7)))
+def test_letter_table_matches_oracle_on_random_lattices(family):
+    L, ref = _closure_lattice(family)
+    for kind in PAIRWISE:
+        _assert_letter_table_matches(L, ref, kind)
+
+
+@pytest.mark.parametrize("kind", PAIRWISE, ids=lambda k: k.value)
+@pytest.mark.parametrize("name,arity", [
+    (name, arity) for name in _TABLE_ZOO for arity in (1, 2, 3)
+    if _TABLE_ZOO[name][0].size ** arity <= 216])
+def test_pair_plan_matches_oracle_walk(name, arity, kind):
+    _assert_plan_matches(*_TABLE_ZOO[name], kind, arity)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sets(st.integers(0, 7)), st.integers(1, 3),
+       st.sampled_from(PAIRWISE))
+def test_pair_plan_matches_oracle_walk_on_random_lattices(family, arity,
+                                                          kind):
+    L, ref = _closure_lattice(family)
+    if L.size ** arity > 216:
+        arity = 2
+    _assert_plan_matches(L, ref, kind, arity)
 
 
 # -- the verdict rows of the theorem suites ----------------------------------
@@ -636,12 +717,7 @@ def test_order_rows_match_the_oracle_sweep(family, arity):
 def test_order_rows_on_an_n5_with_unsorted_indices():
     """Element indices that are no linear extension of the order: a
     row is not a prefix or suffix of the domain."""
-    names = ["1", "b", "c", "0", "a"]
-    L = ls.from_covers("unsorted-N5", names,
-                       [("0", "a"), ("a", "b"), ("b", "1"),
-                        ("0", "c"), ("c", "1")])
-    below = {"0": "0", "a": "0a", "b": "0ab", "c": "0c", "1": "0abc1"}
-    ref = RefLattice(5, lambda p, q: names[p] in below[names[q]])
+    L, ref = _unsorted_n5()
     for arity in (1, 2, 3):
         _assert_order_rows_match(L, ref, arity)
 
@@ -659,7 +735,6 @@ def test_theorem_suites_build_each_letter_table_once(monkeypatch):
         return table
 
     monkeypatch.setattr(relations, "compatibility_table", counted)
-    monkeypatch.setattr(axioms, "compatibility_table", counted)
     run_scope("all", ls.chain(4), 3)
     assert {kind: len(tables) for kind, tables in built.items()} == {
         kind: 1 for kind in PAIRWISE}
