@@ -8,6 +8,7 @@ text on standard output; diagnostics go to standard error.
 """
 
 import argparse
+import functools
 import sys
 
 from .axioms import characterization_report, sugeno_table
@@ -44,14 +45,19 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _check_arity(args, arity: int, noun: str, where: str):
+    """Refuse an input of another arity than --arity, when that is given."""
+    if args.arity is not None and arity != args.arity:
+        raise ParseError("%s arity %d does not match --arity %d"
+                         % (noun, arity, args.arity), where)
+
+
 def _load(args, lattice, parse, noun: str):
     """Parse the file named by --table or --capacity (``noun``); its
     arity must match --arity when that is given."""
     path = getattr(args, noun)
     loaded = parse(read_text(path), lattice, path=path)
-    if args.arity is not None and loaded.arity != args.arity:
-        raise ParseError("%s arity %d does not match --arity %d"
-                         % (noun, loaded.arity, args.arity), path)
+    _check_arity(args, loaded.arity, noun, path)
     return loaded
 
 
@@ -88,7 +94,9 @@ def cmd_relations(args) -> int:
     lattice = build_lattice(args.lattice)
     kind = RelationKind(args.kind)
     x = parse_vector(args.x, lattice, where="--x")
+    _check_arity(args, len(x), "vector", "--x")
     y = parse_vector(args.y, lattice, where="--y")
+    _check_arity(args, len(y), "vector", "--y")
     result = relation_check(lattice, kind, x, y)
     print("%s: %s" % (kind.value, _bool(result.holds)))
     if result.holds:
@@ -101,6 +109,7 @@ def cmd_region(args) -> int:
     lattice = build_lattice(args.lattice)
     kind = RelationKind(args.kind)
     x = parse_vector(args.x, lattice, where="--x")
+    _check_arity(args, len(x), "vector", "--x")
     region = relation_region(lattice, kind, x, limit=args.limit)
     print("region %s around %s: %d vectors"
           % (kind.value, format_vector(lattice, x), len(region)))
@@ -185,6 +194,7 @@ def _positive(text: str) -> int:
     return int(text)
 
 
+@functools.cache  # built on first use, then shared by every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lattice-sugeno",

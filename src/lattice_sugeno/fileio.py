@@ -325,18 +325,47 @@ def format_capacity(m: Capacity) -> str:
 # -- function tables ---------------------------------------------------
 
 
+def _point_prefixes(names: Sequence[str], arity: int) -> list:
+    """The canonical point-key prefixes "(e1,...,e_{n-1}," of a table
+    file, in product order."""
+    prefixes = ["("]
+    for _ in range(arity - 1):
+        prefixes = [p + e + "," for p in prefixes for e in names]
+    return prefixes
+
+
 def parse_table(text: str, lattice: Lattice,
                 path: str = "<input>") -> FunctionTable:
     """Read the function-table file format; every point is required.
 
-    Each body line is checked in one pass, in a fixed order: the arrow,
-    the vector literal, the names of its coordinates, their count, a
-    repeated point, then the value.  An unknown coordinate name is
-    reported before a wrong count, without a line number, as
-    parse_vector reports it.  The position is built digit by digit only
-    once the count is right, so an overlong line costs time linear in
-    its length.
+    Text exactly as format_table writes it is checked in bulk against
+    the writer's point keys, giving the table the line reader gives.
+    Any other text is read line by line, each body line checked in one
+    pass, in a fixed order: the arrow, the vector literal, the names of
+    its coordinates, their count, a repeated point, then the value.  An
+    unknown coordinate name is reported before a wrong count, without a
+    line number, as parse_vector reports it.  The position is built
+    digit by digit only once the count is right, so an overlong line
+    costs time linear in its length.
     """
+    # the bulk check: a name with a comma, "#", "->" or whitespace, or an
+    # empty one, would make a canonical line read otherwise below
+    body, names = text.splitlines(), lattice.elements
+    if body and "#" not in body[0] and body[0].strip() and all(
+            e.split() == [e] and "," not in e and "#" not in e
+            and "->" not in e for e in names):
+        name, arity = _parse_header(body.pop(0).strip(), "table", lattice,
+                                    path, 1)
+        guard_size(lattice.size, arity, "points")
+        if len(body) == lattice.size ** arity:
+            keys = [p + e + ") -> " for p in _point_prefixes(names, arity)
+                    for e in names]
+            if all(map(str.startswith, body, keys)):
+                values = list(map(lattice._index.get,
+                                  map(str.removeprefix, body, keys)))
+                if None not in values:
+                    return FunctionTable._trusted(lattice, arity, values,
+                                                  name=name)
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError("empty table file", path)
@@ -378,16 +407,14 @@ def parse_table(text: str, lattice: Lattice,
 
 
 def format_table(f: FunctionTable) -> str:
-    """The table file text.  Point keys are grown from name prefixes one
-    coordinate at a time, and each line ends in one of k^2 precomputed
-    "last name) -> value" tails."""
+    """The table file text, in the canonical layout that parse_table
+    reads in bulk.  Each line is a point-key prefix from _point_prefixes
+    and one of k^2 precomputed "last name) -> value" tails."""
     names = f.lattice.elements
-    prefixes = ["("]
-    for _ in range(f.arity - 1):
-        prefixes = [p + e + "," for p in prefixes for e in names]
     tails = [[e + ") -> " + w for w in names] for e in names]
     lines = [p + tails[last][v] for (p, last), v in
-             zip(itertools.product(prefixes, range(len(names))), f.values)]
+             zip(itertools.product(_point_prefixes(names, f.arity),
+                                   range(len(names))), f.values)]
     return ("table %s over %s arity %d\n" % (f.name, f.lattice.name, f.arity)
             + "\n".join(lines) + "\n")
 

@@ -552,12 +552,18 @@ def _cap_memory():
       "--x", "(%s)" % ",".join(["0"] * 16)], "error:"),
     (["theorem-suite", "example1", "--lattice", "chain:2", "--arity", "23"],
      "error:"),
+    (["region", "--lattice", "chain:2", "--arity", "2",
+      "--kind", "comonotone", "--x", "(0,0,0)"],
+     "error: --x: vector arity 3 does not match --arity 2"),
+    (["relations", "--lattice", "chain:2", "--arity", "3",
+      "--kind", "comonotone", "--x", "(0,0,0)", "--y", "(0,1)"],
+     "error: --y: vector arity 2 does not match --arity 3"),
 ], ids=["bench-arity-40", "capacity-arity-62", "table-arity-40",
         "missing-lattice-file", "missing-file-in-product", "negative-arity",
         "negative-limit", "huge-chain", "huge-product", "huge-letter-table",
         "huge-thm2", "huge-lemmas", "huge-subsetwise", "huge-pairwise",
         "huge-emit-table", "long-table-line", "huge-region-subsetwise",
-        "huge-example1"])
+        "huge-example1", "region-arity-flag", "relations-arity-flag"])
 def test_malformed_input_exits_two(oversized, argv, prefix):
     src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
     proc = subprocess.run(

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -442,6 +443,108 @@ def test_table_lines_may_carry_spaces_and_comments(chain3):
     f = parse_table("table f over chain3 arity 2\n" + "\n".join(body),
                     chain3)
     assert f.values == tuple(max(a, b) for a in range(3) for b in range(3))
+
+
+# names that put parentheses, dashes and ">" next to the table's own
+# punctuation; each can stand in a canonical line
+_PLAIN_NAMES = ["-", ">", "(", ")", "a-", ">b", "c)", "(d", "e", "-f>", "0"]
+
+
+@st.composite
+def _table_lattices(draw):
+    """chain:3, boolean:2, N5, or a random lattice from covers: an
+    intersection-closed family of subsets of {0, 1, 2} plus the full
+    set, under inclusion, named from _PLAIN_NAMES."""
+    which = draw(st.sampled_from(["chain:3", "boolean:2", "builtin:N5",
+                                  "covers"]))
+    if which != "covers":
+        return build_lattice(which)
+    sets = {frozenset(range(3))} | {
+        frozenset(i for i in range(3) if mask >> i & 1)
+        for mask in draw(st.sets(st.integers(0, 7), max_size=5))}
+    while not {a & b for a in sets for b in sets} <= sets:
+        sets |= {a & b for a in sets for b in sets}
+    sets = sorted(sets, key=lambda s: (len(s), sorted(s)))
+    names = draw(st.permutations(_PLAIN_NAMES))[:len(sets)]
+    covers = [(names[a], names[b]) for a in range(len(sets))
+              for b in range(len(sets)) if sets[a] < sets[b]
+              and not any(sets[a] < c < sets[b] for c in sets)]
+    return ls.from_covers("covers", names, covers)
+
+
+def _parse_outcome(text, lattice):
+    try:
+        f = parse_table(text, lattice, path="t.tbl")
+    except ls.Error as exc:
+        return type(exc), str(exc)
+    return f.values, f.name, f.arity
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice=_table_lattices(), arity=st.integers(1, 3),
+       integral=st.booleans(), seed=st.integers(0, 99),
+       how=st.sampled_from(["value", "bare", "unknown", "twice", "delete",
+                            "swap", "space", "comment", "crlf", None]),
+       data=st.data())
+def test_bulk_reader_matches_the_line_reader(lattice, arity, integral, seed,
+                                             how, data):
+    """A canonical text with at most one perturbed line reads as the
+    same text with a trailing comment line, which the bulk check never
+    accepts: the same table, or the same error type and text."""
+    L = lattice
+    if integral:
+        f = sugeno_table(ls.sample_capacities(L, arity, 1, seed=seed)[0])
+    else:
+        corner = tuple(seed % (i + 2) % L.size for i in range(arity))
+        f = FunctionTable(L, arity, [
+            L.top if all(map(L.leq, corner, x)) else L.bottom
+            for x in itertools.product(range(L.size), repeat=arity)],
+            name="step")
+    lines = format_table(f).splitlines()
+    at = data.draw(st.integers(1, len(lines) - 1))
+    other = data.draw(st.integers(1, len(lines) - 1))
+    if how == "value":
+        lines[at] = lines[at].rsplit(" ", 1)[0] + " " + data.draw(
+            st.sampled_from(L.elements))
+    elif how == "bare":
+        lines[at] = lines[at].rsplit(" ", 1)[1]
+    elif how == "unknown":
+        lines[at] = lines[at].replace(L.elements[0], "nope", 1)
+    elif how == "twice":
+        lines[at] = lines[other]
+    elif how == "delete":
+        del lines[at]
+    elif how == "swap":
+        lines[at], lines[other] = lines[other], lines[at]
+    elif how == "space":
+        lines[at] += " "
+    elif how == "comment":
+        lines[at] += "  # note"
+    text = ("\r\n" if how == "crlf" else "\n").join(lines) + "\n"
+    expected = _parse_outcome(text + "# tail\n", L)
+    assert _parse_outcome(text, L) == expected
+    if how in (None, "crlf"):
+        assert expected == (f.values, f.name, f.arity)
+
+
+@pytest.mark.parametrize("names,message", [
+    (["a", "a,b", "b,c", "c"], "t.tbl: unknown element 'b' in lattice sq"),
+    (["a", "b", "a,b", "c"],
+     "t.tbl:4: vector has 3 coordinates, table wants 2"),
+])
+def test_comma_names_are_left_to_the_line_reader(names, message):
+    """A name may hold a comma, but a table line cannot carry it: the
+    written text of (a, b,c) and of (a,b, c) is the same "(a,b,c)".
+    Such a text is refused as the line reader refuses it, never read in
+    bulk against the writer's keys."""
+    L = ls.from_covers("sq", names, [(names[0], names[1]),
+                                     (names[0], names[2]),
+                                     (names[1], names[3]),
+                                     (names[2], names[3])])
+    text = format_table(FunctionTable(L, 2, [0] * 16))
+    with pytest.raises(ParseError) as info:
+        parse_table(text, L, path="t.tbl")
+    assert str(info.value) == message
 
 
 # -- rendered reports ---------------------------------------------------
