@@ -8,7 +8,9 @@ provided, from plain monotonicity up to homogeneity and the supremal /
 infimal identities quantified over comonotone or g-comonotone pairs.
 
 Aggregation tables are enumerated and sampled by capacity's monotone
-fill, bounded by the componentwise order of the domain.
+fill, bounded by the componentwise order of the domain: each point by
+the maximal earlier points below it and the minimal earlier points
+above it.
 
 Seven two-axiom conjunctions, each claimed to pin down exactly the
 Sugeno integrals, can be evaluated together by characterization_report;
@@ -25,7 +27,9 @@ The supremal/infimal kinds read their pairs from a PairPlan: per
 relation and arity, the positions of x, y, x v y and x ^ y for every
 related pair, built once per lattice.  A check then compares table
 values by position, f(x v y) against f(x) v f(y), and decodes vectors
-only for the witness.
+only for the witness.  The homogeneity kinds likewise read the
+positions of x and of c ^ x (c v x) from lists kept per (arity, kind)
+on the lattice, each c's list built the first time a check reaches c.
 """
 
 import itertools
@@ -336,21 +340,29 @@ def axiom_check(f: FunctionTable, kind: AxiomKind) -> AxiomCheck:
         letters = (lattice.bottom, lattice.top) if cube else range(k)
         op = meet_t if infside else join_t
 
-        def positions(digits) -> list:
+        def positions(digits) -> array:
             # positions of the domain's points with each letter replaced
             # by its digit, in domain order, built one coordinate at a time
             out = [0]
             for _ in range(n):
                 out = [p * k + d for p in out for d in digits]
-            return out
+            return array("i", out)
 
-        points = positions(letters)
+        # kept on the lattice for every table checked there: the points
+        # x, and per c the points c op x, built when a check first
+        # reaches c, so a check that fails early builds no more
+        cached = lattice._homogeneity.get((n, kind))
+        if cached is None:
+            cached = lattice._homogeneity[n, kind] = (positions(letters),
+                                                      [None] * k)
+        points, scaled = cached
         fx = [values[a] for a in points]
         for c in range(k):
             scale = op[c]
-            scaled = positions([scale[v] for v in letters])
+            if scaled[c] is None:
+                scaled[c] = positions([scale[v] for v in letters])
             failed = next(itertools.compress(itertools.count(), map(
-                ne, map(values.__getitem__, scaled),
+                ne, map(values.__getitem__, scaled[c]),
                 map(scale.__getitem__, fx))), None)
             if failed is not None:
                 return AxiomCheck(kind, False, (c, f.decode(points[failed])),
@@ -414,21 +426,44 @@ def characterization_report(f: FunctionTable) -> CheckReport:
                        pairs_checked_total=total)
 
 
+def _extremal(points: int, rows: list, side: int) -> tuple:
+    """The maximal (side 1) or minimal (side 0) points of a set of
+    positions, ascending, given each point's (below, above) order rows.
+    The scan runs from the highest position down, and an extremal
+    point's down-set (up-set) leaves it, since no point there is
+    extremal."""
+    found = []
+    rest = points
+    while rest:
+        m = rest.bit_length() - 1
+        if rows[m][side] & points == 1 << m:
+            found.append(m)
+            rest &= ~rows[m][1 - side]
+        else:
+            rest ^= 1 << m
+    return tuple(reversed(found))
+
+
 def _aggregation_fill(lattice: Lattice, arity: int) -> _MonotoneFill:
     """Aggregation tables as fills of the domain in product order.
 
-    The earlier points below (above) a point are its order rows cut to
-    the earlier positions and listed once as positions; both are
-    needed, since element indices need not run along the order.  The
-    all-bottom and all-top points are pinned to bottom and top.
+    A point's bounds are the maximal earlier points below it and the
+    minimal earlier points above it, read off its order rows cut to the
+    earlier positions.  Every other earlier point below (above) it lies
+    below (above) one of those, whose entry a monotone prefix already
+    bounds, so the options of every entry are those of the full bounds.
+    Both sides are needed, since element indices need not run along
+    the order.  The all-bottom and all-top points are pinned to bottom
+    and top.
     """
-    bounds = []
+    rows, bounds = [], []
     for pos, x in enumerate(itertools.product(range(lattice.size),
                                               repeat=arity)):
         earlier = (1 << pos) - 1
         below, above = _order_rows(lattice, x)
-        bounds.append((tuple(_positions(below & earlier)),
-                       tuple(_positions(above & earlier))))
+        rows.append((below, above))
+        bounds.append((_extremal(below & earlier, rows, 1),
+                       _extremal(above & earlier, rows, 0)))
     pinned = {encode((lattice.bottom,) * arity, lattice.size): lattice.bottom,
               encode((lattice.top,) * arity, lattice.size): lattice.top}
     return _MonotoneFill(lattice, bounds, pinned)

@@ -212,17 +212,22 @@ class _MonotoneFill(NamedTuple):
     bounds: list
     pinned: dict
 
-    def _choices(self, values: list, pos: int) -> list:
+    def _choices(self, values: list, pos: int, options: dict) -> list:
+        """The options of pos after the prefix ``values[:pos]``; the
+        list of each element set is made once and kept in ``options``."""
         if pos in self.pinned:
             return [self.pinned[pos]]
         up, down = self.lattice._up, self.lattice._down
         lo, hi = self.bounds[pos]
-        allowed = (1 << self.lattice.size) - 1
+        allowed = (1 << len(up)) - 1
         for p in lo:
             allowed &= up[values[p]]
         for p in hi:
             allowed &= down[values[p]]
-        return list(_positions(allowed))
+        found = options.get(allowed)
+        if found is None:
+            found = options[allowed] = list(_positions(allowed))
+        return found
 
     def tables(self) -> Iterator[tuple]:
         """Every fill once, in lexicographic order.  The backtracking
@@ -230,7 +235,8 @@ class _MonotoneFill(NamedTuple):
         ever extends a prefix by an option, so it visits monotone
         prefixes only."""
         values = [self.lattice.bottom] * len(self.bounds)
-        stack = [iter(self._choices(values, 0))]
+        options = {}
+        stack = [iter(self._choices(values, 0, options))]
         while stack:
             pos = len(stack) - 1
             values[pos] = next(stack[-1], None)
@@ -239,18 +245,20 @@ class _MonotoneFill(NamedTuple):
             elif pos + 1 == len(values):
                 yield tuple(values)
             else:
-                stack.append(iter(self._choices(values, pos + 1)))
+                stack.append(iter(self._choices(values, pos + 1, options)))
 
     def draws(self, count: int, seed: int) -> Iterator[list]:
         """count fills from one ``random.Random(seed)``: each free entry
         is drawn by ``rng.choice`` among its options, and pinned entries
         take their value without a draw."""
         rng = random.Random(seed)
+        options = {}
         for _ in range(count):
             values = [self.lattice.bottom] * len(self.bounds)
             for pos in range(len(values)):
                 values[pos] = (self.pinned[pos] if pos in self.pinned
-                               else rng.choice(self._choices(values, pos)))
+                               else rng.choice(self._choices(values, pos,
+                                                             options)))
             yield values
 
 

@@ -97,7 +97,7 @@ def cmd_relations(args) -> int:
     _check_arity(args, len(x), "vector", "--x")
     y = parse_vector(args.y, lattice, where="--y")
     _check_arity(args, len(y), "vector", "--y")
-    result = relation_check(lattice, kind, x, y)
+    result = relation_check(lattice, kind, x, y, limit=args.limit)
     print("%s: %s" % (kind.value, _bool(result.holds)))
     if result.holds:
         return 0

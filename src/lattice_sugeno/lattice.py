@@ -81,9 +81,14 @@ class Lattice:
         self._distributive = distributive
         self._distributive_witness: tuple | None = None
         # built on first use: (arity, relation kind) -> axioms.PairPlan,
-        # and pairwise kind -> its k^2 relations.compatibility_table bitsets
+        # pairwise kind -> its k^2 relations.compatibility_table bitsets,
+        # (pairwise kind, anchor x) -> x's relations._relation_row, and
+        # (arity, homogeneity kind) -> the positions axioms.axiom_check
+        # compares
         self._pair_cache: dict = {}
         self._letter_tables: dict = {}
+        self._rows: dict = {}
+        self._homogeneity: dict = {}
 
     def _bound_table(self, rows, kind: str):
         # glb(a, b) is the c whose down-set is exactly the common lower

@@ -83,7 +83,8 @@ def _pair_identity(lattice: Lattice, kind: RelationKind,
 
 
 def relation_check(lattice: Lattice, kind: RelationKind,
-                   x: Sequence[int], y: Sequence[int]) -> RelationResult:
+                   x: Sequence[int], y: Sequence[int],
+                   limit: int = 10 ** 7) -> RelationResult:
     """Test one relation, reporting the first failing identity if any.
 
     For pairwise kinds the witness is the coordinate pair (i, j); the
@@ -94,7 +95,7 @@ def relation_check(lattice: Lattice, kind: RelationKind,
     positions, and the identity count is that mask.  Both subsetwise
     kinds walk one incremental sweep: a subset's three folds extend
     those of the subset without its lowest coordinate, so each identity
-    costs a few table lookups whatever its size.  More than 10^7
+    costs a few table lookups whatever its size.  More than ``limit``
     coordinate pairs or subsets to sweep are refused up front.
     """
     x = check_vector(lattice, x)
@@ -104,9 +105,9 @@ def relation_check(lattice: Lattice, kind: RelationKind,
                             % (len(x), len(y)))
     n = len(x)
     if kind in PAIRWISE_KINDS:
-        guard_size(n * (n - 1) // 2, 1, "coordinate pairs")
+        guard_size(n * (n - 1) // 2, 1, "coordinate pairs", limit)
     elif kind is not RelationKind.COMPARABLE:
-        guard_size(2, n, "coordinate subsets")
+        guard_size(2, n, "coordinate subsets", limit)
     checked = 0
 
     if kind in PAIRWISE_KINDS:
@@ -308,19 +309,24 @@ def _relation_row(lattice: Lattice, kind: RelationKind, x: tuple) -> int:
     (product order) of the y that x is related to.
 
     Pairwise kinds are grown from the relation's compatibility table in
-    time proportional to the row; comparable is the union of the two
+    time proportional to the row, once per lattice, kind and anchor: the
+    theorem suites and ``relation_pairs`` read the same rows again, so
+    they are kept on the lattice.  Comparable is the union of the two
     order rows; the subsetwise kinds take one pass over every y.
     """
     if kind is RelationKind.COMPARABLE:
         below, above = _order_rows(lattice, x)
         return below | above
     if kind in PAIRWISE_KINDS:
-        # rows are built as strings of binary digits, position 0 first:
-        # OR-ing each bit into an int costs the row's length
-        digits = bytearray(b"0") * lattice.size ** len(x)
-        for pos in related_positions(lattice, kind, x)[0]:
-            digits[pos] = 49  # ord("1")
-        return int(digits[::-1], 2)
+        row = lattice._rows.get((kind, x))
+        if row is None:
+            # rows are built as strings of binary digits, position 0
+            # first: OR-ing each bit into an int costs the row's length
+            digits = bytearray(b"0") * lattice.size ** len(x)
+            for pos in related_positions(lattice, kind, x)[0]:
+                digits[pos] = 49  # ord("1")
+            row = lattice._rows[kind, x] = int(digits[::-1], 2)
+        return row
     join_row, meet_row = _subsetwise_rows(lattice, x)
     return join_row if kind is RelationKind.SUBSETWISE_JOIN else meet_row
 

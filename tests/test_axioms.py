@@ -29,7 +29,8 @@ from lattice_sugeno import (
     validate_capacity,
 )
 
-from lattice_sugeno.axioms import pair_plan
+from lattice_sugeno.axioms import _aggregation_fill, pair_plan
+from lattice_sugeno.capacity import _MonotoneFill
 
 from _oracles import (
     RefLattice,
@@ -527,22 +528,67 @@ def test_homogeneity_matches_an_ordered_oracle_walk(L, ref, arity):
     failures = 0
     for f in tables:
         for kind, opname, boolean in _HOMOGENEITY_AXIOMS:
-            op = getattr(ref, opname)
-            letters = (ref.bottom, ref.top) if boolean else range(ref.size)
-            witness, count = None, 0
-            for c in range(ref.size):
-                for x in itertools.product(letters, repeat=arity):
-                    count += 1
-                    if f(tuple(op(c, v) for v in x)) != op(c, f(x)):
-                        witness = (c, x)
-                        break
-                if witness is not None:
-                    break
+            expected = _homogeneity_walk(f, ref, opname, boolean)
             res = axiom_check(f, kind)
-            assert (res.holds, res.witness, res.pairs_checked) == (
-                witness is None, witness, count)
-            failures += witness is not None
+            assert (res.holds, res.witness, res.pairs_checked) == expected
+            failures += not res.holds
     assert failures or L.size == 1
+
+
+def _homogeneity_walk(f, ref, opname, boolean):
+    """(holds, witness, pairs_checked) of one homogeneity axiom by a walk
+    over c, then x in product order (the {bottom, top} cube for the
+    Boolean kinds), through the oracle."""
+    op = getattr(ref, opname)
+    letters = (ref.bottom, ref.top) if boolean else range(ref.size)
+    count = 0
+    for c in range(ref.size):
+        for x in itertools.product(letters, repeat=f.arity):
+            count += 1
+            if f(tuple(op(c, v) for v in x)) != op(c, f(x)):
+                return False, (c, x), count
+    return True, None, count
+
+
+def _diagonal_step(L, arity, infside, v):
+    """The meet (inf side) or join of the coordinates on chain L, with
+    the diagonal point (v, ..., v) moved one step down (up): monotone,
+    and its homogeneity on that side first fails at c = v."""
+    def fn(*x):
+        if x == (v,) * arity:
+            return v - 1 if infside else v + 1
+        return min(x) if infside else max(x)
+    return table_from_function(L, arity, fn, name="step%d" % v)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("kind,opname,boolean", _HOMOGENEITY_AXIOMS,
+                         ids=lambda v: getattr(v, "value", str(v)))
+def test_homogeneity_positions_are_shared_across_tables(kind, opname,
+                                                        boolean, arity):
+    """One lattice checks a table failing at c = 1, an integral, then a
+    table failing at c = 2, the last c where a check on chain:4 can fail
+    (c = bottom and c = top always hold); each check equals the check on
+    a fresh lattice and the oracle walk, so the positions kept from one
+    check serve the next."""
+    L, ref = ls.chain(4), ref_chain(4)
+    infside = opname == "meet"
+    integral = sugeno_table(ls.sample_capacities(L, arity, 1, seed=9)[0])
+    tables = [_diagonal_step(L, arity, infside, 1), integral,
+              _diagonal_step(L, arity, infside, 2)]
+    for f, failing_c in zip(tables, (1, None, 2)):
+        res = axiom_check(f, kind)
+        fresh = ls.chain(4)
+        again = axiom_check(FunctionTable(fresh, arity, f.values), kind)
+        expected = _homogeneity_walk(f, ref, opname, boolean)
+        assert (res.holds, res.witness, res.pairs_checked) == expected
+        assert (again.holds, again.witness, again.pairs_checked) == expected
+        assert (res.witness or (None,))[0] == failing_c
+        # a check builds the scaled positions of the c it reaches only
+        _, scaled = L._homogeneity[arity, kind]
+        built = [row is not None for row in scaled]
+        assert built == [True, True, failing_c != 1, failing_c != 1]
+    assert list(L._homogeneity) == [(arity, kind)]
 
 
 # -- the order-mask filling against the dense-matrix algorithm it replaced --
@@ -631,6 +677,56 @@ def test_enumeration_pinned_to_the_dense_algorithm(spec, arity):
     L = _pinned_lattice(spec)
     ours = [f.values for f in enumerate_aggregations(L, arity)]
     assert ours == _dense_enumerate(L, arity)
+
+
+def _full_bounds_fill(L, arity):
+    """The aggregation fill as it was, bounded by every earlier point
+    below and above each point rather than the maximal and minimal
+    ones."""
+    points = list(itertools.product(range(L.size), repeat=arity))
+    leq = _dense_order_matrix(L, points)
+    bounds = [(tuple(q for q in range(pos) if leq[q][pos]),
+               tuple(q for q in range(pos) if leq[pos][q]))
+              for pos in range(len(points))]
+    pinned = {points.index((L.bottom,) * arity): L.bottom,
+              points.index((L.top,) * arity): L.top}
+    return _MonotoneFill(L, bounds, pinned)
+
+
+def _assert_fill_matches_full_bounds(L, arity, seed):
+    ours, full = _aggregation_fill(L, arity), _full_bounds_fill(L, arity)
+    assert ours.pinned == full.pinned
+    for (lo, hi), (full_lo, full_hi) in zip(ours.bounds, full.bounds):
+        assert set(lo) <= set(full_lo) and set(hi) <= set(full_hi)
+    assert list(ours.draws(8, seed)) == list(full.draws(8, seed))
+    assert (list(itertools.islice(ours.tables(), 400))
+            == list(itertools.islice(full.tables(), 400)))
+
+
+@pytest.mark.parametrize("spec,arity", [
+    ("chain:2", 3), ("chain:3", 2), ("chain:4", 2), ("chain:5", 1),
+    ("boolean:2", 2), ("builtin:N5", 2), ("builtin:M3", 2),
+    ("unsorted-N5", 1), ("unsorted-N5", 2)])
+def test_fill_bounds_keep_the_options_of_the_full_bounds(spec, arity):
+    _assert_fill_matches_full_bounds(_pinned_lattice(spec), arity, seed=5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sets(st.integers(0, 7)), st.integers(1, 2), st.integers(0, 99))
+def test_fill_bounds_keep_the_options_on_random_lattices(family, arity,
+                                                         seed):
+    L, _ = _closure_lattice(family)
+    _assert_fill_matches_full_bounds(L, arity, seed)
+
+
+@pytest.mark.parametrize("spec,entries,full_entries", [
+    ("boolean:2", 192, 665), ("chain:4", 144, 936), ("builtin:N5", 375, 2072)])
+def test_fill_bounds_are_the_maximal_and_minimal_points(spec, entries,
+                                                        full_entries):
+    L = ls.build_lattice(spec)
+    for fill, count in ((_aggregation_fill(L, 3), entries),
+                        (_full_bounds_fill(L, 3), full_entries)):
+        assert sum(len(lo) + len(hi) for lo, hi in fill.bounds) == count
 
 
 # -- the sliced aggregation gate against the per-point loop ----------------

@@ -82,6 +82,17 @@ def test_relations_comparable_witness(capsys):
                    "not above at coordinate 1\n")
 
 
+@pytest.mark.parametrize("kind,refusal", [
+    ("subsetwise-join", "2^8 coordinate subsets"),
+    ("g-comonotone", "28 coordinate pairs")])
+def test_relations_honours_limit(capsys, kind, refusal):
+    argv = ("relations", "--lattice", "chain:2", "--kind", kind,
+            "--x", "(0,0,0,0,0,0,0,0)", "--y", "(1,1,1,1,1,1,1,1)")
+    assert run(capsys, *argv, "--limit", "5") == (
+        2, "", "error: %s exceed the limit of 5\n" % refusal)
+    assert run(capsys, *argv) == (0, "%s: true\n" % kind, "")
+
+
 def test_region_listing(capsys):
     code, out, _ = run(capsys, "region", "--lattice", "chain:2",
                        "--x", "(0,1)", "--kind", "g-comonotone")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lattice_sugeno as ls
-from lattice_sugeno import relations
+from lattice_sugeno import relations, suites
 from lattice_sugeno import (
     ArityMismatch,
     EnumerationTooLarge,
@@ -740,6 +740,39 @@ def test_theorem_suites_build_each_letter_table_once(monkeypatch):
         kind: 1 for kind in PAIRWISE}
 
 
+def _assert_memoized_rows_match(L, ref, arity):
+    """After ``all``, every row kept on the lattice is the row a fresh
+    lattice builds and the oracle's sweep; ``all`` keeps one row per
+    pairwise kind and vector, and none of any other kind."""
+    run_scope("all", L, arity)
+    vectors = list(itertools.product(range(L.size), repeat=arity))
+    assert set(L._rows) == {(kind, x) for kind in PAIRWISE
+                            for x in vectors}
+    fresh = ls.from_covers("fresh", L.elements, [
+        (L.elements[a], L.elements[b]) for a, b in L.cover_pairs()])
+    for (kind, x), row in L._rows.items():
+        assert row == _relation_row(fresh, kind, x)
+        assert row == _ref_row(ref, kind, x, vectors), (kind, x)
+
+
+@pytest.mark.parametrize("name,arity", [
+    ("chain4", 3), ("boolean2", 3), ("N5", 3), ("M3", 2),
+    ("unsorted-N5", 2)])
+def test_memoized_rows_after_all_match_a_fresh_lattice(name, arity):
+    build = {"chain4": (lambda: (ls.chain(4), ref_chain(4))),
+             "boolean2": (lambda: (ls.boolean_lattice(2), ref_boolean(2))),
+             "N5": (lambda: (ls.n5(), ref_n5())),
+             "M3": (lambda: (ls.m3(), ref_m3())),
+             "unsorted-N5": _unsorted_n5}[name]
+    _assert_memoized_rows_match(*build(), arity)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sets(st.integers(0, 7)), st.integers(1, 2))
+def test_memoized_rows_after_all_match_on_random_lattices(family, arity):
+    _assert_memoized_rows_match(*_closure_lattice(family), arity)
+
+
 def test_relation_pairs_refuses_too_many_subset_identities():
     """The subsetwise kinds test every subset of every pair: 8^12
     vector-subset identities on chain(2) at arity 12 are refused before
@@ -817,6 +850,79 @@ def test_thm1_and_lemmas_match_an_oracle_sweep(family, arity):
         first = ", first: %s" % constant[0] if constant else ""
         assert ("non-distributive lattice: %d constant-vector failures%s "
                 "(recorded)" % (len(constant), first)) in lemmas.details
+
+
+def _eager_verdicts(f):
+    """The implication loop's verdicts as they were: all nine axioms but
+    the gate, checked up front on every sampled table."""
+    verdicts = {kind: suites.axiom_check(f, kind).holds
+                for kind in ls.AxiomKind
+                if kind is not ls.AxiomKind.MONOTONE_BOUNDARY}
+    return verdicts.__getitem__
+
+
+def _lemmas_both_ways(monkeypatch, L, arity, seed, samples=50):
+    """suite_lemmas with conclusions checked on demand, then with the
+    eager loop, each on a fresh copy of L: (result, axiom_check calls)
+    for each."""
+    calls = [0]
+    original = suites.axiom_check
+
+    def counted(f, kind):
+        calls[0] += 1
+        return original(f, kind)
+
+    monkeypatch.setattr(suites, "axiom_check", counted)
+    out = []
+    for verdicts in (suites._verdicts_on_demand, _eager_verdicts):
+        monkeypatch.setattr(suites, "_verdicts_on_demand", verdicts)
+        calls[0] = 0
+        fresh = ls.from_covers(L.name, L.elements, [
+            (L.elements[a], L.elements[b]) for a, b in L.cover_pairs()])
+        out.append((suite_lemmas(fresh, arity, seed, samples), calls[0]))
+    return out
+
+
+@pytest.mark.parametrize("name,arity,seed", [
+    ("builtin:N5", 2, 0), ("builtin:N5", 3, 7), ("builtin:M3", 2, 3),
+    ("builtin:M3", 3, 11)])
+def test_lemmas_on_demand_match_the_eager_loop(monkeypatch, name, arity,
+                                               seed):
+    (lazy, lazy_calls), (eager, eager_calls) = _lemmas_both_ways(
+        monkeypatch, ls.build_lattice(name), arity, seed)
+    assert (lazy.passed, lazy.cases, lazy.details) == (
+        eager.passed, eager.cases, eager.details)
+    assert lazy_calls < eager_calls
+
+
+#: the families of _closure_lattice whose lattice is not distributive
+_NONDISTRIBUTIVE_FAMILIES = [
+    family for family in map(frozenset, itertools.chain.from_iterable(
+        itertools.combinations(range(8), r) for r in range(9)))
+    if not ls.is_distributive(_closure_lattice(family)[0])]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(_NONDISTRIBUTIVE_FAMILIES), st.integers(1, 2),
+       st.integers(0, 99))
+def test_lemmas_on_demand_match_the_eager_loop_on_random_lattices(
+        family, arity, seed):
+    L, _ = _closure_lattice(family)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        (lazy, _), (eager, _) = _lemmas_both_ways(monkeypatch, L, arity,
+                                                  seed, samples=20)
+    assert (lazy.passed, lazy.cases, lazy.details) == (
+        eager.passed, eager.cases, eager.details)
+
+
+def test_lemmas_check_a_conclusion_only_under_its_premise(monkeypatch):
+    """On boolean:2 at arity 3, seed 123, the 50 sampled tables and 10
+    integrals took 550 axiom checks when every axiom was checked; with
+    conclusions checked only under their premises they take 355."""
+    (lazy, lazy_calls), (eager, eager_calls) = _lemmas_both_ways(
+        monkeypatch, ls.boolean_lattice(2), 3, 123)
+    assert (lazy_calls, eager_calls) == (355, 550)
+    assert lazy.details == eager.details
 
 
 # -- relation_check's subsetwise walk against the sweep it replaced ----------
