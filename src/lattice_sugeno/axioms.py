@@ -349,14 +349,15 @@ def axiom_check(f: FunctionTable, kind: AxiomKind) -> AxiomCheck:
             return array("i", out)
 
         # kept on the lattice for every table checked there: the points
-        # x, and per c the points c op x, built when a check first
-        # reaches c, so a check that fails early builds no more
+        # x (all of them, or the cube's), and per c the points c op x,
+        # built when a check first reaches c, so a check that fails
+        # early builds no more
         cached = lattice._homogeneity.get((n, kind))
         if cached is None:
-            cached = lattice._homogeneity[n, kind] = (positions(letters),
-                                                      [None] * k)
+            points = positions(letters) if cube else range(len(values))
+            cached = lattice._homogeneity[n, kind] = (points, [None] * k)
         points, scaled = cached
-        fx = [values[a] for a in points]
+        fx = [values[a] for a in points] if cube else values
         for c in range(k):
             scale = op[c]
             if scaled[c] is None:

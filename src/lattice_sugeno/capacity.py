@@ -199,9 +199,10 @@ class _MonotoneFill(NamedTuple):
     under the earlier entries above it.
 
     ``bounds[pos]`` is the pair (lo, hi) of tuples of positions before
-    pos that lie below and above it; ``pinned`` maps positions
-    to the values they take outright.  The options of any other
-    position are the elements, in element order, above every lo entry
+    pos that lie below and above it, enough that every earlier position
+    below (above) pos lies below (above) one of them; ``pinned`` maps
+    positions to the values they take outright.  The options of any
+    other position are the elements, in element order, above every lo entry
     and under every hi entry: the AND of their up- and down-sets, since
     an element is above a join exactly when it is above each joinand.
     Capacities and aggregation tables are both filled by it; only their
