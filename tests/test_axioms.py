@@ -694,10 +694,17 @@ def _full_bounds_fill(L, arity):
 
 
 def _assert_fill_matches_full_bounds(L, arity, seed):
+    """The bounds are the maximal (minimal) points of the full bounds,
+    and the draws and tables equal the full-bounds fill's."""
     ours, full = _aggregation_fill(L, arity), _full_bounds_fill(L, arity)
+    leq = _dense_order_matrix(
+        L, list(itertools.product(range(L.size), repeat=arity)))
     assert ours.pinned == full.pinned
     for (lo, hi), (full_lo, full_hi) in zip(ours.bounds, full.bounds):
-        assert set(lo) <= set(full_lo) and set(hi) <= set(full_hi)
+        assert lo == tuple(q for q in full_lo if not any(
+            leq[q][r] for r in full_lo if r != q))
+        assert hi == tuple(q for q in full_hi if not any(
+            leq[r][q] for r in full_hi if r != q))
     assert list(ours.draws(8, seed)) == list(full.draws(8, seed))
     assert (list(itertools.islice(ours.tables(), 400))
             == list(itertools.islice(full.tables(), 400)))
