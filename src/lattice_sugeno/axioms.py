@@ -231,9 +231,9 @@ def relation_pairs(lattice: Lattice, arity: int, kind: RelationKind,
     The diagonal pairs (x, x) are included, and each vector is one
     shared tuple however many pairs hold it.  The pairs of each x are
     read off its verdict row.  More than ``limit`` vector pairs are
-    refused up front, and for the subsetwise kinds, which test every
-    subset of every pair, more than ``limit`` vector-subset identities,
-    (2k^2)^n, as well.
+    refused up front, and for the subsetwise kinds more than ``limit``
+    vector-subset identities, (2k^2)^n, as well: a tighter cap on the
+    size of the output, no longer the cost of building the rows.
     """
     k = lattice.size
     count = k ** arity

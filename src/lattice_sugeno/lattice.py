@@ -82,9 +82,10 @@ class Lattice:
         self._distributive_witness: tuple | None = None
         # built on first use: (arity, relation kind) -> axioms.PairPlan,
         # pairwise kind -> its k^2 relations.compatibility_table bitsets,
-        # (pairwise kind, anchor x) -> x's relations._relation_row, and
-        # (arity, homogeneity kind) -> the positions axioms.axiom_check
-        # compares
+        # subsetwise kind -> {letter set as a k^2-bit int: whether it
+        # holds}, (pairwise kind, anchor x) -> x's relations._relation_row,
+        # and (arity, homogeneity kind) -> the positions
+        # axioms.axiom_check compares
         self._pair_cache: dict = {}
         self._letter_tables: dict = {}
         self._rows: dict = {}

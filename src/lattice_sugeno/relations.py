@@ -19,11 +19,12 @@ witness, along with how many identities were evaluated.  Questions over
 the whole domain (regions, related pairs, the theorem suites) read
 verdict rows instead: per anchor x and kind, one bitmask over all k^n
 vectors in product order, built by ``_relation_row``.  Componentwise
-order rows, y <= x and y >= x, come from ``_order_rows`` alone.
+order rows, y <= x and y >= x, come from ``_order_rows`` alone.  The
+subsetwise identity is folded in one place, ``_first_failure``, which
+both ``relation_check`` and the subsetwise rows call.
 """
 
 import itertools
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -92,11 +93,12 @@ def relation_check(lattice: Lattice, kind: RelationKind,
     the comparable relation the witness pairs the first coordinate
     breaking each direction.  For subsetwise kinds it is the first
     failing subset in increasing mask order, as a tuple of coordinate
-    positions, and the identity count is that mask.  Both subsetwise
-    kinds walk one incremental sweep: a subset's three folds extend
-    those of the subset without its lowest coordinate, so each identity
-    costs a few table lookups whatever its size.  More than ``limit``
-    coordinate pairs or subsets to sweep are refused up front.
+    positions, and the identity count is that mask.  Each coordinate j
+    in turn is the new letter of ``_first_failure`` over the subsets of
+    the coordinates before it, which visits the masks in increasing
+    order at a few table lookups per identity, whatever its size.  More
+    than ``limit`` coordinate pairs or subsets to sweep are refused up
+    front.
     """
     x = check_vector(lattice, x)
     y = check_vector(lattice, y)
@@ -135,31 +137,58 @@ def relation_check(lattice: Lattice, kind: RelationKind,
             return RelationResult(kind, True, None, checked)
         return RelationResult(kind, False, (below, above), checked)
 
-    # subsetwise kinds: fold_I(pair(x_i, y_i)) == pair(fold_I x, fold_I y)
-    # over every nonempty subset I of coordinates, masks in increasing
-    # order, bit i <-> coordinate i
-    if kind is RelationKind.SUBSETWISE_JOIN:
-        fold, pair, unit = lattice._meet, lattice._join, lattice.top
-    elif kind is RelationKind.SUBSETWISE_MEET:
-        fold, pair, unit = lattice._join, lattice._meet, lattice.bottom
-    else:
-        raise ValueError("unknown relation kind: %r" % (kind,))
-    # the three folds of every subset so far; each mask extends the one
-    # without its lowest coordinate
-    x_folds = array("H", [unit]) * (1 << n)
-    y_folds = array("H", x_folds)
-    pair_folds = array("H", x_folds)
-    pairs = [pair[a][b] for a, b in zip(x, y)]
-    for mask in range(1, 1 << n):
-        rest = mask & (mask - 1)
-        i = _lowest(mask)
-        fx = x_folds[mask] = fold[x_folds[rest]][x[i]]
-        fy = y_folds[mask] = fold[y_folds[rest]][y[i]]
-        fp = pair_folds[mask] = fold[pair_folds[rest]][pairs[i]]
-        if fp != pair[fx][fy]:
+    # subsetwise kinds: the masks with highest coordinate j are the
+    # subsets of the coordinates before j, with j as the new letter, so
+    # j = 0, 1, ... visits every mask in increasing order
+    fold, pair = _subsetwise_ops(lattice, kind)
+    letters = list(zip(x, y))
+    for j in range(n):
+        rest = _first_failure(fold, pair, letters[:j], *letters[j])
+        if rest >= 0:
+            mask = 1 << j | rest
             witness = tuple(c for c in range(n) if mask >> c & 1)
             return RelationResult(kind, False, witness, mask)
     return RelationResult(kind, True, None, (1 << n) - 1)
+
+
+def _subsetwise_ops(lattice: Lattice, kind: RelationKind) -> tuple:
+    """(fold, pair) of a subsetwise kind, whose identity is
+    fold_I(pair(x_i, y_i)) == pair(fold_I x, fold_I y): meet and join
+    tables for subsetwise join agreement, join and meet for meet."""
+    if kind is RelationKind.SUBSETWISE_JOIN:
+        return lattice._meet, lattice._join
+    if kind is RelationKind.SUBSETWISE_MEET:
+        return lattice._join, lattice._meet
+    raise ValueError("unknown relation kind: %r" % (kind,))
+
+
+def _first_failure(fold, pair, letters: list, a: int, b: int) -> int:
+    """The first subset of ``letters`` (bit i <-> letters[i], masks in
+    increasing order) whose letters (x_i, y_i), with the new letter
+    (a, b), fail fold_I(pair(x_i, y_i)) == pair(fold_I x, fold_I y);
+    -1 if none fails.
+
+    The subsets with highest letter h extend, in order, those without
+    it, so each subset costs four table lookups.  The folds of the last
+    level are checked but not kept: no subset extends them.
+    """
+    xs, ys, pairs = [a], [b], [pair[a][b]]
+    last = len(letters) - 1
+    for h, (c, d) in enumerate(letters):
+        # fold is commutative: fold[c][v] == fold[v][c]
+        fold_x, fold_y, fold_pair = fold[c], fold[d], fold[pair[c][d]]
+        keep = h < last
+        for rest in range(1 << h):
+            fx = fold_x[xs[rest]]
+            fy = fold_y[ys[rest]]
+            fp = fold_pair[pairs[rest]]
+            if fp != pair[fx][fy]:
+                return 1 << h | rest
+            if keep:
+                xs.append(fx)
+                ys.append(fy)
+                pairs.append(fp)
+    return -1
 
 
 def relation_holds(lattice: Lattice, kind: RelationKind,
@@ -308,27 +337,56 @@ def _relation_row(lattice: Lattice, kind: RelationKind, x: tuple) -> int:
     """The verdict row of x: the bitmask over the k^n positions
     (product order) of the y that x is related to.
 
-    Pairwise kinds are grown from the relation's compatibility table in
-    time proportional to the row, once per lattice, kind and anchor: the
-    theorem suites and ``relation_pairs`` read the same rows again, so
-    they are kept on the lattice.  Comparable is the union of the two
-    order rows; the subsetwise kinds take one pass over every y.
+    Comparable is the union of the two order rows.  The other kinds grow
+    only the related y, one coordinate at a time, in time proportional
+    to the row.  Pairwise rows come from ``related_positions`` and are
+    kept on the lattice per kind and anchor, since the theorem suites
+    and ``relation_pairs`` read them again.  A subsetwise prefix carries
+    the set of letters (x_i, y_i) it uses, as a k^2-bit int: a verdict
+    depends on that set alone, and every subset of a holding set holds,
+    so digit d is kept when the set plus (x_j, d) holds, which is the
+    fold of ``_first_failure`` with (x_j, d) as the new letter.  Set
+    verdicts are kept on the lattice per kind, shared by every anchor.
     """
     if kind is RelationKind.COMPARABLE:
         below, above = _order_rows(lattice, x)
         return below | above
-    if kind in PAIRWISE_KINDS:
-        row = lattice._rows.get((kind, x))
-        if row is None:
-            # rows are built as strings of binary digits, position 0
-            # first: OR-ing each bit into an int costs the row's length
-            digits = bytearray(b"0") * lattice.size ** len(x)
-            for pos in related_positions(lattice, kind, x)[0]:
-                digits[pos] = 49  # ord("1")
-            row = lattice._rows[kind, x] = int(digits[::-1], 2)
+    row = lattice._rows.get((kind, x))
+    if row is not None:
         return row
-    join_row, meet_row = _subsetwise_rows(lattice, x)
-    return join_row if kind is RelationKind.SUBSETWISE_JOIN else meet_row
+    k = lattice.size
+    if kind in PAIRWISE_KINDS:
+        ys = related_positions(lattice, kind, x)[0]
+    else:
+        fold, pair = _subsetwise_ops(lattice, kind)
+        verdicts = lattice._letter_tables.setdefault(kind, {})
+        # (prefix position of y, letters used); the empty set holds
+        frontier = [(0, 0)]
+        for v in x:
+            grown = []
+            for pos, used in frontier:
+                letters = None  # used's letters, listed on first need
+                for d in range(k):
+                    with_d = used | 1 << v * k + d
+                    holds = verdicts.get(with_d)
+                    if holds is None:
+                        if letters is None:
+                            letters = [divmod(b, k) for b in _positions(used)]
+                        holds = verdicts[with_d] = _first_failure(
+                            fold, pair, letters, v, d) < 0
+                    if holds:
+                        grown.append((pos * k + d, with_d))
+            frontier = grown
+        ys = [pos for pos, _ in frontier]
+    # rows are built as strings of binary digits, position 0 first:
+    # OR-ing each bit into an int costs the row's length
+    digits = bytearray(b"0") * k ** len(x)
+    for pos in ys:
+        digits[pos] = 49  # ord("1")
+    row = int(digits[::-1], 2)
+    if kind in PAIRWISE_KINDS:
+        lattice._rows[kind, x] = row
+    return row
 
 
 def _lowest(mask: int) -> int:
@@ -346,57 +404,15 @@ def _positions(row: int, start: int = 0) -> Iterator[int]:
         pos = bits.find("1", pos + 1)
 
 
-def _subsetwise_rows(lattice: Lattice, x: tuple) -> tuple:
-    """Verdict rows of the subsetwise join and meet kinds for anchor x.
-
-    Every nonempty coordinate subset is visited in increasing mask
-    order; a subset's meets and joins extend those of the subset
-    without its lowest coordinate, so each identity costs a few table
-    lookups on already-validated element indices.
-    """
-    meet, join = lattice._meet, lattice._join
-    size = 1 << len(x)
-    subsets = [(mask, mask & (mask - 1), _lowest(mask))
-               for mask in range(1, size)]
-    x_meets = [lattice.top] * size
-    x_joins = [lattice.bottom] * size
-    for mask, rest, i in subsets:
-        x_meets[mask] = meet[x_meets[rest]][x[i]]
-        x_joins[mask] = join[x_joins[rest]][x[i]]
-    y_meets = [lattice.top] * size
-    y_joins = [lattice.bottom] * size
-    meet_of_joins = [lattice.top] * size
-    join_of_meets = [lattice.bottom] * size
-    # row digits, position 0 first; a failing identity clears y's digit, and
-    # once both are clear y is done: the next y reads only masks it rewrote
-    join_digits = bytearray(b"1") * lattice.size ** len(x)
-    meet_digits = bytearray(join_digits)
-    for pos, y in enumerate(itertools.product(range(lattice.size),
-                                              repeat=len(x))):
-        for mask, rest, i in subsets:
-            xi, yi = x[i], y[i]
-            y_meets[mask] = meet[y_meets[rest]][yi]
-            y_joins[mask] = join[y_joins[rest]][yi]
-            meet_of_joins[mask] = meet[meet_of_joins[rest]][join[xi][yi]]
-            join_of_meets[mask] = join[join_of_meets[rest]][meet[xi][yi]]
-            if meet_of_joins[mask] != join[x_meets[mask]][y_meets[mask]]:
-                join_digits[pos] = 48  # ord("0")
-                if meet_digits[pos] == 48:
-                    break
-            if join_of_meets[mask] != meet[x_joins[mask]][y_joins[mask]]:
-                meet_digits[pos] = 48
-                if join_digits[pos] == 48:
-                    break
-    return int(join_digits[::-1], 2), int(meet_digits[::-1], 2)
-
-
 def relation_region(lattice: Lattice, kind: RelationKind,
                     x: Sequence[int], limit: int = 10 ** 7) -> tuple:
     """All vectors y standing in the relation to x, in product order:
-    the set bits of x's verdict row.  Pairwise kinds are enumerated in
-    time proportional to the region; the subsetwise kinds test every
-    subset of every vector, so more than ``limit`` vector-subset
-    identities, (2k)^n, are refused as well."""
+    the set bits of x's verdict row, grown in time proportional to the
+    region for every kind but comparable.  More than ``limit`` vectors
+    are refused up front, and for the subsetwise kinds more than
+    ``limit`` vector-subset identities, (2k)^n, as well: a tighter cap
+    on the size of the region and its output, no longer the cost of
+    building the row."""
     x = check_vector(lattice, x)
     guard_size(lattice.size, len(x), "vectors", limit)
     if kind in (RelationKind.SUBSETWISE_JOIN, RelationKind.SUBSETWISE_MEET):

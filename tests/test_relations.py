@@ -25,7 +25,6 @@ from lattice_sugeno.errors import guard_size
 from lattice_sugeno.relations import (
     _order_rows,
     _relation_row,
-    _subsetwise_rows,
     compatibility_table,
     decode,
     encode,
@@ -584,8 +583,10 @@ def test_lattice_tables_match_oracle_on_random_lattices(family):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sets(st.integers(0, 7)), st.integers(1, 3),
-       st.sampled_from(PAIRWISE), st.data())
+       st.sampled_from(KINDS), st.data())
 def test_engine_matches_oracle_on_random_lattices(family, arity, kind, data):
+    """relation_pairs and a region of every kind equal the
+    definitional sweep, within the vector and identity guards."""
     L, ref = _closure_lattice(family)
     if L.size ** arity > 216:
         arity = 2
@@ -673,9 +674,8 @@ def _ref_row(ref, kind, x, vectors):
 @settings(max_examples=30, deadline=None)
 @given(st.sets(st.integers(0, 7)), st.integers(1, 3))
 def test_verdict_rows_match_oracle_on_random_lattices(family, arity):
-    """Every row of every kind, the two subsetwise kinds included (by
-    themselves and through the rows' per-anchor pass), equals the
-    definitional sweep over all y."""
+    """Every row of every kind, the two subsetwise kinds included,
+    equals the definitional sweep over all y."""
     L, ref = _closure_lattice(family)
     if L.size ** arity > 64:
         arity = 2
@@ -688,7 +688,6 @@ def test_verdict_rows_match_oracle_on_random_lattices(family, arity):
                                                          vectors)
         expected = (_ref_row(ref, RelationKind.SUBSETWISE_JOIN, x, vectors),
                     _ref_row(ref, RelationKind.SUBSETWISE_MEET, x, vectors))
-        assert _subsetwise_rows(L, x) == expected
         assert (_relation_row(L, RelationKind.SUBSETWISE_JOIN, x),
                 _relation_row(L, RelationKind.SUBSETWISE_MEET, x)) == expected
 
@@ -992,3 +991,144 @@ def test_subsetwise_walk_matches_the_from_scratch_sweep(family, which, arity,
         assert ((res.holds, res.witness, res.identities_checked)
                 == _from_scratch_subsetwise(L, kind, x, y))
         assert res.holds == _REF[kind](ref, x, y)
+
+
+@pytest.mark.parametrize("build,kind,x,y,witness,count", [
+    # chain:2: a set fails exactly when it holds letters (0,1) and (1,0);
+    # {0, 14} comes before {14, 15}, which has the higher top coordinate
+    (lambda: ls.chain(2), RelationKind.SUBSETWISE_JOIN,
+     (1,) + (0,) * 14 + (1,), (0,) * 14 + (1, 0), (0, 14), 2 ** 14 + 1),
+    (lambda: ls.chain(2), RelationKind.SUBSETWISE_MEET,
+     (0,) * 9 + (1,), (0, 0, 0, 1) + (0,) * 6, (3, 9), 2 ** 9 + 8),
+    # M3: letters (a,a), (b,1), (1,c) fail only as a triple; (0,0) letters
+    # hold with anything under the join kind, (1,1) under the meet kind
+    (ls.m3, RelationKind.SUBSETWISE_JOIN,
+     (0,) * 9 + (1, 0, 0, 2, 0, 0, 4), (0,) * 9 + (1, 0, 0, 4, 0, 0, 3),
+     (9, 12, 15), 2 ** 9 + 2 ** 12 + 2 ** 15),
+    # M3: letters (0,b), (0,c), (a,0) fail only as a triple
+    (ls.m3, RelationKind.SUBSETWISE_MEET,
+     (4, 4, 0) + (4,) * 7 + (0, 4, 4, 1), (4, 4, 2) + (4,) * 7 + (3, 4, 4, 0),
+     (2, 10, 13), 2 ** 2 + 2 ** 10 + 2 ** 13),
+])
+def test_subsetwise_check_finds_high_first_failures(build, kind, x, y,
+                                                    witness, count):
+    """First failures whose top coordinate is far from 0, at 10-16
+    coordinates: the check takes each coordinate j in turn as the new
+    letter over the subsets of the coordinates before it, which must
+    visit masks in increasing order, as the from-scratch sweep does."""
+    L = build()
+    res = relation_check(L, kind, x, y)
+    assert (res.holds, res.witness, res.identities_checked) == (
+        False, witness, count)
+    assert (False, witness, count) == _from_scratch_subsetwise(L, kind, x, y)
+
+
+# -- the subsetwise verdict rows against the one-pass sweep they replaced ----
+
+
+def _one_pass_subsetwise_rows(lattice, x):
+    """The subsetwise rows as they were built: one pass over every y and
+    every nonempty coordinate subset in increasing mask order, each
+    subset's meets and joins extending those of the subset without its
+    lowest coordinate.  Returns (join row, meet row)."""
+    meet, join = lattice._meet, lattice._join
+    size = 1 << len(x)
+    subsets = [(mask, mask & (mask - 1), (mask & -mask).bit_length() - 1)
+               for mask in range(1, size)]
+    x_meets = [lattice.top] * size
+    x_joins = [lattice.bottom] * size
+    for mask, rest, i in subsets:
+        x_meets[mask] = meet[x_meets[rest]][x[i]]
+        x_joins[mask] = join[x_joins[rest]][x[i]]
+    y_meets = [lattice.top] * size
+    y_joins = [lattice.bottom] * size
+    meet_of_joins = [lattice.top] * size
+    join_of_meets = [lattice.bottom] * size
+    join_digits = bytearray(b"1") * lattice.size ** len(x)
+    meet_digits = bytearray(join_digits)
+    for pos, y in enumerate(itertools.product(range(lattice.size),
+                                              repeat=len(x))):
+        for mask, rest, i in subsets:
+            xi, yi = x[i], y[i]
+            y_meets[mask] = meet[y_meets[rest]][yi]
+            y_joins[mask] = join[y_joins[rest]][yi]
+            meet_of_joins[mask] = meet[meet_of_joins[rest]][join[xi][yi]]
+            join_of_meets[mask] = join[join_of_meets[rest]][meet[xi][yi]]
+            if meet_of_joins[mask] != join[x_meets[mask]][y_meets[mask]]:
+                join_digits[pos] = 48
+                if meet_digits[pos] == 48:
+                    break
+            if join_of_meets[mask] != meet[x_joins[mask]][y_joins[mask]]:
+                meet_digits[pos] = 48
+                if join_digits[pos] == 48:
+                    break
+    return int(join_digits[::-1], 2), int(meet_digits[::-1], 2)
+
+
+def _assert_subsetwise_rows_match(L, arity):
+    """Every anchor's two subsetwise rows, on one lattice whose set
+    verdicts are shared across anchors, equal the one-pass sweep; the
+    kinds are asked for in alternating order."""
+    kinds = [RelationKind.SUBSETWISE_JOIN, RelationKind.SUBSETWISE_MEET]
+    for a, x in enumerate(itertools.product(range(L.size), repeat=arity)):
+        rows = {kind: _relation_row(L, kind, x)
+                for kind in (kinds if a % 2 else kinds[::-1])}
+        assert (rows[kinds[0]], rows[kinds[1]]) == (
+            _one_pass_subsetwise_rows(L, x)), x
+
+
+_SUBSETWISE_ROW_ZOO = {
+    "chain3": lambda: ls.chain(3),
+    "chain4": lambda: ls.chain(4),
+    "boolean2": lambda: ls.boolean_lattice(2),
+    "N5": ls.n5,
+    "M3": ls.m3,
+    "unsorted-N5": lambda: _unsorted_n5()[0],
+    "prod23": lambda: ls.product([ls.chain(2), ls.chain(3)]),
+}
+
+
+@pytest.mark.parametrize("name,arity", [
+    (name, arity) for name in _SUBSETWISE_ROW_ZOO for arity in (1, 2, 3, 4)
+    if _SUBSETWISE_ROW_ZOO[name]().size ** arity <= 216])
+def test_subsetwise_rows_match_the_one_pass_sweep(name, arity):
+    _assert_subsetwise_rows_match(_SUBSETWISE_ROW_ZOO[name](), arity)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sets(st.integers(0, 7)), st.integers(1, 3))
+def test_subsetwise_rows_match_the_one_pass_sweep_on_random_lattices(
+        family, arity):
+    L, _ = _closure_lattice(family)
+    if L.size ** arity > 216:
+        arity = 2
+    _assert_subsetwise_rows_match(L, arity)
+
+
+def test_a_subsetwise_region_builds_only_its_own_kind():
+    """A region of one subsetwise kind keeps set verdicts of that kind
+    only: nothing of the other kind is folded."""
+    L = ls.m3()
+    relation_region(L, RelationKind.SUBSETWISE_JOIN, (1, 2, 3))
+    assert RelationKind.SUBSETWISE_JOIN in L._letter_tables
+    assert RelationKind.SUBSETWISE_MEET not in L._letter_tables
+
+
+def test_theorem_suites_fold_each_letter_set_once(monkeypatch):
+    """Under ``all`` on boolean:2 at arity 3, the subsetwise rows of every
+    thm2 anchor share one verdict per letter set and kind: the fold runs
+    exactly once per verdict kept on the lattice."""
+    calls = [0]
+    original = relations._first_failure
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(relations, "_first_failure", counted)
+    L = ls.boolean_lattice(2)
+    run_scope("all", L, 3)
+    kept = sum(len(L._letter_tables[kind])
+               for kind in (RelationKind.SUBSETWISE_JOIN,
+                            RelationKind.SUBSETWISE_MEET))
+    assert calls[0] == kept > 0
