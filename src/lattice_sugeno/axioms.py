@@ -25,9 +25,13 @@ reports fewer pairs.
 
 The supremal/infimal kinds read their pairs from a PairPlan: per
 relation and arity, the positions of x, y, x v y and x ^ y for every
-related pair, built once per lattice.  A check then compares table
-values by position, f(x v y) against f(x) v f(y), and decodes vectors
-only for the witness.  The homogeneity kinds likewise read the
+related pair, kept on the lattice.  A plan is built anchor by anchor,
+and only as far as the checks read it: a check compares the rows built
+so far, then grows the plan in chunks of anchors that double in size
+while every pair holds, so a check that fails early leaves the rest
+unbuilt for the next one.  A check compares table values by position,
+f(x v y) against f(x) v f(y), and decodes vectors only for the
+witness.  The homogeneity kinds likewise read the
 positions of x and of c ^ x (c v x) from lists kept per (arity, kind)
 on the lattice, each c's list built the first time a check reaches c.
 """
@@ -37,7 +41,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from operator import add, ne
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .capacity import (
     Capacity,
@@ -184,43 +188,74 @@ def characterization_label(pair: tuple) -> str:
     return "%s & %s" % (pair[0].value, pair[1].value)
 
 
-class PairPlan(NamedTuple):
+class PairPlan:
     """The related vector pairs (x, y), x lex <= y, of one pairwise
     relation at one arity, as four aligned columns of mixed-radix
     positions: x, y, x v y and x ^ y.  Rows run with x in product order
-    and, for each x, y ascending from x itself."""
+    and, for each x, y ascending from x itself.  A plan is built anchor
+    by anchor: ``walk`` yields the rows of the anchors not yet built
+    (``relations.related_positions``), and is None once all are."""
 
-    xs: array
-    ys: array
-    joins: array
-    meets: array
+    __slots__ = ("xs", "ys", "joins", "meets", "walk")
+
+    def __init__(self, walk: Iterator[tuple]):
+        self.xs, self.ys, self.joins, self.meets = (
+            array("i"), array("i"), array("i"), array("i"))
+        self.walk = walk
 
 
-def pair_plan(lattice: Lattice, arity: int, kind: RelationKind) -> PairPlan:
-    """The PairPlan of a pairwise kind, built once per (arity, kind).
-
-    The y related to each x come from ``related_positions``, grown from
-    the relation's letter table in time proportional to the output,
-    with the positions of x v y and x ^ y carried digit by digit.
-    Plans are cached on the lattice because the supremal and infimal
-    checks of every table, the census and the sampled lemma tables all
-    walk the same relation on the same lattice.
-    More than 10^7 vector pairs are refused up front.
-    """
+def _kept_plan(lattice: Lattice, arity: int, kind: RelationKind) -> PairPlan:
+    """The plan of (arity, kind) kept on the lattice, as far as it is
+    built; more than 10^7 vector pairs are refused before it exists."""
     count = lattice.size ** arity
     guard_size(count * (count + 1) // 2, 1, "vector pairs")
-    key = (arity, kind)
-    plan = lattice._pair_cache.get(key)
+    plan = lattice._pair_cache.get((arity, kind))
     if plan is None:
-        plan = PairPlan(array("i"), array("i"), array("i"), array("i"))
-        for a, x in enumerate(itertools.product(range(lattice.size),
-                                                repeat=arity)):
-            ys, joins, meets = related_positions(lattice, kind, x, a)
+        plan = lattice._pair_cache[arity, kind] = PairPlan(
+            related_positions(lattice, kind, arity))
+    return plan
+
+
+def _grow_plan(lattice: Lattice, arity: int, kind: RelationKind,
+               plan: PairPlan, anchors: int) -> bool:
+    """Append the rows of up to ``anchors`` more anchors to a kept plan;
+    False when it was already complete."""
+    if plan.walk is None:
+        return False
+    pulled = 0
+    try:
+        for a, ys, joins, meets in itertools.islice(plan.walk, anchors):
             plan.xs.extend(array("i", (a,)) * len(ys))
             plan.ys.extend(ys)
             plan.joins.extend(joins)
             plan.meets.extend(meets)
-        lattice._pair_cache[key] = plan
+            pulled += 1
+    except BaseException:
+        # a walk that raised is finished, and its columns may disagree
+        # in length: the next check builds the plan afresh
+        lattice._pair_cache.pop((arity, kind), None)
+        raise
+    if pulled < anchors:
+        plan.walk = None
+    return pulled > 0
+
+
+def pair_plan(lattice: Lattice, arity: int, kind: RelationKind) -> PairPlan:
+    """The complete PairPlan of a pairwise kind.
+
+    The y related to each x come from ``related_positions``, one walk
+    over the trie of anchor prefixes in time proportional to the output,
+    with the positions of x v y and x ^ y carried digit by digit.
+    Plans are kept on the lattice per (arity, kind), because the
+    supremal and infimal checks of every table, the census and the
+    sampled lemma tables all walk the same relation on the same lattice.
+    ``axiom_check`` grows a kept plan only as far as its comparisons
+    read; this drains the same walk to the end.
+    More than 10^7 vector pairs are refused up front.
+    """
+    plan = _kept_plan(lattice, arity, kind)
+    while _grow_plan(lattice, arity, kind, plan, lattice.size ** arity):
+        pass
     return plan
 
 
@@ -372,18 +407,28 @@ def axiom_check(f: FunctionTable, kind: AxiomKind) -> AxiomCheck:
         return AxiomCheck(kind, True, None, checked)
 
     if kind in _SUPREMAL_RELATION:
-        plan = pair_plan(lattice, n, _SUPREMAL_RELATION[kind])
+        relation = _SUPREMAL_RELATION[kind]
+        plan = _kept_plan(lattice, n, relation)
         if kind in (AxiomKind.COMONOTONE_SUPREMAL,
                     AxiomKind.G_COMONOTONE_SUPREMAL):
             op, combined = join_t, plan.joins
         else:
             op, combined = meet_t, plan.meets
-        for checked, a, b, c in zip(itertools.count(1), plan.xs, plan.ys,
-                                    combined):
-            if values[c] != op[values[a]][values[b]]:
-                return AxiomCheck(kind, False, (f.decode(a), f.decode(b)),
-                                  checked)
-        return AxiomCheck(kind, True, None, len(plan.xs))
+        # compare the rows built so far, then grow the plan in chunks of
+        # anchors that double in size while every pair holds.  Each pass
+        # takes exactly the rows built, so the column iterators never
+        # run out and go on into the rows the next growth appends.
+        rows = zip(itertools.count(1), plan.xs, plan.ys, combined)
+        anchors = 1
+        while True:
+            for checked, a, b, c in itertools.islice(
+                    rows, len(plan.xs) - checked):
+                if values[c] != op[values[a]][values[b]]:
+                    return AxiomCheck(kind, False,
+                                      (f.decode(a), f.decode(b)), checked)
+            if not _grow_plan(lattice, n, relation, plan, anchors):
+                return AxiomCheck(kind, True, None, checked)
+            anchors *= 2
 
     raise ValueError("unknown axiom kind: %r" % (kind,))
 

@@ -80,7 +80,8 @@ class Lattice:
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._distributive = distributive
         self._distributive_witness: tuple | None = None
-        # built on first use: (arity, relation kind) -> axioms.PairPlan,
+        # built on first use: (arity, relation kind) -> axioms.PairPlan
+        # and its unfinished walk, grown as far as the checks have read,
         # pairwise kind -> its k^2 relations.compatibility_table bitsets,
         # subsetwise kind -> {letter set as a k^2-bit int: whether it
         # holds}, (pairwise kind, anchor x) -> x's relations._relation_row,

@@ -22,6 +22,14 @@ vectors in product order, built by ``_relation_row``.  Componentwise
 order rows, y <= x and y >= x, come from ``_order_rows`` alone.  The
 subsetwise identity is folded in one place, ``_first_failure``, which
 both ``relation_check`` and the subsetwise rows call.
+
+The pairwise kinds have one walker, ``related_positions``.  It walks
+the trie of anchor prefixes depth first.  For each anchor prefix it
+grows, once, the frontier of y prefixes related to it, and each next
+anchor digit extends that frontier.  It yields the related y of every
+anchor in product order, with the positions of x v y and x ^ y.  The
+pair plans of ``axioms`` read it for every anchor, y from x on; the
+verdict rows and regions read it for one anchor, every y.
 """
 
 import itertools
@@ -234,58 +242,79 @@ def compatibility_table(lattice: Lattice, kind: RelationKind) -> list:
     return table
 
 
-def related_positions(lattice: Lattice, kind: RelationKind, x: tuple,
-                      floor: int = 0) -> tuple:
-    """The y related to x by a pairwise kind, as three lists of
-    mixed-radix positions: y itself in increasing order, then x v y and
-    x ^ y pair by pair.
+def related_positions(lattice: Lattice, kind: RelationKind, n: int,
+                      x: tuple | None = None) -> Iterator[tuple]:
+    """The related pairs of a pairwise kind at arity n, anchor by anchor,
+    as ``(a, ys, joins, meets)``: the position a of an anchor x, then
+    three lists of positions, the y related to x in increasing order,
+    and x v y and x ^ y pair by pair.
 
-    y is grown one coordinate at a time, each prefix carrying the set of
-    letters compatible with all of its own (compatibility_table): the
-    values allowed at coordinate j are its letters (x_j, d), so only
-    prefixes of related vectors are visited.  The positions of x v y
-    and x ^ y grow digit by digit alongside, so nothing is decoded.
-    Positions below ``floor`` are pruned as soon as their prefix falls
-    below floor's.
+    Without ``x``, every anchor comes in product order, each with the y
+    from x itself on (x lex <= y).  Given ``x``, only that anchor comes,
+    with every y related to it.
+
+    The walk runs depth first over the trie of anchor prefixes.  An
+    anchor prefix's frontier holds the y prefixes related to it, each
+    carrying the set of letters compatible with all of its own
+    (compatibility_table), so only prefixes of related vectors are
+    visited.  The frontier is grown once per anchor prefix, and each
+    next anchor digit v extends it by the digits d of the letters
+    (v, d) the set allows.  Under a tie, a y prefix equal to the anchor
+    prefix keeps only d >= v.  The positions of x v y and x ^ y grow
+    digit by digit alongside, so nothing is decoded.
     """
     table = compatibility_table(lattice, kind)
     k, join, meet = lattice.size, lattice._join, lattice._meet
     digits = (1 << k) - 1
-    # (prefix positions of y, x v y and x ^ y, compatible letters)
-    frontier = [(0, 0, 0, (1 << k * k) - 1)]
-    for v, place in zip(x, strides(k, len(x))[:-1]):
-        lo = floor // place
-        shift = v * k
-        entries = table[shift:shift + k]
-        join_x, meet_x = join[v], meet[v]
-        grown = []
-        for pos, pos_join, pos_meet, letters in frontier:
-            allowed = letters >> shift & digits
-            base, base_join, base_meet = pos * k, pos_join * k, pos_meet * k
-            while allowed:
-                low = allowed & -allowed
-                allowed ^= low
-                d = low.bit_length() - 1
-                if base + d >= lo:
-                    grown.append((base + d, base_join + join_x[d],
-                                  base_meet + meet_x[d],
+    last = n - 1
+    anchor_digits = [range(k)] * n if x is None else [(v,) for v in x]
+
+    def walk(j, prefix, frontier):
+        # frontier: per y prefix, increasing, (positions of y, x v y and
+        # x ^ y so far, compatible letters); the one at ``tie`` equals
+        # the anchor prefix
+        tie = prefix if x is None else -1
+        if j == last:
+            for v in anchor_digits[j]:
+                shift = v * k
+                join_v, meet_v = join[v], meet[v]
+                ys, joins, meets = [], [], []
+                for pos, pos_join, pos_meet, letters in frontier:
+                    allowed = letters >> shift & digits
+                    if pos == tie:
+                        allowed = allowed >> v << v
+                    base, base_join, base_meet = (pos * k, pos_join * k,
+                                                  pos_meet * k)
+                    while allowed:
+                        low = allowed & -allowed
+                        allowed ^= low
+                        d = low.bit_length() - 1
+                        ys.append(base + d)
+                        joins.append(base_join + join_v[d])
+                        meets.append(base_meet + meet_v[d])
+                yield prefix * k + v, ys, joins, meets
+            return
+        for v in anchor_digits[j]:
+            shift = v * k
+            join_v, meet_v = join[v], meet[v]
+            entries = table[shift:shift + k]
+            grown = []
+            for pos, pos_join, pos_meet, letters in frontier:
+                allowed = letters >> shift & digits
+                if pos == tie:
+                    allowed = allowed >> v << v
+                base, base_join, base_meet = (pos * k, pos_join * k,
+                                              pos_meet * k)
+                while allowed:
+                    low = allowed & -allowed
+                    allowed ^= low
+                    d = low.bit_length() - 1
+                    grown.append((base + d, base_join + join_v[d],
+                                  base_meet + meet_v[d],
                                   letters & entries[d]))
-        frontier = grown
-    ys, joins, meets = [], [], []
-    shift = x[-1] * k
-    join_x, meet_x = join[x[-1]], meet[x[-1]]
-    for pos, pos_join, pos_meet, letters in frontier:
-        allowed = letters >> shift & digits
-        base, base_join, base_meet = pos * k, pos_join * k, pos_meet * k
-        while allowed:
-            low = allowed & -allowed
-            allowed ^= low
-            d = low.bit_length() - 1
-            if base + d >= floor:
-                ys.append(base + d)
-                joins.append(base_join + join_x[d])
-                meets.append(base_meet + meet_x[d])
-    return ys, joins, meets
+            yield from walk(j + 1, prefix * k + v, grown)
+
+    return walk(0, 0, [(0, 0, 0, (1 << k * k) - 1)])
 
 
 def strides(k: int, n: int) -> list:
@@ -339,9 +368,9 @@ def _relation_row(lattice: Lattice, kind: RelationKind, x: tuple) -> int:
 
     Comparable is the union of the two order rows.  The other kinds grow
     only the related y, one coordinate at a time, in time proportional
-    to the row.  Pairwise rows come from ``related_positions`` and are
-    kept on the lattice per kind and anchor, since the theorem suites
-    and ``relation_pairs`` read them again.  A subsetwise prefix carries
+    to the row.  Pairwise rows come from ``related_positions`` walked
+    for x alone, and are kept on the lattice per kind and anchor, since
+    the theorem suites and ``relation_pairs`` read them again.  A subsetwise prefix carries
     the set of letters (x_i, y_i) it uses, as a k^2-bit int: a verdict
     depends on that set alone, and every subset of a holding set holds,
     so digit d is kept when the set plus (x_j, d) holds, which is the
@@ -356,7 +385,7 @@ def _relation_row(lattice: Lattice, kind: RelationKind, x: tuple) -> int:
         return row
     k = lattice.size
     if kind in PAIRWISE_KINDS:
-        ys = related_positions(lattice, kind, x)[0]
+        ys = next(related_positions(lattice, kind, len(x), x))[1]
     else:
         fold, pair = _subsetwise_ops(lattice, kind)
         verdicts = lattice._letter_tables.setdefault(kind, {})
@@ -406,9 +435,11 @@ def _positions(row: int, start: int = 0) -> Iterator[int]:
 
 def relation_region(lattice: Lattice, kind: RelationKind,
                     x: Sequence[int], limit: int = 10 ** 7) -> tuple:
-    """All vectors y standing in the relation to x, in product order:
-    the set bits of x's verdict row, grown in time proportional to the
-    region for every kind but comparable.  More than ``limit`` vectors
+    """All vectors y standing in the relation to x, in product order,
+    grown in time proportional to the region for every kind but
+    comparable: for a pairwise kind, the positions ``related_positions``
+    yields for x, decoded directly; for the others, the set bits of x's
+    verdict row.  More than ``limit`` vectors
     are refused up front, and for the subsetwise kinds more than
     ``limit`` vector-subset identities, (2k)^n, as well: a tighter cap
     on the size of the region and its output, no longer the cost of
@@ -418,5 +449,8 @@ def relation_region(lattice: Lattice, kind: RelationKind,
     if kind in (RelationKind.SUBSETWISE_JOIN, RelationKind.SUBSETWISE_MEET):
         guard_size(2 * lattice.size, len(x), "vector-subset identities",
                    limit)
-    row = _relation_row(lattice, kind, x)
-    return tuple(decode(pos, lattice.size, len(x)) for pos in _positions(row))
+    if kind in PAIRWISE_KINDS:
+        ys = next(related_positions(lattice, kind, len(x), x))[1]
+    else:
+        ys = _positions(_relation_row(lattice, kind, x))
+    return tuple(decode(pos, lattice.size, len(x)) for pos in ys)

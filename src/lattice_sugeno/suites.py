@@ -30,8 +30,9 @@ lemmas) read per-anchor verdict rows from ``relations._relation_row``,
 one row per kind, and compare them with bitwise operations; thm1, thm2
 and lemmas refuse more than ``limit`` k^2n vector pairs.  Pairwise rows
 are kept on the lattice, so under ``all`` each (kind, anchor) row is
-built once and shared by every suite, as are the pair plans and
-homogeneity positions of the axiom checks.  thm2's subsetwise rows are
+built once and shared by every suite, as are the homogeneity
+positions of the axiom checks; their pair plans are kept too, grown
+only as far as the checks have read them.  thm2's subsetwise rows are
 not kept, but the letter-set verdicts they grow from are, so each set
 is folded once per lattice and kind.  The implication lemmas check a
 conclusion only on the tables where its premise holds.

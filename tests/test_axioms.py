@@ -8,6 +8,7 @@ import lattice_sugeno as ls
 from lattice_sugeno import (
     CHARACTERIZATIONS,
     ArityMismatch,
+    AxiomCheck,
     AxiomKind,
     EnumerationTooLarge,
     FunctionTable,
@@ -45,7 +46,7 @@ from _oracles import (
     ref_n5,
     ref_product,
 )
-from test_relations import _closure_lattice
+from test_relations import _assert_plan_matches, _closure_lattice
 
 
 def h_table(chain3):
@@ -297,6 +298,132 @@ def test_pair_axioms_match_an_ordered_oracle_walk(L, ref, arity):
                 witness is None, witness, count)
             failures += witness is not None
     assert failures
+
+
+def _three_tables(L, arity, seed):
+    """A seeded integral's step table (bottom stays, all else goes to
+    top), the integral with one value moved inside the interval its
+    cover neighbours allow, at a seeded point, and the integral."""
+    f = sugeno_table(ls.sample_capacities(L, arity, 1, seed=seed)[0])
+    step = FunctionTable(L, arity, [v if v == L.bottom else L.top
+                                    for v in f.values], "step")
+    rng = random.Random(seed)
+    points = list(f.domain())
+    moved = list(f.values)
+    for pos in rng.sample(range(len(points)), len(points)):
+        x = points[pos]
+        lo, hi = L.bottom, L.top
+        for i, v in enumerate(x):
+            for c in range(L.size):
+                y = f(x[:i] + (c,) + x[i + 1:])
+                if v in L.upper_covers(c):
+                    lo = L.join(lo, y)
+                if c in L.upper_covers(v):
+                    hi = L.meet(hi, y)
+        options = [v for v in range(L.size) if v != moved[pos]
+                   and L.leq(lo, v) and L.leq(v, hi)]
+        if options:
+            moved[pos] = rng.choice(options)
+            break
+    return [step, FunctionTable(L, arity, moved, "point"), f]
+
+
+def _assert_lazy_plans_agree(build, arity, seed):
+    """Each pair axiom on a fresh lattice, whose plans grow only as far
+    as the checks read them, equals the same check on a lattice whose
+    plans pair_plan drained first: verdict, witness and pairs_checked.
+    The lazy lattice checks the step, point and integral tables in turn,
+    so every later check starts from the plan an earlier one left."""
+    lazy, drained = build(), build()
+    for kind in (RelationKind.COMONOTONE, RelationKind.G_COMONOTONE):
+        pair_plan(drained, arity, kind)
+    for f in _three_tables(lazy, arity, seed):
+        twin = FunctionTable(drained, arity, f.values, f.name)
+        for kind, _, _ in _PAIR_AXIOMS:
+            assert axiom_check(f, kind) == axiom_check(twin, kind), (
+                f.name, kind)
+
+
+@pytest.mark.parametrize("build, arity", [
+    (lambda: ls.chain(4), 3),
+    (lambda: ls.boolean_lattice(2), 3),
+    (lambda: ls.product([ls.chain(2), ls.chain(3)]), 2),
+    (ls.n5, 3),
+    (ls.m3, 3),
+], ids=["chain4", "boolean2", "prod23", "N5", "M3"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lazy_plans_agree_with_drained_plans(build, arity, seed):
+    _assert_lazy_plans_agree(build, arity, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sets(st.integers(0, 7)), st.integers(1, 3), st.integers(0, 99))
+def test_lazy_plans_agree_with_drained_plans_on_random_lattices(family,
+                                                                arity, seed):
+    if _closure_lattice(family)[0].size ** arity > 216:
+        arity = 2
+    _assert_lazy_plans_agree(lambda: _closure_lattice(family)[0], arity,
+                             seed)
+
+
+def test_a_failing_check_builds_part_of_the_plan():
+    """On M3 at n=3 the step table fails comonotone_supremal early and
+    leaves fewer than the plan's 1,065 rows built; a later pair_plan
+    drains it to the oracle walk, and a later infimal check reads on
+    past the rows the failing check built, as on a drained plan."""
+    kind = RelationKind.COMONOTONE
+    drained = ls.m3()
+    pair_plan(drained, 3, kind)
+    for drain in (True, False):
+        L = ls.m3()
+        step, _, integral = _three_tables(L, 3, seed=0)
+        failed = axiom_check(step, AxiomKind.COMONOTONE_SUPREMAL)
+        built = len(L._pair_cache[3, kind].xs)
+        assert not failed.holds
+        assert failed.pairs_checked <= built < 1065
+        if drain:
+            _assert_plan_matches(L, ref_m3(), kind, 3)
+        else:
+            later = axiom_check(integral, AxiomKind.COMONOTONE_INFIMAL)
+            twin = FunctionTable(drained, 3, integral.values)
+            assert later == axiom_check(twin, AxiomKind.COMONOTONE_INFIMAL)
+            assert later.pairs_checked > built
+
+
+def test_an_interrupted_growth_drops_the_kept_plan():
+    """An exception escaping the walk while a check grows the plan
+    leaves no truncated plan behind: the next check and pair_plan build
+    it afresh, equal to the oracle walk."""
+    L = ls.boolean_lattice(2)
+    kind = RelationKind.COMONOTONE
+    step, _, integral = _three_tables(L, 3, seed=0)
+    assert not axiom_check(step, AxiomKind.COMONOTONE_INFIMAL).holds
+    plan = L._pair_cache[3, kind]
+    assert plan.walk is not None
+
+    def interrupted(walk):
+        yield from itertools.islice(walk, 3)
+        raise KeyboardInterrupt
+
+    plan.walk = interrupted(plan.walk)
+    with pytest.raises(KeyboardInterrupt):
+        axiom_check(integral, AxiomKind.COMONOTONE_SUPREMAL)
+    assert (3, kind) not in L._pair_cache
+    # an integral on a distributive lattice reads all 556 plan rows
+    assert axiom_check(integral, AxiomKind.COMONOTONE_SUPREMAL) == (
+        AxiomCheck(AxiomKind.COMONOTONE_SUPREMAL, True, None, 556))
+    _assert_plan_matches(L, ref_boolean(2), kind, 3)
+
+
+def test_pair_axioms_refuse_past_the_pair_guard_before_keeping_a_plan():
+    """8,192 points make 33.6 M vector pairs, past the 10^7 guard: every
+    pair axiom refuses before a plan is kept on the lattice."""
+    L = ls.chain(2)
+    f = FunctionTable(L, 13, [0] * 2 ** 13)
+    for kind, _, _ in _PAIR_AXIOMS:
+        with pytest.raises(EnumerationTooLarge):
+            axiom_check(f, kind)
+    assert L._pair_cache == {}
 
 
 def test_relation_pairs_guard(chain11):
