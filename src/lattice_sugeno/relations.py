@@ -370,12 +370,13 @@ def _relation_row(lattice: Lattice, kind: RelationKind, x: tuple) -> int:
     only the related y, one coordinate at a time, in time proportional
     to the row.  Pairwise rows come from ``related_positions`` walked
     for x alone, and are kept on the lattice per kind and anchor, since
-    the theorem suites and ``relation_pairs`` read them again.  A subsetwise prefix carries
-    the set of letters (x_i, y_i) it uses, as a k^2-bit int: a verdict
-    depends on that set alone, and every subset of a holding set holds,
-    so digit d is kept when the set plus (x_j, d) holds, which is the
-    fold of ``_first_failure`` with (x_j, d) as the new letter.  Set
-    verdicts are kept on the lattice per kind, shared by every anchor.
+    the theorem suites and ``relation_pairs`` read them again.  A
+    subsetwise prefix carries the set of letters (x_i, y_i) it uses, as
+    a k^2-bit int: a verdict depends on that set alone, and every subset
+    of a holding set holds, so digit d is kept when the set plus
+    (x_j, d) holds, which is the fold of ``_first_failure`` with (x_j, d)
+    as the new letter.  Set verdicts are kept on the lattice per kind,
+    shared by every anchor.
     """
     if kind is RelationKind.COMPARABLE:
         below, above = _order_rows(lattice, x)
@@ -439,11 +440,10 @@ def relation_region(lattice: Lattice, kind: RelationKind,
     grown in time proportional to the region for every kind but
     comparable: for a pairwise kind, the positions ``related_positions``
     yields for x, decoded directly; for the others, the set bits of x's
-    verdict row.  More than ``limit`` vectors
-    are refused up front, and for the subsetwise kinds more than
-    ``limit`` vector-subset identities, (2k)^n, as well: a tighter cap
-    on the size of the region and its output, no longer the cost of
-    building the row."""
+    verdict row.  More than ``limit`` vectors are refused up front, and
+    for the subsetwise kinds more than ``limit`` vector-subset
+    identities, (2k)^n, as well: a tighter cap on the size of the region
+    and its output, no longer the cost of building the row."""
     x = check_vector(lattice, x)
     guard_size(lattice.size, len(x), "vectors", limit)
     if kind in (RelationKind.SUBSETWISE_JOIN, RelationKind.SUBSETWISE_MEET):
