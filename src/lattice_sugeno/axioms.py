@@ -206,7 +206,10 @@ class PairPlan:
 
 def _kept_plan(lattice: Lattice, arity: int, kind: RelationKind) -> PairPlan:
     """The plan of (arity, kind) kept on the lattice, as far as it is
-    built; more than 10^7 vector pairs are refused before it exists."""
+    built; more than 10^7 vector pairs are refused before it exists.
+    Plans are kept per lattice because the supremal and infimal checks
+    of every table, the census and the sampled lemma tables all walk
+    the same relation on the same lattice."""
     count = lattice.size ** arity
     guard_size(count * (count + 1) // 2, 1, "vector pairs")
     plan = lattice._pair_cache.get((arity, kind))
@@ -238,25 +241,6 @@ def _grow_plan(lattice: Lattice, arity: int, kind: RelationKind,
     if pulled < anchors:
         plan.walk = None
     return pulled > 0
-
-
-def pair_plan(lattice: Lattice, arity: int, kind: RelationKind) -> PairPlan:
-    """The complete PairPlan of a pairwise kind.
-
-    The y related to each x come from ``related_positions``, one walk
-    over the trie of anchor prefixes in time proportional to the output,
-    with the positions of x v y and x ^ y carried digit by digit.
-    Plans are kept on the lattice per (arity, kind), because the
-    supremal and infimal checks of every table, the census and the
-    sampled lemma tables all walk the same relation on the same lattice.
-    ``axiom_check`` grows a kept plan only as far as its comparisons
-    read; this drains the same walk to the end.
-    More than 10^7 vector pairs are refused up front.
-    """
-    plan = _kept_plan(lattice, arity, kind)
-    while _grow_plan(lattice, arity, kind, plan, lattice.size ** arity):
-        pass
-    return plan
 
 
 def relation_pairs(lattice: Lattice, arity: int, kind: RelationKind,

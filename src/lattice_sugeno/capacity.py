@@ -266,7 +266,9 @@ class _MonotoneFill(NamedTuple):
 def _capacity_fill(lattice: Lattice, arity: int) -> _MonotoneFill:
     """Capacities as fills of the subset table in mask order: each
     subset lies above its lower covers (the mask less one set bit), and
-    the empty and full sets are pinned to bottom and top."""
+    the empty and full sets are pinned to bottom and top.  More than
+    10^7 subsets are refused, which only a one-element lattice reaches."""
+    guard_size(2, arity, "subsets")
     size = 1 << arity
     bounds = [(tuple(mask ^ 1 << i for i in range(arity) if mask >> i & 1),
                ()) for mask in range(size)]

@@ -346,7 +346,8 @@ def parse_table(text: str, lattice: Lattice,
     unknown coordinate name is reported before a wrong count, without a
     line number, as parse_vector reports it.  The position is built
     digit by digit only once the count is right, so an overlong line
-    costs time linear in its length.
+    costs time linear in its length.  More than 10^7 points, or 2^n
+    subsets for the checks to read, are refused after the header.
     """
     # the bulk check: a name with a comma, "#", "->" or whitespace, or an
     # empty one, would make a canonical line read otherwise below
@@ -357,6 +358,7 @@ def parse_table(text: str, lattice: Lattice,
         name, arity = _parse_header(body.pop(0).strip(), "table", lattice,
                                     path, 1)
         guard_size(lattice.size, arity, "points")
+        guard_size(2, arity, "subsets")
         if len(body) == lattice.size ** arity:
             keys = [p + e + ") -> " for p in _point_prefixes(names, arity)
                     for e in names]
@@ -372,6 +374,7 @@ def parse_table(text: str, lattice: Lattice,
     lineno, header = lines[0]
     name, arity = _parse_header(header, "table", lattice, path, lineno)
     guard_size(lattice.size, arity, "points")
+    guard_size(2, arity, "subsets")
     k = lattice.size
     digit_of = lattice._index.get
     values = [None] * k ** arity
@@ -424,12 +427,7 @@ def format_table(f: FunctionTable) -> str:
 
 def _axiom_witness_text(lattice: Lattice, kind: AxiomKind,
                         witness: tuple) -> str:
-    if witness[0] == "boundary":
-        return "boundary fails at x=%s" % format_vector(lattice, witness[1])
-    if witness[0] == "monotone":
-        return "monotonicity fails between %s and %s" % (
-            format_vector(lattice, witness[1]),
-            format_vector(lattice, witness[2]))
+    # no gate witness: characterization_report raises NotAggregation
     if kind is AxiomKind.IDEMPOTENT:
         return "fails at c=%s" % lattice.elements[witness[0]]
     if kind in _HOMOGENEITY:

@@ -14,22 +14,26 @@ opposite directions":
 * subsetwise join / meet agreement: the same interchange quantified
   over every nonempty subset of coordinates instead of pairs.
 
+These four share fold_I(pair(x_i, y_i)) == pair(fold_I x, fold_I y),
+whose (fold, pair) only ``_interchange_ops`` picks.  ``_pair_test``
+resolves a pairwise kind once per check or letter table, and
+``_first_failure`` folds the subsetwise identity.
+
 Checks short-circuit on the first failing identity and report it as a
 witness, along with how many identities were evaluated.  Questions over
 the whole domain (regions, related pairs, the theorem suites) read
 verdict rows instead: per anchor x and kind, one bitmask over all k^n
 vectors in product order, built by ``_relation_row``.  Componentwise
-order rows, y <= x and y >= x, come from ``_order_rows`` alone.  The
-subsetwise identity is folded in one place, ``_first_failure``, which
-both ``relation_check`` and the subsetwise rows call.
+order rows, y <= x and y >= x, come from ``_order_rows`` alone.
 
 The pairwise kinds have one walker, ``related_positions``.  It walks
-the trie of anchor prefixes depth first.  For each anchor prefix it
-grows, once, the frontier of y prefixes related to it, and each next
-anchor digit extends that frontier.  It yields the related y of every
-anchor in product order, with the positions of x v y and x ^ y.  The
-pair plans of ``axioms`` read it for every anchor, y from x on; the
-verdict rows and regions read it for one anchor, every y.
+the trie of anchor prefixes depth first, on an explicit stack of digit
+iterators, so no arity meets Python's recursion limit.  For each anchor
+prefix it grows, once, the frontier of y prefixes related to it, and
+each next anchor digit extends that frontier.  It yields the related y
+of every anchor in product order, with the positions of x v y and
+x ^ y.  The pair plans of ``axioms`` read it for every anchor, y from
+x on; the verdict rows and regions read it for one anchor, every y.
 """
 
 import itertools
@@ -76,19 +80,35 @@ def check_vector(lattice: Lattice, x: Sequence[int]) -> tuple:
     return x
 
 
-def _pair_identity(lattice: Lattice, kind: RelationKind,
-                   xi, xj, yi, yj) -> bool:
-    up, meet, join = lattice._up, lattice._meet, lattice._join
+def _interchange_ops(lattice: Lattice, kind: RelationKind) -> tuple:
+    """(fold, pair) tables of the interchange identity, over coordinate
+    pairs or subsets: (meet, join) for g-comonotone and subsetwise join
+    agreement, (join, meet) for the dual and subsetwise meet agreement."""
+    if kind in (RelationKind.G_COMONOTONE, RelationKind.SUBSETWISE_JOIN):
+        return lattice._meet, lattice._join
+    if kind in (RelationKind.DUAL_G_COMONOTONE, RelationKind.SUBSETWISE_MEET):
+        return lattice._join, lattice._meet
+    raise ValueError("not an interchange kind: %r" % (kind,))
+
+
+def _pair_test(lattice: Lattice, kind: RelationKind):
+    """The test of a pairwise kind on (x_i, x_j, y_i, y_j): the order
+    test for comonotone, the interchange for the other two."""
+    if kind not in PAIRWISE_KINDS:
+        raise ValueError("not a pairwise kind: %s" % kind)
     if kind is RelationKind.COMONOTONE:
-        return bool((up[xi] >> xj & 1 and up[yi] >> yj & 1) or
-                    (up[xj] >> xi & 1 and up[yj] >> yi & 1))
-    if kind is RelationKind.G_COMONOTONE:
-        return (meet[join[xi][yi]][join[xj][yj]]
-                == join[meet[xi][xj]][meet[yi][yj]])
-    if kind is RelationKind.DUAL_G_COMONOTONE:
-        return (join[meet[xi][yi]][meet[xj][yj]]
-                == meet[join[xi][xj]][join[yi][yj]])
-    raise ValueError("not a pairwise kind: %s" % kind)
+        up = lattice._up
+
+        def test(xi, xj, yi, yj):
+            return bool((up[xi] >> xj & 1 and up[yi] >> yj & 1) or
+                        (up[xj] >> xi & 1 and up[yj] >> yi & 1))
+        return test
+    fold, pair = _interchange_ops(lattice, kind)
+
+    def test(xi, xj, yi, yj):
+        return (fold[pair[xi][yi]][pair[xj][yj]]
+                == pair[fold[xi][xj]][fold[yi][yj]])
+    return test
 
 
 def relation_check(lattice: Lattice, kind: RelationKind,
@@ -121,10 +141,11 @@ def relation_check(lattice: Lattice, kind: RelationKind,
     checked = 0
 
     if kind in PAIRWISE_KINDS:
+        test = _pair_test(lattice, kind)
         for i in range(n):
             for j in range(i + 1, n):
                 checked += 1
-                if not _pair_identity(lattice, kind, x[i], x[j], y[i], y[j]):
+                if not test(x[i], x[j], y[i], y[j]):
                     return RelationResult(kind, False, (i, j), checked)
         return RelationResult(kind, True, None, checked)
 
@@ -148,7 +169,7 @@ def relation_check(lattice: Lattice, kind: RelationKind,
     # subsetwise kinds: the masks with highest coordinate j are the
     # subsets of the coordinates before j, with j as the new letter, so
     # j = 0, 1, ... visits every mask in increasing order
-    fold, pair = _subsetwise_ops(lattice, kind)
+    fold, pair = _interchange_ops(lattice, kind)
     letters = list(zip(x, y))
     for j in range(n):
         rest = _first_failure(fold, pair, letters[:j], *letters[j])
@@ -157,17 +178,6 @@ def relation_check(lattice: Lattice, kind: RelationKind,
             witness = tuple(c for c in range(n) if mask >> c & 1)
             return RelationResult(kind, False, witness, mask)
     return RelationResult(kind, True, None, (1 << n) - 1)
-
-
-def _subsetwise_ops(lattice: Lattice, kind: RelationKind) -> tuple:
-    """(fold, pair) of a subsetwise kind, whose identity is
-    fold_I(pair(x_i, y_i)) == pair(fold_I x, fold_I y): meet and join
-    tables for subsetwise join agreement, join and meet for meet."""
-    if kind is RelationKind.SUBSETWISE_JOIN:
-        return lattice._meet, lattice._join
-    if kind is RelationKind.SUBSETWISE_MEET:
-        return lattice._join, lattice._meet
-    raise ValueError("unknown relation kind: %r" % (kind,))
 
 
 def _first_failure(fold, pair, letters: list, a: int, b: int) -> int:
@@ -218,7 +228,7 @@ def compatibility_table(lattice: Lattice, kind: RelationKind) -> list:
 
     A vector pair (x, y) is a word of letters (x_i, y_i); letter (c, d)
     is bit c * k + d.  Entry ``[a * k + b]`` has bit c * k + d set when
-    letter (a, b) at some coordinate and letter (c, d) at a later one
+    letters (a, b) and (c, d), at two coordinates in either order,
     satisfy the kind's identity; (x, y) is related exactly when every
     two of its letters are compatible.  Costs k^4 identity evaluations,
     so more than 10^7 of them are refused up front; each table is built
@@ -229,15 +239,10 @@ def compatibility_table(lattice: Lattice, kind: RelationKind) -> list:
         return table
     guard_size(lattice.size, 4, "letter pairs")
     k = lattice.size
-    table = []
-    for a in range(k):
-        for b in range(k):
-            mask = 0
-            for c in range(k):
-                for d in range(k):
-                    if _pair_identity(lattice, kind, a, c, b, d):
-                        mask |= 1 << (c * k + d)
-            table.append(mask)
+    test = _pair_test(lattice, kind)
+    table = [sum(1 << c * k + d for c in range(k) for d in range(k)
+                 if test(a, c, b, d))
+             for a in range(k) for b in range(k)]
     lattice._letter_tables[kind] = table
     return table
 
@@ -266,35 +271,41 @@ def related_positions(lattice: Lattice, kind: RelationKind, n: int,
     table = compatibility_table(lattice, kind)
     k, join, meet = lattice.size, lattice._join, lattice._meet
     digits = (1 << k) - 1
-    last = n - 1
     anchor_digits = [range(k)] * n if x is None else [(v,) for v in x]
 
-    def walk(j, prefix, frontier):
-        # frontier: per y prefix, increasing, (positions of y, x v y and
-        # x ^ y so far, compatible letters); the one at ``tie`` equals
-        # the anchor prefix
-        tie = prefix if x is None else -1
-        if j == last:
-            for v in anchor_digits[j]:
-                shift = v * k
-                join_v, meet_v = join[v], meet[v]
-                ys, joins, meets = [], [], []
-                for pos, pos_join, pos_meet, letters in frontier:
-                    allowed = letters >> shift & digits
-                    if pos == tie:
-                        allowed = allowed >> v << v
-                    base, base_join, base_meet = (pos * k, pos_join * k,
-                                                  pos_meet * k)
-                    while allowed:
-                        low = allowed & -allowed
-                        allowed ^= low
-                        d = low.bit_length() - 1
-                        ys.append(base + d)
-                        joins.append(base_join + join_v[d])
-                        meets.append(base_meet + meet_v[d])
-                yield prefix * k + v, ys, joins, meets
-            return
-        for v in anchor_digits[j]:
+    def walk():
+        # per anchor prefix on the path: (position, frontier, digits left);
+        # per y prefix, increasing, a frontier holds (positions of y, x v y
+        # and x ^ y, compatible letters), the one at ``tie`` the anchor's
+        stack = [(0, [(0, 0, 0, (1 << k * k) - 1)], iter(anchor_digits[0]))]
+        while stack:
+            prefix, frontier, todo = stack[-1]
+            tie = prefix if x is None else -1
+            if len(stack) == n:
+                stack.pop()
+                for v in todo:
+                    shift = v * k
+                    join_v, meet_v = join[v], meet[v]
+                    ys, joins, meets = [], [], []
+                    for pos, pos_join, pos_meet, letters in frontier:
+                        allowed = letters >> shift & digits
+                        if pos == tie:
+                            allowed = allowed >> v << v
+                        base, base_join, base_meet = (pos * k, pos_join * k,
+                                                      pos_meet * k)
+                        while allowed:
+                            low = allowed & -allowed
+                            allowed ^= low
+                            d = low.bit_length() - 1
+                            ys.append(base + d)
+                            joins.append(base_join + join_v[d])
+                            meets.append(base_meet + meet_v[d])
+                    yield prefix * k + v, ys, joins, meets
+                continue
+            v = next(todo, None)
+            if v is None:
+                stack.pop()
+                continue
             shift = v * k
             join_v, meet_v = join[v], meet[v]
             entries = table[shift:shift + k]
@@ -312,9 +323,10 @@ def related_positions(lattice: Lattice, kind: RelationKind, n: int,
                     grown.append((base + d, base_join + join_v[d],
                                   base_meet + meet_v[d],
                                   letters & entries[d]))
-            yield from walk(j + 1, prefix * k + v, grown)
+            stack.append((prefix * k + v, grown,
+                          iter(anchor_digits[len(stack)])))
 
-    return walk(0, 0, [(0, 0, 0, (1 << k * k) - 1)])
+    return walk()
 
 
 def strides(k: int, n: int) -> list:
@@ -388,7 +400,7 @@ def _relation_row(lattice: Lattice, kind: RelationKind, x: tuple) -> int:
     if kind in PAIRWISE_KINDS:
         ys = next(related_positions(lattice, kind, len(x), x))[1]
     else:
-        fold, pair = _subsetwise_ops(lattice, kind)
+        fold, pair = _interchange_ops(lattice, kind)
         verdicts = lattice._letter_tables.setdefault(kind, {})
         # (prefix position of y, letters used); the empty set holds
         frontier = [(0, 0)]

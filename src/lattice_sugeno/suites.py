@@ -349,6 +349,8 @@ def suite_lemmas(lattice: Lattice, arity: int, seed: int = 0,
     details.append("constant-vector lemma checked on %d pairs"
                    % (lattice.size * len(vectors)))
 
+    # drawn first: too many subsets are refused before any cube is built
+    caps = sample_capacities(lattice, arity, max(1, samples // 5), seed)
     tables = sample_aggregations(lattice, arity, samples, seed)
     implications = (
         (AxiomKind.INF_HOMOGENEOUS, AxiomKind.IDEMPOTENT),
@@ -375,7 +377,6 @@ def suite_lemmas(lattice: Lattice, arity: int, seed: int = 0,
     details.append("implication lemmas checked on %d sampled tables"
                    % len(tables))
 
-    caps = sample_capacities(lattice, arity, max(1, samples // 5), seed)
     for m in caps:
         f = sugeno_table(m)
         cases += 1

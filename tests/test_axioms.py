@@ -30,7 +30,7 @@ from lattice_sugeno import (
     validate_capacity,
 )
 
-from lattice_sugeno.axioms import _aggregation_fill, pair_plan
+from lattice_sugeno.axioms import _aggregation_fill
 from lattice_sugeno.capacity import _MonotoneFill
 
 from _oracles import (
@@ -239,14 +239,18 @@ def test_relation_pair_counts_large(chain5):
 
 
 def test_relation_pairs_cached_and_ordered():
-    """One pair plan per (arity, kind) is built once and shared by every
-    later pair_plan call; relation_pairs, read off the verdict rows,
+    """One pair plan per (arity, kind) is kept on the lattice and shared
+    by every later check; relation_pairs, read off the verdict rows,
     repeats itself and runs x lex <= y, in order."""
     L = ls.chain(3)
     first = relation_pairs(L, 2, RelationKind.COMONOTONE)
-    plan = pair_plan(L, 2, RelationKind.COMONOTONE)
+    constant = FunctionTable(L, 2, [1] * 9, "constant")
+    assert axiom_check(constant, AxiomKind.COMONOTONE_SUPREMAL) == (
+        AxiomCheck(AxiomKind.COMONOTONE_SUPREMAL, True, None, len(first)))
+    plan = L._pair_cache[2, RelationKind.COMONOTONE]
     assert relation_pairs(L, 2, RelationKind.COMONOTONE) == first
-    assert pair_plan(L, 2, RelationKind.COMONOTONE) is plan
+    assert axiom_check(constant, AxiomKind.COMONOTONE_INFIMAL).holds
+    assert L._pair_cache[2, RelationKind.COMONOTONE] is plan
     assert list(L._pair_cache) == [(2, RelationKind.COMONOTONE)]
     for x, y in first:
         assert x <= y
@@ -328,15 +332,25 @@ def _three_tables(L, arity, seed):
     return [step, FunctionTable(L, arity, moved, "point"), f]
 
 
+def _drain_plans(L, arity):
+    """Grow both kept plans of L at arity to their end, through the
+    supremal checks of a constant table, whose identity holds on every
+    related pair."""
+    constant = FunctionTable(L, arity, [L.top] * L.size ** arity,
+                             "constant")
+    for kind in (AxiomKind.COMONOTONE_SUPREMAL,
+                 AxiomKind.G_COMONOTONE_SUPREMAL):
+        assert axiom_check(constant, kind).holds
+
+
 def _assert_lazy_plans_agree(build, arity, seed):
     """Each pair axiom on a fresh lattice, whose plans grow only as far
     as the checks read them, equals the same check on a lattice whose
-    plans pair_plan drained first: verdict, witness and pairs_checked.
+    plans were drained first: verdict, witness and pairs_checked.
     The lazy lattice checks the step, point and integral tables in turn,
     so every later check starts from the plan an earlier one left."""
     lazy, drained = build(), build()
-    for kind in (RelationKind.COMONOTONE, RelationKind.G_COMONOTONE):
-        pair_plan(drained, arity, kind)
+    _drain_plans(drained, arity)
     for f in _three_tables(lazy, arity, seed):
         twin = FunctionTable(drained, arity, f.values, f.name)
         for kind, _, _ in _PAIR_AXIOMS:
@@ -368,12 +382,13 @@ def test_lazy_plans_agree_with_drained_plans_on_random_lattices(family,
 
 def test_a_failing_check_builds_part_of_the_plan():
     """On M3 at n=3 the step table fails comonotone_supremal early and
-    leaves fewer than the plan's 1,065 rows built; a later pair_plan
-    drains it to the oracle walk, and a later infimal check reads on
-    past the rows the failing check built, as on a drained plan."""
+    leaves fewer than the plan's 1,065 rows built; grown to its end
+    afterwards it equals the oracle walk, and a later infimal check
+    reads on past the rows the failing check built, as on a drained
+    plan."""
     kind = RelationKind.COMONOTONE
     drained = ls.m3()
-    pair_plan(drained, 3, kind)
+    _drain_plans(drained, 3)
     for drain in (True, False):
         L = ls.m3()
         step, _, integral = _three_tables(L, 3, seed=0)
@@ -392,8 +407,8 @@ def test_a_failing_check_builds_part_of_the_plan():
 
 def test_an_interrupted_growth_drops_the_kept_plan():
     """An exception escaping the walk while a check grows the plan
-    leaves no truncated plan behind: the next check and pair_plan build
-    it afresh, equal to the oracle walk."""
+    leaves no truncated plan behind: the next check builds it afresh,
+    equal to the oracle walk."""
     L = ls.boolean_lattice(2)
     kind = RelationKind.COMONOTONE
     step, _, integral = _three_tables(L, 3, seed=0)

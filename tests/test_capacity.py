@@ -209,6 +209,12 @@ def test_sup_form_never_exceeds_inf_form(n5, m3):
                              sugeno(m, x, SugenoForm.INF_OF_JOINS))
 
 
+def test_enumeration_refuses_arity_zero(chain3):
+    with pytest.raises(ArityMismatch, match="^capacity arity must be at "
+                       "least 1$"):
+        enumerate_capacities(chain3, 0)
+
+
 def test_arity_mismatch_on_vector(chain3):
     m = validate_capacity(chain3, 2, (0, 1, 1, 2))
     with pytest.raises(ArityMismatch):

@@ -43,6 +43,11 @@ def files(tmp_path_factory):
                     "{1} -> 2\n{2} -> 0\n{1,2} -> 1\n"))
     put("split.cap", format_capacity(Capacity(ls.n5(), 2, (0, 0, 1, 4),
                                               name="w")))
+    m3 = ls.m3()
+    integral = sugeno_table(ls.sample_capacities(m3, 2, 1, seed=0)[0])
+    put("step_m3.tbl", format_table(FunctionTable(
+        m3, 2, [v if v == m3.bottom else m3.top for v in integral.values],
+        name="step")))
     put("cyc.lat", ("lattice bad\nelements 0 a b 1\n"
                     "cover 0 a\ncover a b\ncover b a\ncover b 1\n"))
     return paths
@@ -91,6 +96,15 @@ def test_relations_honours_limit(capsys, kind, refusal):
     assert run(capsys, *argv, "--limit", "5") == (
         2, "", "error: %s exceed the limit of 5\n" % refusal)
     assert run(capsys, *argv) == (0, "%s: true\n" % kind, "")
+
+
+@pytest.mark.parametrize("spec, kind, x, y", [
+    ("chain:2", "subsetwise-join", "(0,1)", "(1,0)"),
+    ("builtin:M3", "subsetwise-meet", "(a,b,c)", "(b,c,a)")])
+def test_relations_subsetwise_witness(capsys, spec, kind, x, y):
+    assert run(capsys, "relations", "--lattice", spec, "--kind", kind,
+               "--x", x, "--y", y) == (
+        1, "%s: false\nwitness: subset {1,2}\n" % kind, "")
 
 
 def test_region_listing(capsys):
@@ -159,6 +173,22 @@ def test_sugeno_emit_table_reparses(capsys, files, chain3):
     assert table == sugeno_table(med)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("lattice c\nelements\ncover 0 1\n",
+     "error: %s:2: elements line wants at least one element\n"),
+    ("lattice c\nelements 0 1\nbottom\ncover 0 1\n",
+     "error: %s:3: bottom line wants exactly one element\n"),
+    ("lattice c\nelements 0 1\ntop 1\ntop 1\ncover 0 1\n",
+     "error: %s:4: duplicate top line\n")],
+    ids=["empty-elements", "bare-bottom", "duplicate-top"])
+def test_lattice_validate_names_the_bad_line(capsys, tmp_path, text,
+                                             message):
+    path = tmp_path / "c.lat"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, "lattice-validate", "--lattice",
+               "file:%s" % path) == (2, "", message % path)
+
+
 # -- axioms -------------------------------------------------------------
 
 
@@ -190,6 +220,23 @@ def test_axioms_step_table_report(capsys, files):
             in lines)
     assert lines[-2] == "consistent: false"
     assert lines[-1] == "pairs_checked_total: 196"
+
+
+def test_axioms_pair_witnesses(capsys, files):
+    code, out, _ = run(capsys, "axioms", "--lattice", "builtin:M3",
+                       "--table", files["step_m3.tbl"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[7:11] == [
+        "axiom comonotone_supremal: false (pairs 21)  "
+        "fails at x=(0,a), y=(0,b)",
+        "axiom comonotone_infimal: false (pairs 43)  "
+        "fails at x=(0,c), y=(a,a)",
+        "axiom g_comonotone_supremal: false (pairs 27)  "
+        "fails at x=(0,a), y=(0,b)",
+        "axiom g_comonotone_infimal: false (pairs 60)  "
+        "fails at x=(0,c), y=(a,a)"]
+    assert lines[-2:] == ["consistent: true", "pairs_checked_total: 281"]
 
 
 # -- recognize ----------------------------------------------------------
@@ -302,6 +349,15 @@ def test_suite_all_reports_the_census_divergence(capsys):
     assert "example1: pass (81 cases)" in lines
 
 
+def test_suite_all_ends_on_the_refusal_of_thm1(capsys):
+    """thm1 applies to every lattice, so under ``all`` its refusal ends
+    the run instead of becoming a "skipped:" line; lemmas does the same,
+    in the one-element rows of test_malformed_input_exits_two."""
+    assert run(capsys, "theorem-suite", "all", "--lattice", "chain:3",
+               "--arity", "2", "--limit", "10") == (
+        2, "", "error: 3^4 vector pairs exceed the limit of 10\n")
+
+
 def test_suite_all_skips_example1_on_a_short_chain_at_arity_three(capsys):
     code, out, _ = run(capsys, "theorem-suite", "all",
                        "--lattice", "chain:3", "--arity", "3")
@@ -335,6 +391,25 @@ def test_bench_three_chain_pair(capsys):
     lines = out.splitlines()
     assert lines[1].split() == ["3", "2", "12", "27", "36", "38", "9/4"]
     assert lines[-2].startswith("note: boolean_pairs counts k*2^n")
+
+
+_BENCH_MED = (
+    "k n boolean_pairs full_pairs comonotone_pairs g_comonotone_pairs "
+    "reduction_factor\n"
+    "3 2            12         27               36                 38"
+    "              9/4\n"
+    "\n"
+    "note: boolean_pairs counts k*2^n homogeneity identities over the "
+    "{bottom,top}^n cube;\n"
+    "      the comonotone/g-comonotone columns count related vector pairs "
+    "and grow past k*2^n.\n")
+
+
+@pytest.mark.parametrize("flag, name", [("--table", "med.tbl"),
+                                        ("--capacity", "med.cap")])
+def test_bench_reads_a_table_or_a_capacity(capsys, files, flag, name):
+    assert run(capsys, "bench", "--lattice", "chain:3",
+               flag, files[name]) == (0, _BENCH_MED, "")
 
 
 # -- failure handling ---------------------------------------------------
@@ -517,10 +592,16 @@ def oversized(tmp_path_factory):
     (root / "long.tbl").write_text(
         "table f over chain3 arity 2\n(%s) -> 0\n" % ",".join(["1"] * 10 ** 6),
         encoding="utf-8")
+    # one point each: only the 2^n subsets of their checks are large
+    for arity in (24, 30):
+        (root / ("one%d.tbl" % arity)).write_text(format_table(
+            FunctionTable(ls.chain(1), arity, [0])), encoding="utf-8")
     return {"huge_cap": str(root / "huge.cap"),
             "huge_tbl": str(root / "huge.tbl"),
             "chain11_cap": str(root / "chain11.cap"),
             "long_tbl": str(root / "long.tbl"),
+            "one24_tbl": str(root / "one24.tbl"),
+            "one30_tbl": str(root / "one30.tbl"),
             "missing_lat": str(root / "none.lat"),
             "missing_in_xdir": str(root / "xdir" / "none.lat")}
 
@@ -569,12 +650,34 @@ def _cap_memory():
     (["relations", "--lattice", "chain:2", "--arity", "3",
       "--kind", "comonotone", "--x", "(0,0,0)", "--y", "(0,1)"],
      "error: --y: vector arity 2 does not match --arity 3"),
+    (["theorem-suite", "thm3", "--lattice", "chain:1", "--arity", "30"],
+     "error: 2^30 subsets exceed the limit of 10000000\n"),
+    (["theorem-suite", "prop1", "--lattice", "chain:1", "--arity", "30"],
+     "error: 2^30 subsets exceed the limit of 10000000\n"),
+    (["theorem-suite", "lemmas", "--lattice", "chain:1", "--arity", "40"],
+     "error: 2^40 subsets exceed the limit of 10000000\n"),
+    (["theorem-suite", "all", "--lattice", "chain:1", "--arity", "40"],
+     "error: 2^40 subsets exceed the limit of 10000000\n"),
+    (["theorem-suite", "lemmas", "--lattice", "chain:1", "--arity", "2000"],
+     "error: 2^2000 subsets exceed the limit of 10000000\n"),
+    (["axioms", "--lattice", "chain:1", "--table", "{one24_tbl}"],
+     "error: 2^24 subsets exceed the limit of 10000000\n"),
+    (["axioms", "--lattice", "chain:1", "--table", "{one30_tbl}"],
+     "error: 2^30 subsets exceed the limit of 10000000\n"),
+    (["recognize", "--lattice", "chain:1", "--table", "{one24_tbl}"],
+     "error: 2^24 subsets exceed the limit of 10000000\n"),
+    (["bench", "--lattice", "chain:1", "--table", "{one30_tbl}"],
+     "error: 2^30 subsets exceed the limit of 10000000\n"),
 ], ids=["bench-arity-40", "capacity-arity-62", "table-arity-40",
         "missing-lattice-file", "missing-file-in-product", "negative-arity",
         "negative-limit", "huge-chain", "huge-product", "huge-letter-table",
         "huge-thm2", "huge-lemmas", "huge-subsetwise", "huge-pairwise",
         "huge-emit-table", "long-table-line", "huge-region-subsetwise",
-        "huge-example1", "region-arity-flag", "relations-arity-flag"])
+        "huge-example1", "region-arity-flag", "relations-arity-flag",
+        "one-element-thm3", "one-element-prop1", "one-element-lemmas",
+        "one-element-all", "one-element-lemmas-2000",
+        "one-element-axioms-24", "one-element-axioms-30",
+        "one-element-recognize", "one-element-bench-table"])
 def test_malformed_input_exits_two(oversized, argv, prefix):
     src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
     proc = subprocess.run(
@@ -586,6 +689,29 @@ def test_malformed_input_exits_two(oversized, argv, prefix):
     assert proc.stdout == ""
     assert proc.stderr.startswith(prefix)
     assert "Traceback" not in proc.stderr
+
+
+def test_one_element_lattice_answers_at_two_thousand_coordinates():
+    """On a one-element lattice the anchor trie is 2,000 digits deep and
+    is walked without recursion: the region and thm1 answer inside the
+    subprocess timeout and the memory cap."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
+    zeros = "(%s)" % ",".join(["0"] * 2000)
+    for argv, expected in (
+            (["region", "--lattice", "chain:1", "--kind", "comonotone",
+              "--x", zeros],
+             "region comonotone around %s: 1 vectors\n%s\n"
+             % (zeros, zeros)),
+            (["theorem-suite", "thm1", "--lattice", "chain:1", "--arity",
+              "2000"],
+             "thm1: pass (1 cases)\n"
+             "  distributive lattice: expecting full agreement\n")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lattice_sugeno.cli", *argv],
+            capture_output=True, text=True, timeout=20,
+            env=dict(os.environ, PYTHONPATH=src), preexec_fn=_cap_memory)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, expected, "")
 
 
 def test_long_subsetwise_sweep_holds():

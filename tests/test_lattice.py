@@ -124,6 +124,32 @@ def test_two_maximal_elements_rejected():
         Lattice("vee", ["0", "a", "b"], rows)
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Lattice("none", [], []), NoBounds,
+     "a bounded lattice needs at least one element"),
+    (lambda: Lattice("short", ["a", "b"], [[True, True]]), ValueError,
+     "leq table must be 2 x 2"),
+    (lambda: Lattice("skip", ["a", "b", "c"], [[True, True, False],
+                                                [False, True, True],
+                                                [False, False, True]]),
+     NotALattice, "order is not transitive at a <= b"),
+    (lambda: ls.chain(0), ValueError, "a chain needs at least one element"),
+    (lambda: ls.boolean_lattice(-1), ValueError,
+     "atom count must be nonnegative"),
+    (lambda: ls.boolean_lattice(12), ValueError, "at most 11 atoms supported"),
+    (lambda: ls.product([]), ValueError, "a product needs at least one factor"),
+    (lambda: ls.from_covers("dup", ["a", "a"], []), ValueError,
+     "duplicate element names: ['a', 'a']"),
+], ids=["no-elements", "short-table", "intransitive", "empty-chain",
+        "negative-atoms", "too-many-atoms", "empty-product",
+        "duplicate-covers-names"])
+def test_constructors_refuse_with_their_message(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 # -- covers and from_covers ----------------------------------------------
 
 

@@ -19,7 +19,7 @@ from lattice_sugeno import (
     relation_region,
 )
 
-from lattice_sugeno.axioms import pair_plan, relation_pairs
+from lattice_sugeno.axioms import _grow_plan, _kept_plan, relation_pairs
 from lattice_sugeno.cli import build_parser
 from lattice_sugeno.errors import guard_size
 from lattice_sugeno.relations import (
@@ -612,9 +612,9 @@ def _assert_letter_table_matches(L, ref, kind):
 
 
 def _assert_plan_matches(L, ref, kind, arity):
-    """The plan's four columns equal a plain walk: x in product order,
-    then every y from x on that the oracle relates to x, with x v y and
-    x ^ y taken from the oracle."""
+    """The kept plan, grown to its end, has four columns equal to a
+    plain walk: x in product order, then every y from x on that the
+    oracle relates to x, with x v y and x ^ y taken from the oracle."""
     vectors = list(itertools.product(range(L.size), repeat=arity))
     index = {v: i for i, v in enumerate(vectors)}
     xs, ys, joins, meets = [], [], [], []
@@ -626,7 +626,9 @@ def _assert_plan_matches(L, ref, kind, arity):
                 ys.append(b)
                 joins.append(index[tuple(map(ref.join, x, y))])
                 meets.append(index[tuple(map(ref.meet, x, y))])
-    plan = pair_plan(L, arity, kind)
+    plan = _kept_plan(L, arity, kind)
+    while _grow_plan(L, arity, kind, plan, L.size ** arity):
+        pass
     assert (list(plan.xs), list(plan.ys)) == (xs, ys)
     assert (list(plan.joins), list(plan.meets)) == (joins, meets)
 
@@ -1132,3 +1134,98 @@ def test_theorem_suites_fold_each_letter_set_once(monkeypatch):
                for kind in (RelationKind.SUBSETWISE_JOIN,
                             RelationKind.SUBSETWISE_MEET))
     assert calls[0] == kept > 0
+
+
+# -- the FAIL lines of the theorem suites ------------------------------------
+# The theorems hold, so these lines only show when a row or a verdict is
+# broken on purpose.
+
+
+def _flipped_rows(kind, x, y):
+    """_relation_row with one bit flipped: y in x's row of ``kind``."""
+    def rows(lattice, asked, anchor):
+        row = _relation_row(lattice, asked, anchor)
+        if asked is kind and anchor == x:
+            row ^= 1 << encode(y, lattice.size)
+        return row
+    return rows
+
+
+@pytest.mark.parametrize("suite, kind, y, lines", [
+    (lambda: suite_duality(ls.chain(2), 2),
+     RelationKind.DUAL_G_COMONOTONE, (1, 0),
+     ["thm1: FAIL (16 cases)",
+      "  distributive lattice: expecting full agreement",
+      "  DIVERGENCE x=(0,1) y=(1,0) g=False dual=True"]),
+    (lambda: suites.suite_four_equivalences(ls.chain(2), 2),
+     RelationKind.SUBSETWISE_MEET, (1, 0),
+     ["thm2: FAIL (7 cases)",
+      "  conditions split at x=(0,1) y=(1,0): g-comonotone=False "
+      "dual-g-comonotone=False subsetwise-join=False subsetwise-meet=True"]),
+    (lambda: suites.suite_region_closure(ls.chain(3), 2),
+     RelationKind.COMPARABLE, (1, 0),
+     ["example1: FAIL (13 cases)",
+      "  closure breaks at x=(0,1) y=(1,0): g=False union=True"]),
+    (lambda: suite_lemmas(ls.chain(2), 2), RelationKind.G_COMONOTONE, (0, 0),
+     ["lemmas: FAIL (84 cases)",
+      "  relation inclusions checked on 16 pairs",
+      "  constant-vector lemma checked on 8 pairs",
+      "  implication lemmas checked on 50 sampled tables",
+      "  integral compliance checked on 10 seeded capacities",
+      "  relation inclusion breaks at x=(0,1) y=(0,0)",
+      "  constant vector (0,0) not g-comonotone with (0,1)"]),
+], ids=["thm1", "thm2", "example1", "lemmas"])
+def test_a_broken_row_fails_its_suite(monkeypatch, suite, kind, y, lines):
+    """One bit flipped in the row of x = (0,1); the lemmas' inclusion
+    reads only comonotone or comparable y, such as (0,0)."""
+    monkeypatch.setattr(suites, "_relation_row",
+                        _flipped_rows(kind, (0, 1), y))
+    result = suite()
+    assert (result.passed, result.lines()) == (False, lines)
+
+
+def test_example1_without_a_strictness_witness_fails(monkeypatch):
+    """At arity 3 a g-comonotone row equal to the union leaves no
+    strictness witness, after all 64^2 pairs."""
+    def rows(lattice, kind, x):
+        if kind is RelationKind.G_COMONOTONE:
+            return (_relation_row(lattice, RelationKind.COMONOTONE, x)
+                    | _relation_row(lattice, RelationKind.COMPARABLE, x))
+        return _relation_row(lattice, kind, x)
+
+    monkeypatch.setattr(suites, "_relation_row", rows)
+    result = suites.suite_region_closure(ls.chain(4), 3)
+    assert (result.passed, result.lines()) == (
+        False, ["example1: FAIL (4096 cases)",
+                "  no strictness witness exists at arity 3"])
+
+
+def test_lemmas_list_five_implication_failures_then_count_the_rest(
+        monkeypatch):
+    """Two sampled tables said to satisfy every axiom but idempotency
+    break three lemmas each: five lines, then one counted."""
+    original = suites.axiom_check
+
+    def verdicts(f, kind):
+        if f.name in ("sample0", "sample1"):
+            return ls.AxiomCheck(kind, kind is not ls.AxiomKind.IDEMPOTENT,
+                                 None, 0)
+        return original(f, kind)
+
+    monkeypatch.setattr(suites, "axiom_check", verdicts)
+    result = suite_lemmas(ls.chain(2), 2)
+    assert (result.passed, result.cases) == (False, 84)
+    assert result.details[4:] == [
+        "inf_homogeneous holds but idempotent fails on [0, 1, 1, 1]",
+        "sup_homogeneous holds but idempotent fails on [0, 1, 1, 1]",
+        "Boolean homogeneity pair without idempotency on [0, 1, 1, 1]",
+        "inf_homogeneous holds but idempotent fails on [0, 0, 1, 1]",
+        "sup_homogeneous holds but idempotent fails on [0, 0, 1, 1]",
+        "... 1 further failures"]
+
+
+def test_run_scope_refuses_an_unknown_scope():
+    with pytest.raises(ValueError) as info:
+        run_scope("thm4", ls.chain(2), 2)
+    assert str(info.value) == ("unknown scope 'thm4' (choose from thm1, "
+                               "thm2, thm3, prop1, example1, lemmas, all)")
