@@ -83,8 +83,9 @@ class Lattice:
         # built on first use: (arity, relation kind) -> axioms.PairPlan
         # and its unfinished walk, grown as far as the checks have read,
         # pairwise kind -> its k^2 relations.compatibility_table bitsets,
-        # subsetwise kind -> {letter set as a k^2-bit int: whether it
-        # holds}, (pairwise kind, anchor x) -> x's relations._relation_row,
+        # subsetwise kind -> {letter set as a k^2-bit int: its closure of
+        # (fold x, fold y) pairs, or None where the set fails},
+        # (pairwise kind, anchor x) -> x's relations._relation_row,
         # and (arity, homogeneity kind) -> the positions
         # axioms.axiom_check compares
         self._pair_cache: dict = {}

@@ -16,8 +16,10 @@ opposite directions":
 
 These four share fold_I(pair(x_i, y_i)) == pair(fold_I x, fold_I y),
 whose (fold, pair) only ``_interchange_ops`` picks.  ``_pair_test``
-resolves a pairwise kind once per check or letter table, and
-``_first_failure`` folds the subsetwise identity.
+resolves a pairwise kind once per check or letter table.  The
+subsetwise identity is decided by ``_extend``, which grows the closure
+of (fold_I x, fold_I y) pairs, at most k^2 of them, one letter at a
+time.
 
 Checks short-circuit on the first failing identity and report it as a
 witness, along with how many identities were evaluated.  Questions over
@@ -121,12 +123,11 @@ def relation_check(lattice: Lattice, kind: RelationKind,
     the comparable relation the witness pairs the first coordinate
     breaking each direction.  For subsetwise kinds it is the first
     failing subset in increasing mask order, as a tuple of coordinate
-    positions, and the identity count is that mask.  Each coordinate j
-    in turn is the new letter of ``_first_failure`` over the subsets of
-    the coordinates before it, which visits the masks in increasing
-    order at a few table lookups per identity, whatever its size.  More
-    than ``limit`` coordinate pairs or subsets to sweep are refused up
-    front.
+    positions, and the identity count is that mask, 2^n - 1 on a pass.
+    One closure of (fold x, fold y) pairs is carried along the
+    coordinates by ``_extend``, so the work is O(n * k^2) whatever the
+    count.  More than ``limit`` coordinate pairs are refused up front,
+    for every kind but comparable.
     """
     x = check_vector(lattice, x)
     y = check_vector(lattice, y)
@@ -134,10 +135,8 @@ def relation_check(lattice: Lattice, kind: RelationKind,
         raise ArityMismatch("vectors have %d and %d coordinates"
                             % (len(x), len(y)))
     n = len(x)
-    if kind in PAIRWISE_KINDS:
+    if kind is not RelationKind.COMPARABLE:
         guard_size(n * (n - 1) // 2, 1, "coordinate pairs", limit)
-    elif kind is not RelationKind.COMPARABLE:
-        guard_size(2, n, "coordinate subsets", limit)
     checked = 0
 
     if kind in PAIRWISE_KINDS:
@@ -166,47 +165,60 @@ def relation_check(lattice: Lattice, kind: RelationKind,
             return RelationResult(kind, True, None, checked)
         return RelationResult(kind, False, (below, above), checked)
 
-    # subsetwise kinds: the masks with highest coordinate j are the
-    # subsets of the coordinates before j, with j as the new letter, so
-    # j = 0, 1, ... visits every mask in increasing order
+    # subsetwise kinds: every mask with top bit j comes after those below
+    # j, so the first failure's top bit is the first coordinate whose
+    # letter fails against the closure of the letters before it
     fold, pair = _interchange_ops(lattice, kind)
-    letters = list(zip(x, y))
-    for j in range(n):
-        rest = _first_failure(fold, pair, letters[:j], *letters[j])
-        if rest >= 0:
-            mask = 1 << j | rest
-            witness = tuple(c for c in range(n) if mask >> c & 1)
-            return RelationResult(kind, False, witness, mask)
-    return RelationResult(kind, True, None, (1 << n) - 1)
+    closure = {}  # (fold x, fold y) -> the first coordinate producing it
+    for j, (a, b) in enumerate(zip(x, y)):
+        grown = _extend(fold, pair, closure.keys(), a, b)
+        if grown is None:
+            break
+        for folds in grown:
+            closure.setdefault(folds, j)
+    else:
+        return RelationResult(kind, True, None, (1 << n) - 1)
+    # then the lowest such mask, bit by bit from j - 1 down: bit i stays
+    # off when the forced letters still fail, folded alone or with a
+    # pair of the closure of the letters before i, which is the prefix
+    # of ``closure`` born before i; fx, fy start at the fold's unit
+    mask = 1 << j
+    fx = fy = lattice.top if fold is lattice._meet else lattice.bottom
+    for i in range(j - 1, -1, -1):
+        fails = _fails(fold, pair, a, b, fx, fy)
+        for (c, d), born in closure.items():
+            if fails or born >= i:
+                break
+            fails = _fails(fold, pair, a, b, fold[fx][c], fold[fy][d])
+        if not fails:
+            mask |= 1 << i
+            fx, fy = fold[fx][x[i]], fold[fy][y[i]]
+    witness = tuple(c for c in range(n) if mask >> c & 1)
+    return RelationResult(kind, False, witness, mask)
 
 
-def _first_failure(fold, pair, letters: list, a: int, b: int) -> int:
-    """The first subset of ``letters`` (bit i <-> letters[i], masks in
-    increasing order) whose letters (x_i, y_i), with the new letter
-    (a, b), fail fold_I(pair(x_i, y_i)) == pair(fold_I x, fold_I y);
-    -1 if none fails.
+def _fails(fold, pair, a: int, b: int, c: int, d: int) -> bool:
+    """Whether letter (a, b) and a holding subset folded to (c, d) break
+    fold(pair(a, b), pair(c, d)) == pair(fold(a, c), fold(b, d)): while
+    a subset holds, the fold of its pairs is the pair of its folds."""
+    return fold[pair[a][b]][pair[c][d]] != pair[fold[a][c]][fold[b][d]]
 
-    The subsets with highest letter h extend, in order, those without
-    it, so each subset costs four table lookups.  The folds of the last
-    level are checked but not kept: no subset extends them.
+
+def _extend(fold, pair, closure, a: int, b: int):
+    """The closure of a word whose subsets all hold, with letter (a, b)
+    added, or None if a subset containing (a, b) fails.
+
+    The closure is the set of (fold_I x, fold_I y) over the word's
+    nonempty coordinate subsets I, at most k^2 pairs.  A subset with the
+    new letter is the letter alone, which always holds, or the letter
+    with a subset of the word, known by its pair (c, d).
     """
-    xs, ys, pairs = [a], [b], [pair[a][b]]
-    last = len(letters) - 1
-    for h, (c, d) in enumerate(letters):
-        # fold is commutative: fold[c][v] == fold[v][c]
-        fold_x, fold_y, fold_pair = fold[c], fold[d], fold[pair[c][d]]
-        keep = h < last
-        for rest in range(1 << h):
-            fx = fold_x[xs[rest]]
-            fy = fold_y[ys[rest]]
-            fp = fold_pair[pairs[rest]]
-            if fp != pair[fx][fy]:
-                return 1 << h | rest
-            if keep:
-                xs.append(fx)
-                ys.append(fy)
-                pairs.append(fp)
-    return -1
+    grown = {(a, b)}
+    for c, d in closure:
+        if _fails(fold, pair, a, b, c, d):
+            return None
+        grown.add((fold[a][c], fold[b][d]))
+    return closure | grown
 
 
 def relation_holds(lattice: Lattice, kind: RelationKind,
@@ -385,10 +397,10 @@ def _relation_row(lattice: Lattice, kind: RelationKind, x: tuple) -> int:
     the theorem suites and ``relation_pairs`` read them again.  A
     subsetwise prefix carries the set of letters (x_i, y_i) it uses, as
     a k^2-bit int: a verdict depends on that set alone, and every subset
-    of a holding set holds, so digit d is kept when the set plus
-    (x_j, d) holds, which is the fold of ``_first_failure`` with (x_j, d)
-    as the new letter.  Set verdicts are kept on the lattice per kind,
-    shared by every anchor.
+    of a holding set holds, so digit d is kept when ``_extend`` grows
+    the set's closure by (x_j, d).  Each set's closure, or None where
+    the set fails, is kept on the lattice per kind, shared by every
+    anchor.
     """
     if kind is RelationKind.COMPARABLE:
         below, above = _order_rows(lattice, x)
@@ -401,22 +413,17 @@ def _relation_row(lattice: Lattice, kind: RelationKind, x: tuple) -> int:
         ys = next(related_positions(lattice, kind, len(x), x))[1]
     else:
         fold, pair = _interchange_ops(lattice, kind)
-        verdicts = lattice._letter_tables.setdefault(kind, {})
-        # (prefix position of y, letters used); the empty set holds
-        frontier = [(0, 0)]
+        closures = lattice._letter_tables.setdefault(kind, {0: frozenset()})
+        frontier = [(0, 0)]  # (prefix position of y, letters used)
         for v in x:
             grown = []
             for pos, used in frontier:
-                letters = None  # used's letters, listed on first need
                 for d in range(k):
                     with_d = used | 1 << v * k + d
-                    holds = verdicts.get(with_d)
-                    if holds is None:
-                        if letters is None:
-                            letters = [divmod(b, k) for b in _positions(used)]
-                        holds = verdicts[with_d] = _first_failure(
-                            fold, pair, letters, v, d) < 0
-                    if holds:
+                    if with_d not in closures:
+                        closures[with_d] = _extend(
+                            fold, pair, closures[used], v, d)
+                    if closures[with_d] is not None:
                         grown.append((pos * k + d, with_d))
             frontier = grown
         ys = [pos for pos, _ in frontier]

@@ -33,8 +33,8 @@ are kept on the lattice, so under ``all`` each (kind, anchor) row is
 built once and shared by every suite, as are the homogeneity
 positions of the axiom checks; their pair plans are kept too, grown
 only as far as the checks have read them.  thm2's subsetwise rows are
-not kept, but the letter-set verdicts they grow from are, so each set
-is folded once per lattice and kind.  The implication lemmas check a
+not kept, but the letter-set closures they grow from are, so each set
+is closed once per lattice and kind.  The implication lemmas check a
 conclusion only on the tables where its premise holds.
 """
 

@@ -88,7 +88,7 @@ def test_relations_comparable_witness(capsys):
 
 
 @pytest.mark.parametrize("kind,refusal", [
-    ("subsetwise-join", "2^8 coordinate subsets"),
+    ("subsetwise-join", "28 coordinate pairs"),
     ("g-comonotone", "28 coordinate pairs")])
 def test_relations_honours_limit(capsys, kind, refusal):
     argv = ("relations", "--lattice", "chain:2", "--kind", kind,
@@ -631,9 +631,6 @@ def _cap_memory():
      "error:"),
     (["theorem-suite", "lemmas", "--lattice", "chain:2", "--arity", "16"],
      "error:"),
-    (["relations", "--lattice", "chain:2", "--kind", "subsetwise-join",
-      "--x", "(%s)" % ",".join(["0"] * 40), "--y",
-      "(%s)" % ",".join(["1"] * 40)], "error:"),
     (["relations", "--lattice", "chain:2", "--kind", "g-comonotone",
       "--x", "(%s)" % ",".join(["0"] * 20000), "--y",
       "(%s)" % ",".join(["1"] * 20000)], "error:"),
@@ -671,7 +668,7 @@ def _cap_memory():
 ], ids=["bench-arity-40", "capacity-arity-62", "table-arity-40",
         "missing-lattice-file", "missing-file-in-product", "negative-arity",
         "negative-limit", "huge-chain", "huge-product", "huge-letter-table",
-        "huge-thm2", "huge-lemmas", "huge-subsetwise", "huge-pairwise",
+        "huge-thm2", "huge-lemmas", "huge-pairwise",
         "huge-emit-table", "long-table-line", "huge-region-subsetwise",
         "huge-example1", "region-arity-flag", "relations-arity-flag",
         "one-element-thm3", "one-element-prop1", "one-element-lemmas",
@@ -715,8 +712,8 @@ def test_one_element_lattice_answers_at_two_thousand_coordinates():
 
 
 def test_long_subsetwise_sweep_holds():
-    """All 2^22 - 1 subsets of two 22-coordinate vectors are swept
-    incrementally, well inside the subprocess timeout."""
+    """Two 22-coordinate vectors, whose 2^22 - 1 subsets all hold, are
+    decided by one fold closure, well inside the subprocess timeout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
     zeros = "(%s)" % ",".join(["0"] * 22)
     proc = subprocess.run(
@@ -727,6 +724,34 @@ def test_long_subsetwise_sweep_holds():
         env=dict(os.environ, PYTHONPATH=src), preexec_fn=_cap_memory)
     assert proc.returncode == 0
     assert proc.stdout == "subsetwise-join: true\n"
+
+
+def test_long_subsetwise_inputs_answer():
+    """The subsetwise kinds take the coordinate-pair guard, so 40 and
+    2,000 coordinates answer inside the subprocess timeout and the
+    memory cap, a failing triple far apart included: on M3 the letters
+    (a,a), (b,1) and (1,c) fail only together."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
+
+    def vector(n, letters):
+        return "(%s)" % ",".join(letters.get(i, "0") for i in range(1, n + 1))
+
+    cases = [(["chain:2", "subsetwise-join", vector(n, {}),
+               vector(n, dict.fromkeys(range(1, n + 1), "1"))],
+              0, "subsetwise-join: true\n") for n in (40, 2000)]
+    cases.append((["builtin:M3", "subsetwise-join",
+                   vector(2000, {101: "a", 1001: "b", 2000: "1"}),
+                   vector(2000, {101: "a", 1001: "1", 2000: "c"})],
+                  1, "subsetwise-join: false\n"
+                     "witness: subset {101,1001,2000}\n"))
+    for (spec, kind, x, y), code, expected in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lattice_sugeno.cli", "relations",
+             "--lattice", spec, "--kind", kind, "--x", x, "--y", y],
+            capture_output=True, text=True, timeout=20,
+            env=dict(os.environ, PYTHONPATH=src), preexec_fn=_cap_memory)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, expected, "")
 
 
 def test_wide_comparable_region_is_built_in_linear_time():

@@ -972,7 +972,7 @@ _SUBSETWISE_ZOO = [(ls.n5(), ref_n5()), (ls.m3(), ref_m3()),
 
 @settings(max_examples=200, deadline=None)
 @given(st.sets(st.integers(0, 7)), st.integers(0, len(_SUBSETWISE_ZOO)),
-       st.integers(1, 8), st.data())
+       st.integers(1, 11), st.data())
 def test_subsetwise_walk_matches_the_from_scratch_sweep(family, which, arity,
                                                         data):
     """Verdict, first failing subset and identity count of the
@@ -1015,9 +1015,9 @@ def test_subsetwise_walk_matches_the_from_scratch_sweep(family, which, arity,
 def test_subsetwise_check_finds_high_first_failures(build, kind, x, y,
                                                     witness, count):
     """First failures whose top coordinate is far from 0, at 10-16
-    coordinates: the check takes each coordinate j in turn as the new
-    letter over the subsets of the coordinates before it, which must
-    visit masks in increasing order, as the from-scratch sweep does."""
+    coordinates: the check finds the top coordinate from the closure
+    and the lower bits one at a time, and must report the lowest
+    failing mask, as the from-scratch sweep does."""
     L = build()
     res = relation_check(L, kind, x, y)
     assert (res.holds, res.witness, res.identities_checked) == (
@@ -1118,21 +1118,21 @@ def test_a_subsetwise_region_builds_only_its_own_kind():
 
 def test_theorem_suites_fold_each_letter_set_once(monkeypatch):
     """Under ``all`` on boolean:2 at arity 3, the subsetwise rows of every
-    thm2 anchor share one verdict per letter set and kind: the fold runs
-    exactly once per verdict kept on the lattice."""
+    thm2 anchor share one closure per letter set and kind: the closure
+    step runs exactly once per closure kept on the lattice, the seeded
+    empty set of each kind aside."""
     calls = [0]
-    original = relations._first_failure
+    original = relations._extend
 
     def counted(*args):
         calls[0] += 1
         return original(*args)
 
-    monkeypatch.setattr(relations, "_first_failure", counted)
+    monkeypatch.setattr(relations, "_extend", counted)
     L = ls.boolean_lattice(2)
     run_scope("all", L, 3)
-    kept = sum(len(L._letter_tables[kind])
-               for kind in (RelationKind.SUBSETWISE_JOIN,
-                            RelationKind.SUBSETWISE_MEET))
+    kinds = (RelationKind.SUBSETWISE_JOIN, RelationKind.SUBSETWISE_MEET)
+    kept = sum(len(L._letter_tables[kind]) - 1 for kind in kinds)
     assert calls[0] == kept > 0
 
 
