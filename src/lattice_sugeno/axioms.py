@@ -20,18 +20,21 @@ Pair counting convention: pairs_checked counts defining-identity
 evaluations.  Homogeneity kinds run over (c, x) pairs (|L|·|L|^n full,
 |L|·2^n Boolean); supremal/infimal kinds run over the related vector
 pairs (x, y) with x lexicographically <= y, relying on the symmetry of
-the relations.  Checks stop at the first failure, so a false verdict
-reports fewer pairs.
+the relations.  On a monotone table the pairs with x <= y
+coordinatewise, where both sides are f(y) (f(x) for the infimal kinds),
+are counted but never compared.  Checks stop at the first failure, so
+a false verdict reports fewer pairs.
 
 The supremal/infimal kinds read their pairs from a PairPlan: per
-relation and arity, the positions of x, y, x v y and x ^ y for every
-related pair, kept on the lattice.  A plan is built anchor by anchor,
-and only as far as the checks read it: a check compares the rows built
-so far, then grows the plan in chunks of anchors that double in size
-while every pair holds, so a check that fails early leaves the rest
-unbuilt for the next one.  A check compares table values by position,
-f(x v y) against f(x) v f(y), and decodes vectors only for the
-witness.  The homogeneity kinds likewise read the
+relation and arity, the positions of x, y, x v y and x ^ y and the rank
+of every related pair with x not <= y, kept on the lattice; a table
+that is not monotone reads a fresh plan of every pair instead.  A plan
+is built anchor by anchor, and only as far as the checks read it: a
+check compares the rows built so far, then grows the plan in chunks of
+anchors that double in size while every pair holds, so a check that
+fails early leaves the rest unbuilt for the next one.  A check compares
+table values by position, f(x v y) against f(x) v f(y), and decodes
+vectors only for the witness.  The homogeneity kinds likewise read the
 positions of x and of c ^ x (c v x) from lists kept per (arity, kind)
 on the lattice, each c's list built the first time a check reaches c.
 """
@@ -78,7 +81,7 @@ DOMAIN_LIMIT = 9  # exhaustive table enumeration caps |L|^n at this
 class FunctionTable(_Table):
     """Dense table of an n-ary function on a lattice."""
 
-    __slots__ = ()
+    __slots__ = ("_monotone",)  # True or False once known, else None
 
     def __init__(self, lattice: Lattice, arity: int, values: Sequence[int],
                  name: str = "f"):
@@ -95,10 +98,11 @@ class FunctionTable(_Table):
         self.arity = arity
         self.values = values
         self.name = name
+        self._monotone = None
 
     @classmethod
     def _trusted(cls, lattice: Lattice, arity: int, values: Sequence[int],
-                 name: str = "f") -> "FunctionTable":
+                 name: str = "f", monotone=None) -> "FunctionTable":
         """A table of k^n values that are already known to be element
         indices, such as the package's own integrals and fills or a
         parsed file's names: built without re-checking each value."""
@@ -107,6 +111,7 @@ class FunctionTable(_Table):
         table.arity = arity
         table.values = tuple(values)
         table.name = name
+        table._monotone = monotone
         return table
 
     def index(self, x: Sequence[int]) -> int:
@@ -138,7 +143,8 @@ def sugeno_table(m: Capacity,
                  form: SugenoForm = SugenoForm.SUP_OF_MEETS) -> FunctionTable:
     """Tabulate the integral of every vector against one capacity."""
     return FunctionTable._trusted(m.lattice, m.arity,
-                                  _integral_table(m, form), "su_" + m.name)
+                                  _integral_table(m, form), "su_" + m.name,
+                                  monotone=True)
 
 
 class AxiomKind(Enum):
@@ -190,28 +196,39 @@ def characterization_label(pair: tuple) -> str:
 
 class PairPlan:
     """The related vector pairs (x, y), x lex <= y, of one pairwise
-    relation at one arity, as four aligned columns of mixed-radix
-    positions: x, y, x v y and x ^ y.  Rows run with x in product order
-    and, for each x, y ascending from x itself.  A plan is built anchor
-    by anchor: ``walk`` yields the rows of the anchors not yet built
-    (``relations.related_positions``), and is None once all are."""
+    relation at one arity, as five aligned columns: the mixed-radix
+    positions of x, y, x v y and x ^ y, and the pair's rank among all
+    related pairs.  Rows run with x in product order and, for each x, y
+    ascending from x itself.  A kept plan holds only the pairs with x
+    not <= y, the ones a monotone table can fail.  A plan is built
+    anchor by anchor: ``walk`` yields the rows of the anchors not yet
+    built (``relations.related_positions``), and is None once all are;
+    ``total`` counts the pairs walked, held or not."""
 
-    __slots__ = ("xs", "ys", "joins", "meets", "walk")
+    __slots__ = ("xs", "ys", "joins", "meets", "ranks", "total", "walk")
 
     def __init__(self, walk: Iterator[tuple]):
-        self.xs, self.ys, self.joins, self.meets = (
-            array("i"), array("i"), array("i"), array("i"))
+        self.xs, self.ys, self.joins, self.meets, self.ranks = (
+            array("i"), array("i"), array("i"), array("i"), array("i"))
+        self.total = 0
         self.walk = walk
 
 
-def _kept_plan(lattice: Lattice, arity: int, kind: RelationKind) -> PairPlan:
-    """The plan of (arity, kind) kept on the lattice, as far as it is
-    built; more than 10^7 vector pairs are refused before it exists.
-    Plans are kept per lattice because the supremal and infimal checks
-    of every table, the census and the sampled lemma tables all walk
-    the same relation on the same lattice."""
+def _kept_plan(f: FunctionTable, kind: RelationKind) -> PairPlan:
+    """The plan of (f's arity, kind) kept on f's lattice, as far as it is
+    built, or, for a table that is not monotone, a fresh, unkept plan of
+    every pair; more than 10^7 vector pairs are refused before either
+    exists.  Plans are kept per lattice because the supremal and infimal
+    checks of every table, the census and the sampled lemma tables all
+    walk the same relation on the same lattice."""
+    lattice, arity = f.lattice, f.arity
     count = lattice.size ** arity
     guard_size(count * (count + 1) // 2, 1, "vector pairs")
+    if f._monotone is None:  # the gate, once per table
+        f._monotone = _monotone_along_covers(
+            lattice, arity, f.values, list(lattice.cover_pairs()))
+    if not f._monotone:
+        return PairPlan(related_positions(lattice, kind, arity, ordered=True))
     plan = lattice._pair_cache.get((arity, kind))
     if plan is None:
         plan = lattice._pair_cache[arity, kind] = PairPlan(
@@ -221,17 +238,19 @@ def _kept_plan(lattice: Lattice, arity: int, kind: RelationKind) -> PairPlan:
 
 def _grow_plan(lattice: Lattice, arity: int, kind: RelationKind,
                plan: PairPlan, anchors: int) -> bool:
-    """Append the rows of up to ``anchors`` more anchors to a kept plan;
+    """Append the rows of up to ``anchors`` more anchors to a plan;
     False when it was already complete."""
     if plan.walk is None:
         return False
     pulled = 0
     try:
-        for a, ys, joins, meets in itertools.islice(plan.walk, anchors):
+        for a, ys, joins, meets, ranks, plan.total in itertools.islice(
+                plan.walk, anchors):
             plan.xs.extend(array("i", (a,)) * len(ys))
             plan.ys.extend(ys)
             plan.joins.extend(joins)
             plan.meets.extend(meets)
+            plan.ranks.extend(ranks)
             pulled += 1
     except BaseException:
         # a walk that raised is finished, and its columns may disagree
@@ -326,7 +345,8 @@ def axiom_check(f: FunctionTable, kind: AxiomKind) -> AxiomCheck:
         # monotonicity along cover edges of the componentwise order,
         # one probe per (point, coordinate, cover of that coordinate)
         edges = list(lattice.cover_pairs())
-        if _monotone_along_covers(lattice, n, values, edges):
+        f._monotone = _monotone_along_covers(lattice, n, values, edges)
+        if f._monotone:
             return AxiomCheck(kind, True, None,
                               checked + n * (len(values) // k) * len(edges))
         # a step fails: find the first one point by point, for its witness
@@ -392,7 +412,7 @@ def axiom_check(f: FunctionTable, kind: AxiomKind) -> AxiomCheck:
 
     if kind in _SUPREMAL_RELATION:
         relation = _SUPREMAL_RELATION[kind]
-        plan = _kept_plan(lattice, n, relation)
+        plan = _kept_plan(f, relation)
         if kind in (AxiomKind.COMONOTONE_SUPREMAL,
                     AxiomKind.G_COMONOTONE_SUPREMAL):
             op, combined = join_t, plan.joins
@@ -402,16 +422,17 @@ def axiom_check(f: FunctionTable, kind: AxiomKind) -> AxiomCheck:
         # anchors that double in size while every pair holds.  Each pass
         # takes exactly the rows built, so the column iterators never
         # run out and go on into the rows the next growth appends.
-        rows = zip(itertools.count(1), plan.xs, plan.ys, combined)
-        anchors = 1
+        rows = zip(plan.ranks, plan.xs, plan.ys, combined)
+        read, anchors = 0, 1
         while True:
             for checked, a, b, c in itertools.islice(
-                    rows, len(plan.xs) - checked):
+                    rows, len(plan.xs) - read):
                 if values[c] != op[values[a]][values[b]]:
                     return AxiomCheck(kind, False,
                                       (f.decode(a), f.decode(b)), checked)
+            read = len(plan.xs)
             if not _grow_plan(lattice, n, relation, plan, anchors):
-                return AxiomCheck(kind, True, None, checked)
+                return AxiomCheck(kind, True, None, plan.total)
             anchors *= 2
 
     raise ValueError("unknown axiom kind: %r" % (kind,))
@@ -515,7 +536,7 @@ def enumerate_aggregations(lattice: Lattice, arity: int,
         raise EnumerationTooLarge(
             "domain of %d points exceeds the exhaustive cap of %d"
             % (count, domain_limit))
-    return (FunctionTable._trusted(lattice, arity, values)
+    return (FunctionTable._trusted(lattice, arity, values, monotone=True)
             for values in _aggregation_fill(lattice, arity).tables())
 
 
@@ -532,5 +553,6 @@ def sample_aggregations(lattice: Lattice, arity: int, count: int,
     """
     fill = _aggregation_fill(lattice, arity)
     return [FunctionTable._trusted(lattice, arity, values,
-                                   name="sample%d" % sample_idx)
+                                   name="sample%d" % sample_idx,
+                                   monotone=True)
             for sample_idx, values in enumerate(fill.draws(count, seed))]

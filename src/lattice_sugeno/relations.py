@@ -260,14 +260,18 @@ def compatibility_table(lattice: Lattice, kind: RelationKind) -> list:
 
 
 def related_positions(lattice: Lattice, kind: RelationKind, n: int,
-                      x: tuple | None = None) -> Iterator[tuple]:
+                      x: tuple | None = None,
+                      ordered: bool = False) -> Iterator[tuple]:
     """The related pairs of a pairwise kind at arity n, anchor by anchor,
-    as ``(a, ys, joins, meets)``: the position a of an anchor x, then
-    three lists of positions, the y related to x in increasing order,
-    and x v y and x ^ y pair by pair.
+    as ``(a, ys, joins, meets, ranks, seen)``: the position a of an
+    anchor x, four lists, the positions of the y related to x in
+    increasing order, of x v y and x ^ y, and each pair's 1-based rank
+    among all pairs walked, then the count of pairs walked so far.
 
     Without ``x``, every anchor comes in product order, each with the y
-    from x itself on (x lex <= y).  Given ``x``, only that anchor comes,
+    from x itself on (x lex <= y), and the pairs with x <= y, on which
+    every monotone f meets both identities, are counted but not emitted
+    unless ``ordered`` is set.  Given ``x``, only that anchor comes,
     with every y related to it.
 
     The walk runs depth first over the trie of anchor prefixes.  An
@@ -282,6 +286,10 @@ def related_positions(lattice: Lattice, kind: RelationKind, n: int,
     """
     table = compatibility_table(lattice, kind)
     k, join, meet = lattice.size, lattice._join, lattice._meet
+    # per last anchor digit v, the digits d kept after a y prefix above
+    # the anchor's (x v y = y so far): with d above v, x <= y
+    ranked = x is None and not ordered
+    keep = [~up for up in lattice._up] if ranked else [-1] * k
     digits = (1 << k) - 1
     anchor_digits = [range(k)] * n if x is None else [(v,) for v in x]
 
@@ -290,6 +298,7 @@ def related_positions(lattice: Lattice, kind: RelationKind, n: int,
         # per y prefix, increasing, a frontier holds (positions of y, x v y
         # and x ^ y, compatible letters), the one at ``tie`` the anchor's
         stack = [(0, [(0, 0, 0, (1 << k * k) - 1)], iter(anchor_digits[0]))]
+        seen = 0
         while stack:
             prefix, frontier, todo = stack[-1]
             tie = prefix if x is None else -1
@@ -297,22 +306,30 @@ def related_positions(lattice: Lattice, kind: RelationKind, n: int,
                 stack.pop()
                 for v in todo:
                     shift = v * k
-                    join_v, meet_v = join[v], meet[v]
-                    ys, joins, meets = [], [], []
+                    join_v, meet_v, keep_v = join[v], meet[v], keep[v]
+                    ys, joins, meets, ranks = [], [], [], []
                     for pos, pos_join, pos_meet, letters in frontier:
                         allowed = letters >> shift & digits
                         if pos == tie:
                             allowed = allowed >> v << v
+                        kept = allowed & keep_v if pos_join == pos else allowed
                         base, base_join, base_meet = (pos * k, pos_join * k,
                                                       pos_meet * k)
-                        while allowed:
-                            low = allowed & -allowed
-                            allowed ^= low
+                        first = seen + 1
+                        seen += allowed.bit_count()
+                        while kept:
+                            low = kept & -kept
+                            kept ^= low
                             d = low.bit_length() - 1
                             ys.append(base + d)
                             joins.append(base_join + join_v[d])
                             meets.append(base_meet + meet_v[d])
-                    yield prefix * k + v, ys, joins, meets
+                            if ranked:
+                                ranks.append(
+                                    first + (allowed & low - 1).bit_count())
+                    if not ranked:  # every pair emitted, ranks in a run
+                        ranks = range(seen - len(ys) + 1, seen + 1)
+                    yield prefix * k + v, ys, joins, meets, ranks, seen
                 continue
             v = next(todo, None)
             if v is None:

@@ -15,6 +15,7 @@ from lattice_sugeno import (
     NotAggregation,
     RecognitionMethod,
     RelationKind,
+    SugenoForm,
     UnknownElement,
     axiom_check,
     characterization_label,
@@ -30,7 +31,8 @@ from lattice_sugeno import (
     validate_capacity,
 )
 
-from lattice_sugeno.axioms import _aggregation_fill
+from lattice_sugeno.axioms import _aggregation_fill, _monotone_along_covers
+from lattice_sugeno.fileio import format_table, parse_table
 from lattice_sugeno.capacity import _MonotoneFill
 
 from _oracles import (
@@ -46,7 +48,7 @@ from _oracles import (
     ref_n5,
     ref_product,
 )
-from test_relations import _assert_plan_matches, _closure_lattice
+from test_relations import _TABLE_ZOO, _assert_plan_matches, _closure_lattice
 
 
 def h_table(chain3):
@@ -278,10 +280,16 @@ def test_pair_axioms_match_an_ordered_oracle_walk(L, ref, arity):
     pair axiom's verdict, witness and pairs_checked equal a walk over
     the oracle's related pairs (x, y), x lex <= y, in order, stopping
     at the first failure."""
-    points = list(itertools.product(range(L.size), repeat=arity))
     tables = sample_aggregations(L, arity, 6, seed=11) + [
         sugeno_table(m) for m in ls.sample_capacities(L, arity, 2, seed=11)]
-    failures = 0
+    assert _assert_pair_axioms_match_oracle_walk(L, ref, arity, tables)[0]
+
+
+def _assert_pair_axioms_match_oracle_walk(L, ref, arity, tables):
+    """Each pair axiom on each table equals the oracle walk; returns how
+    many checks failed and how many failed on a pair with x <= y."""
+    points = list(itertools.product(range(L.size), repeat=arity))
+    failures = ordered = 0
     for f in tables:
         for kind, related, opname in _PAIR_AXIOMS:
             op = getattr(ref, opname)
@@ -299,9 +307,91 @@ def test_pair_axioms_match_an_ordered_oracle_walk(L, ref, arity):
                     break
             res = axiom_check(f, kind)
             assert (res.holds, res.witness, res.pairs_checked) == (
-                witness is None, witness, count)
+                witness is None, witness, count), (f.values, kind)
             failures += witness is not None
-    assert failures
+            ordered += witness is not None and all(map(ref.leq, *witness))
+    return failures, ordered
+
+
+def _non_monotone_tables(L, arity, seed):
+    """Seeded tables that fail monotonicity: three of random values, and
+    a sampled aggregation with one entry pushed outside the interval its
+    cover neighbours allow, each also as parse_table reads it back from
+    the canonical text and from its lines reversed.  None on a lattice
+    too small to have any."""
+    rng = random.Random(seed)
+    count = L.size ** arity
+    tables = [FunctionTable(L, arity, [rng.randrange(L.size)
+                                       for _ in range(count)], "random")
+              for _ in range(3)]
+    f = sample_aggregations(L, arity, 1, seed=seed)[0]
+    points = list(f.domain())
+    for pos in rng.sample(range(count), count):
+        x = points[pos]
+        lo, hi = L.bottom, L.top
+        for i, v in enumerate(x):
+            for c in range(L.size):
+                y = f(x[:i] + (c,) + x[i + 1:])
+                if v in L.upper_covers(c):
+                    lo = L.join(lo, y)
+                if c in L.upper_covers(v):
+                    hi = L.meet(hi, y)
+        options = [v for v in range(L.size)
+                   if not (L.leq(lo, v) and L.leq(v, hi))]
+        if options:
+            pushed = list(f.values)
+            pushed[pos] = rng.choice(options)
+            tables.append(FunctionTable(L, arity, pushed, "pushed"))
+            break
+    tables = [t for t in tables if not _monotone_by_sweep(L, arity, t)]
+    texts = [format_table(t).splitlines() for t in tables]
+    return tables + [parse_table("\n".join([head] + body[::step]), L)
+                     for step in (1, -1) for head, *body in texts]
+
+
+def _monotone_by_sweep(L, arity, f):
+    points = list(f.domain())
+    return all(L.leq(f(p), f(q)) for p in points for q in points
+               if all(map(L.leq, p, q)))
+
+
+@pytest.mark.parametrize("L, ref, arity", [
+    (ls.chain(4), ref_chain(4), 3),
+    (ls.boolean_lattice(2), ref_boolean(2), 3),
+    (ls.product([ls.chain(2), ls.chain(3)]),
+     ref_product([ref_chain(2), ref_chain(3)]), 2),
+    (ls.n5(), ref_n5(), 2),
+    (ls.m3(), ref_m3(), 2),
+], ids=["chain4", "boolean2", "prod23", "N5", "M3"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pair_axioms_on_non_monotone_tables_match_the_oracle_walk(L, ref,
+                                                                  arity,
+                                                                  seed):
+    """A table that fails monotonicity can fail on a pair with x <= y,
+    which a kept plan does not hold: its checks read every pair and
+    still equal the oracle walk, whether the gate has run or not."""
+    tables = _non_monotone_tables(L, arity, seed)
+    assert len(tables) == 12
+    assert any(t.name == "pushed" for t in tables)
+    failures, ordered = _assert_pair_axioms_match_oracle_walk(
+        L, ref, arity, tables)
+    assert ordered
+    gated = [parse_table(format_table(t), L) for t in tables]
+    for t in gated:
+        assert not axiom_check(t, AxiomKind.MONOTONE_BOUNDARY).holds
+    assert _assert_pair_axioms_match_oracle_walk(
+        L, ref, arity, gated) == (failures, ordered)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sets(st.integers(0, 7)), st.integers(1, 3), st.integers(0, 99))
+def test_pair_axioms_on_non_monotone_tables_on_random_lattices(family,
+                                                               arity, seed):
+    L, ref = _closure_lattice(family)
+    if L.size ** arity > 216:
+        arity = 2
+    _assert_pair_axioms_match_oracle_walk(
+        L, ref, arity, _non_monotone_tables(L, arity, seed))
 
 
 def _three_tables(L, arity, seed):
@@ -382,10 +472,10 @@ def test_lazy_plans_agree_with_drained_plans_on_random_lattices(family,
 
 def test_a_failing_check_builds_part_of_the_plan():
     """On M3 at n=3 the step table fails comonotone_supremal early and
-    leaves fewer than the plan's 1,065 rows built; grown to its end
-    afterwards it equals the oracle walk, and a later infimal check
-    reads on past the rows the failing check built, as on a drained
-    plan."""
+    leaves fewer than the relation's 1,065 pairs walked; grown to its
+    end afterwards the plan equals the oracle walk, and a later infimal
+    check reads on past the pairs the failing check walked, as on a
+    drained plan."""
     kind = RelationKind.COMONOTONE
     drained = ls.m3()
     _drain_plans(drained, 3)
@@ -393,7 +483,7 @@ def test_a_failing_check_builds_part_of_the_plan():
         L = ls.m3()
         step, _, integral = _three_tables(L, 3, seed=0)
         failed = axiom_check(step, AxiomKind.COMONOTONE_SUPREMAL)
-        built = len(L._pair_cache[3, kind].xs)
+        built = L._pair_cache[3, kind].total
         assert not failed.holds
         assert failed.pairs_checked <= built < 1065
         if drain:
@@ -424,7 +514,7 @@ def test_an_interrupted_growth_drops_the_kept_plan():
     with pytest.raises(KeyboardInterrupt):
         axiom_check(integral, AxiomKind.COMONOTONE_SUPREMAL)
     assert (3, kind) not in L._pair_cache
-    # an integral on a distributive lattice reads all 556 plan rows
+    # an integral on a distributive lattice holds on all 556 pairs
     assert axiom_check(integral, AxiomKind.COMONOTONE_SUPREMAL) == (
         AxiomCheck(AxiomKind.COMONOTONE_SUPREMAL, True, None, 556))
     _assert_plan_matches(L, ref_boolean(2), kind, 3)
@@ -432,12 +522,18 @@ def test_an_interrupted_growth_drops_the_kept_plan():
 
 def test_pair_axioms_refuse_past_the_pair_guard_before_keeping_a_plan():
     """8,192 points make 33.6 M vector pairs, past the 10^7 guard: every
-    pair axiom refuses before a plan is kept on the lattice."""
+    pair axiom refuses before a plan is kept on the lattice, and on a
+    table that is not monotone, before the gate runs or a plan of every
+    pair is walked, with the same message."""
     L = ls.chain(2)
     f = FunctionTable(L, 13, [0] * 2 ** 13)
-    for kind, _, _ in _PAIR_AXIOMS:
-        with pytest.raises(EnumerationTooLarge):
-            axiom_check(f, kind)
+    jumble = FunctionTable(L, 13, [1] + [0] * (2 ** 13 - 1))
+    for table in (f, jumble):
+        for kind, _, _ in _PAIR_AXIOMS:
+            with pytest.raises(EnumerationTooLarge, match=(
+                    r"^33558528 vector pairs exceed the limit of 10000000")):
+                axiom_check(table, kind)
+        assert table._monotone is None
     assert L._pair_cache == {}
 
 
@@ -621,6 +717,43 @@ def test_aggregation_domain_guard(bool2):
         list(enumerate_aggregations(bool2, 2))  # 16 points > the cap of 9
     assert sum(1 for _ in enumerate_aggregations(bool2, 2,
                                                  domain_limit=16)) > 0
+
+
+def _assert_built_monotone(L, ref, arity):
+    """Every table sample_aggregations, enumerate_aggregations (on
+    domains within its cap) and sugeno_table in both forms build is
+    flagged monotone, and passes the sliced gate and the oracle's
+    sweep over every comparable pair of points."""
+    capacities = ls.sample_capacities(L, arity, 3, seed=5)
+    tables = sample_aggregations(L, arity, 5, seed=5) + [
+        sugeno_table(m, form) for m in capacities for form in SugenoForm]
+    if L.size ** arity <= 9:
+        tables += list(enumerate_aggregations(L, arity))
+    edges = list(L.cover_pairs())
+    for f in tables:
+        assert f._monotone is True
+        assert _monotone_along_covers(L, arity, f.values, edges)
+        assert ref_monotone_boundary(ref, arity, dict(zip(f.domain(),
+                                                          f.values)))
+    # other tables wait for the gate
+    for f in (FunctionTable(L, arity, tables[0].values),
+              table_from_function(L, arity, lambda *x: L.top),
+              parse_table(format_table(tables[0]), L)):
+        assert f._monotone is None
+
+
+@pytest.mark.parametrize("name, arity", [
+    (name, arity) for name in _TABLE_ZOO for arity in (1, 2, 3)
+    if _TABLE_ZOO[name][0].size ** arity <= 64])
+def test_tables_built_monotone_pass_the_gate(name, arity):
+    _assert_built_monotone(*_TABLE_ZOO[name], arity)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sets(st.integers(0, 7)), st.integers(1, 2))
+def test_tables_built_monotone_pass_the_gate_on_random_lattices(family,
+                                                                arity):
+    _assert_built_monotone(*_closure_lattice(family), arity)
 
 
 def test_aggregation_sampling_determinism(chain4):

@@ -11,6 +11,7 @@ from lattice_sugeno import relations, suites
 from lattice_sugeno import (
     ArityMismatch,
     EnumerationTooLarge,
+    FunctionTable,
     RelationKind,
     UnknownElement,
     all_vectors,
@@ -19,7 +20,12 @@ from lattice_sugeno import (
     relation_region,
 )
 
-from lattice_sugeno.axioms import _grow_plan, _kept_plan, relation_pairs
+from lattice_sugeno.axioms import (
+    PairPlan,
+    _grow_plan,
+    _kept_plan,
+    relation_pairs,
+)
 from lattice_sugeno.cli import build_parser
 from lattice_sugeno.errors import guard_size
 from lattice_sugeno.relations import (
@@ -28,6 +34,7 @@ from lattice_sugeno.relations import (
     compatibility_table,
     decode,
     encode,
+    related_positions,
     strides,
 )
 from lattice_sugeno.suites import run_scope, suite_duality, suite_lemmas
@@ -612,25 +619,33 @@ def _assert_letter_table_matches(L, ref, kind):
 
 
 def _assert_plan_matches(L, ref, kind, arity):
-    """The kept plan, grown to its end, has four columns equal to a
-    plain walk: x in product order, then every y from x on that the
-    oracle relates to x, with x v y and x ^ y taken from the oracle."""
+    """The kept plan, grown to its end, holds the pairs of a plain walk
+    with x not <= y coordinatewise: x in product order, then every y
+    from x on that the oracle relates to x, with x v y and x ^ y taken
+    from the oracle, each at its rank among all the walk's pairs, and
+    its total is the walk's pair count.  An unkept plan, walked with
+    the ordered pairs, holds every pair at ranks 1, 2, ..."""
     vectors = list(itertools.product(range(L.size), repeat=arity))
     index = {v: i for i, v in enumerate(vectors)}
-    xs, ys, joins, meets = [], [], [], []
+    rows = []
     for a, x in enumerate(vectors):
         for b in range(a, len(vectors)):
             y = vectors[b]
             if _REF[kind](ref, x, y):
-                xs.append(a)
-                ys.append(b)
-                joins.append(index[tuple(map(ref.join, x, y))])
-                meets.append(index[tuple(map(ref.meet, x, y))])
-    plan = _kept_plan(L, arity, kind)
-    while _grow_plan(L, arity, kind, plan, L.size ** arity):
-        pass
-    assert (list(plan.xs), list(plan.ys)) == (xs, ys)
-    assert (list(plan.joins), list(plan.meets)) == (joins, meets)
+                rows.append((a, b, index[tuple(map(ref.join, x, y))],
+                             index[tuple(map(ref.meet, x, y))],
+                             len(rows) + 1, all(map(ref.leq, x, y))))
+    kept = _kept_plan(FunctionTable(L, arity, [L.top] * len(vectors)), kind)
+    unkept = PairPlan(related_positions(L, kind, arity, ordered=True))
+    for plan in (kept, unkept):
+        while _grow_plan(L, arity, kind, plan, L.size ** arity):
+            pass
+        assert plan.total == len(rows)
+    assert list(zip(kept.xs, kept.ys, kept.joins, kept.meets,
+                    kept.ranks)) == [row[:5] for row in rows if not row[5]]
+    assert list(zip(unkept.xs, unkept.ys, unkept.joins, unkept.meets,
+                    unkept.ranks)) == [row[:5] for row in rows]
+    assert L._pair_cache[arity, kind] is kept
 
 
 @pytest.mark.parametrize("kind", PAIRWISE, ids=lambda k: k.value)
