@@ -20,10 +20,9 @@ Pair counting convention: pairs_checked counts defining-identity
 evaluations.  Homogeneity kinds run over (c, x) pairs (|L|·|L|^n full,
 |L|·2^n Boolean); supremal/infimal kinds run over the related vector
 pairs (x, y) with x lexicographically <= y, relying on the symmetry of
-the relations.  On a monotone table the pairs with x <= y
-coordinatewise, where both sides are f(y) (f(x) for the infimal kinds),
-are counted but never compared.  Checks stop at the first failure, so
-a false verdict reports fewer pairs.
+the relations, and on a monotone table count those with x <= y
+coordinatewise without comparing them.  Checks stop at the first
+failure, so a false verdict reports fewer pairs.
 
 The supremal/infimal kinds read their pairs from a PairPlan: per
 relation and arity, the positions of x, y, x v y and x ^ y and the rank
@@ -142,9 +141,8 @@ def table_from_function(lattice: Lattice, arity: int,
 def sugeno_table(m: Capacity,
                  form: SugenoForm = SugenoForm.SUP_OF_MEETS) -> FunctionTable:
     """Tabulate the integral of every vector against one capacity."""
-    return FunctionTable._trusted(m.lattice, m.arity,
-                                  _integral_table(m, form), "su_" + m.name,
-                                  monotone=True)
+    return FunctionTable._trusted(m.lattice, m.arity, _integral_table(m, form),
+                                  "su_" + m.name, monotone=True)
 
 
 class AxiomKind(Enum):
@@ -553,6 +551,5 @@ def sample_aggregations(lattice: Lattice, arity: int, count: int,
     """
     fill = _aggregation_fill(lattice, arity)
     return [FunctionTable._trusted(lattice, arity, values,
-                                   name="sample%d" % sample_idx,
-                                   monotone=True)
+                                   "sample%d" % sample_idx, monotone=True)
             for sample_idx, values in enumerate(fill.draws(count, seed))]

@@ -286,10 +286,8 @@ def related_positions(lattice: Lattice, kind: RelationKind, n: int,
     """
     table = compatibility_table(lattice, kind)
     k, join, meet = lattice.size, lattice._join, lattice._meet
-    # per last anchor digit v, the digits d kept after a y prefix above
-    # the anchor's (x v y = y so far): with d above v, x <= y
     ranked = x is None and not ordered
-    keep = [~up for up in lattice._up] if ranked else [-1] * k
+    keep = [~up for up in lattice._up]
     digits = (1 << k) - 1
     anchor_digits = [range(k)] * n if x is None else [(v,) for v in x]
 
@@ -312,11 +310,14 @@ def related_positions(lattice: Lattice, kind: RelationKind, n: int,
                         allowed = letters >> shift & digits
                         if pos == tie:
                             allowed = allowed >> v << v
-                        kept = allowed & keep_v if pos_join == pos else allowed
+                        kept = allowed
+                        if ranked:
+                            first = seen + 1
+                            seen += allowed.bit_count()
+                            if pos_join == pos:  # y above x so far
+                                kept &= keep_v  # d above v: x <= y
                         base, base_join, base_meet = (pos * k, pos_join * k,
                                                       pos_meet * k)
-                        first = seen + 1
-                        seen += allowed.bit_count()
                         while kept:
                             low = kept & -kept
                             kept ^= low
@@ -328,7 +329,8 @@ def related_positions(lattice: Lattice, kind: RelationKind, n: int,
                                 ranks.append(
                                     first + (allowed & low - 1).bit_count())
                     if not ranked:  # every pair emitted, ranks in a run
-                        ranks = range(seen - len(ys) + 1, seen + 1)
+                        ranks = range(seen + 1, seen + len(ys) + 1)
+                        seen += len(ys)
                     yield prefix * k + v, ys, joins, meets, ranks, seen
                 continue
             v = next(todo, None)
