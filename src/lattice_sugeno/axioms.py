@@ -25,17 +25,18 @@ coordinatewise without comparing them.  Checks stop at the first
 failure, so a false verdict reports fewer pairs.
 
 The supremal/infimal kinds read their pairs from a PairPlan: per
-relation and arity, the positions of x, y, x v y and x ^ y and the rank
-of every related pair with x not <= y, kept on the lattice; a table
-that is not monotone reads a fresh plan of every pair instead.  A plan
-is built anchor by anchor, and only as far as the checks read it: a
-check compares the rows built so far, then grows the plan in chunks of
-anchors that double in size while every pair holds, so a check that
-fails early leaves the rest unbuilt for the next one.  A check compares
-table values by position, f(x v y) against f(x) v f(y), and decodes
-vectors only for the witness.  The homogeneity kinds likewise read the
-positions of x and of c ^ x (c v x) from lists kept per (arity, kind)
-on the lattice, each c's list built the first time a check reaches c.
+relation and arity, anchor by anchor, the positions of y, x v y and
+x ^ y and the rank of every related pair with x not <= y, kept on the
+lattice; a table that is not monotone reads a fresh plan of every pair
+instead.  A plan is built only as far as the checks read it: a check
+compares the anchors built so far, then pulls one more anchor at a
+time while every pair holds, so a check that fails stops at the anchor
+of its witness and leaves the rest unbuilt for the next one.  A check
+compares table values by position, f(x v y) against f(x) v f(y), and
+decodes vectors only for the witness.  The homogeneity kinds likewise
+read the positions of x and of c ^ x (c v x) from lists kept per
+(arity, kind) on the lattice, each c's list built the first time a
+check reaches c.
 """
 
 import itertools
@@ -194,38 +195,44 @@ def characterization_label(pair: tuple) -> str:
 
 class PairPlan:
     """The related vector pairs (x, y), x lex <= y, of one pairwise
-    relation at one arity, as five aligned columns: the mixed-radix
-    positions of x, y, x v y and x ^ y, and the pair's rank among all
-    related pairs.  Rows run with x in product order and, for each x, y
-    ascending from x itself.  A kept plan holds only the pairs with x
-    not <= y, the ones a monotone table can fail.  A plan is built
-    anchor by anchor: ``walk`` yields the rows of the anchors not yet
+    relation at one arity, as a list of anchors in product order, each
+    ``(a, ys, joins, meets, ranks)``: the position a of x and four
+    aligned arrays, the positions of y ascending, of x v y and x ^ y,
+    and each pair's rank among all related pairs.  A kept plan holds
+    only the pairs with x not <= y, the ones a monotone table can fail,
+    and no anchor without a pair.  ``walk`` yields the anchors not yet
     built (``relations.related_positions``), and is None once all are;
     ``total`` counts the pairs walked, held or not."""
 
-    __slots__ = ("xs", "ys", "joins", "meets", "ranks", "total", "walk")
+    __slots__ = ("anchors", "total", "walk")
 
     def __init__(self, walk: Iterator[tuple]):
-        self.xs, self.ys, self.joins, self.meets, self.ranks = (
-            array("i"), array("i"), array("i"), array("i"), array("i"))
+        self.anchors = []
         self.total = 0
         self.walk = walk
 
 
+def _is_monotone(f: FunctionTable) -> bool:
+    """Whether f is monotone: its flag, set when it was built monotone,
+    or else decided once along the cover edges of the domain."""
+    if f._monotone is None:
+        f._monotone = _monotone_along_covers(
+            f.lattice, f.arity, f.values, list(f.lattice.cover_pairs()))
+    return f._monotone
+
+
 def _kept_plan(f: FunctionTable, kind: RelationKind) -> PairPlan:
-    """The plan of (f's arity, kind) kept on f's lattice, as far as it is
-    built, or, for a table that is not monotone, a fresh, unkept plan of
-    every pair; more than 10^7 vector pairs are refused before either
-    exists.  Plans are kept per lattice because the supremal and infimal
-    checks of every table, the census and the sampled lemma tables all
-    walk the same relation on the same lattice."""
+    """The plan of (f's arity, kind) kept on f's lattice, with the
+    anchors built so far, or, for a table that is not monotone, a fresh,
+    unkept plan of every pair; more than 10^7 vector pairs are refused
+    before either exists.  Plans are kept per lattice because the
+    supremal and infimal checks of every table, the census and the
+    sampled lemma tables all walk the same relation on the same
+    lattice."""
     lattice, arity = f.lattice, f.arity
     count = lattice.size ** arity
     guard_size(count * (count + 1) // 2, 1, "vector pairs")
-    if f._monotone is None:  # the gate, once per table
-        f._monotone = _monotone_along_covers(
-            lattice, arity, f.values, list(lattice.cover_pairs()))
-    if not f._monotone:
+    if not _is_monotone(f):
         return PairPlan(related_positions(lattice, kind, arity, ordered=True))
     plan = lattice._pair_cache.get((arity, kind))
     if plan is None:
@@ -235,29 +242,26 @@ def _kept_plan(f: FunctionTable, kind: RelationKind) -> PairPlan:
 
 
 def _grow_plan(lattice: Lattice, arity: int, kind: RelationKind,
-               plan: PairPlan, anchors: int) -> bool:
-    """Append the rows of up to ``anchors`` more anchors to a plan;
-    False when it was already complete."""
-    if plan.walk is None:
-        return False
-    pulled = 0
-    try:
-        for a, ys, joins, meets, ranks, plan.total in itertools.islice(
-                plan.walk, anchors):
-            plan.xs.extend(array("i", (a,)) * len(ys))
-            plan.ys.extend(ys)
-            plan.joins.extend(joins)
-            plan.meets.extend(meets)
-            plan.ranks.extend(ranks)
-            pulled += 1
-    except BaseException:
-        # a walk that raised is finished, and its columns may disagree
-        # in length: the next check builds the plan afresh
-        lattice._pair_cache.pop((arity, kind), None)
-        raise
-    if pulled < anchors:
-        plan.walk = None
-    return pulled > 0
+               plan: PairPlan) -> Iterator[tuple]:
+    """Pull the anchors not yet built one at a time, append each one
+    with a pair to the plan and yield it."""
+    while plan.walk is not None:
+        try:
+            anchor = next(plan.walk, None)
+        except BaseException:
+            # a walk that raised is finished: the next check builds the
+            # plan afresh
+            lattice._pair_cache.pop((arity, kind), None)
+            raise
+        if anchor is None:
+            plan.walk = None
+            return
+        a, ys, joins, meets, ranks, plan.total = anchor
+        if ys:
+            anchor = (a, array("i", ys), array("i", joins),
+                      array("i", meets), array("i", ranks))
+            plan.anchors.append(anchor)
+            yield anchor
 
 
 def relation_pairs(lattice: Lattice, arity: int, kind: RelationKind,
@@ -342,11 +346,10 @@ def axiom_check(f: FunctionTable, kind: AxiomKind) -> AxiomCheck:
             return AxiomCheck(kind, False, ("boundary", top_vec), checked)
         # monotonicity along cover edges of the componentwise order,
         # one probe per (point, coordinate, cover of that coordinate)
-        edges = list(lattice.cover_pairs())
-        f._monotone = _monotone_along_covers(lattice, n, values, edges)
-        if f._monotone:
+        if _is_monotone(f):
+            edges = sum(1 for _ in lattice.cover_pairs())
             return AxiomCheck(kind, True, None,
-                              checked + n * (len(values) // k) * len(edges))
+                              checked + n * (len(values) // k) * edges)
         # a step fails: find the first one point by point, for its witness
         # and count; a step from x_i to its cover c moves the position by
         # the difference times coordinate i's stride
@@ -411,27 +414,18 @@ def axiom_check(f: FunctionTable, kind: AxiomKind) -> AxiomCheck:
     if kind in _SUPREMAL_RELATION:
         relation = _SUPREMAL_RELATION[kind]
         plan = _kept_plan(f, relation)
-        if kind in (AxiomKind.COMONOTONE_SUPREMAL,
-                    AxiomKind.G_COMONOTONE_SUPREMAL):
-            op, combined = join_t, plan.joins
-        else:
-            op, combined = meet_t, plan.meets
-        # compare the rows built so far, then grow the plan in chunks of
-        # anchors that double in size while every pair holds.  Each pass
-        # takes exactly the rows built, so the column iterators never
-        # run out and go on into the rows the next growth appends.
-        rows = zip(plan.ranks, plan.xs, plan.ys, combined)
-        read, anchors = 0, 1
-        while True:
-            for checked, a, b, c in itertools.islice(
-                    rows, len(plan.xs) - read):
-                if values[c] != op[values[a]][values[b]]:
+        supremal = kind in (AxiomKind.COMONOTONE_SUPREMAL,
+                            AxiomKind.G_COMONOTONE_SUPREMAL)
+        op = join_t if supremal else meet_t
+        for a, ys, joins, meets, ranks in itertools.chain(
+                plan.anchors, _grow_plan(lattice, n, relation, plan)):
+            row = op[values[a]]
+            for checked, b, c in zip(ranks, ys,
+                                     joins if supremal else meets):
+                if values[c] != row[values[b]]:
                     return AxiomCheck(kind, False,
                                       (f.decode(a), f.decode(b)), checked)
-            read = len(plan.xs)
-            if not _grow_plan(lattice, n, relation, plan, anchors):
-                return AxiomCheck(kind, True, None, plan.total)
-            anchors *= 2
+        return AxiomCheck(kind, True, None, plan.total)
 
     raise ValueError("unknown axiom kind: %r" % (kind,))
 

@@ -80,8 +80,9 @@ class Lattice:
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._distributive = distributive
         self._distributive_witness: tuple | None = None
-        # built on first use: (arity, relation kind) -> axioms.PairPlan
-        # and its unfinished walk, grown as far as the checks have read,
+        # built on first use: (arity, relation kind) -> axioms.PairPlan,
+        # its anchors built as far as the checks have read and the walk
+        # that yields the rest,
         # pairwise kind -> its k^2 relations.compatibility_table bitsets,
         # subsetwise kind -> {letter set as a k^2-bit int: its closure of
         # (fold x, fold y) pairs, or None where the set fails},
@@ -335,19 +336,12 @@ def is_distributive(lattice: Lattice) -> bool:
     """
     if lattice._distributive is None:
         meet, join = lattice._meet, lattice._join
-        size = lattice.size
-        lattice._distributive = True
-        for x in range(size):
-            for y in range(size):
-                for z in range(size):
-                    if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
-                        lattice._distributive = False
-                        lattice._distributive_witness = (x, y, z)
-                        break
-                if lattice._distributive is False:
-                    break
-            if lattice._distributive is False:
-                break
+        elements = range(lattice.size)
+        witness = next(
+            ((x, y, z) for x in elements for y in elements for z in elements
+             if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]), None)
+        lattice._distributive_witness = witness
+        lattice._distributive = witness is None
     return lattice._distributive
 
 

@@ -66,6 +66,13 @@ PAIRWISE_KINDS = frozenset({
 
 @dataclass(frozen=True)
 class RelationResult:
+    """One relation_check verdict and its first witness.
+    ``identities_checked`` counts the coordinate pairs i < j evaluated
+    for a pairwise kind, and the coordinates probed for comparable, up
+    to the first failure; for a subsetwise kind it is the first failing
+    mask, or 2^n - 1 on a pass, a place in the order of masks and not
+    the O(n * k^2) identity tests done."""
+
     kind: RelationKind
     holds: bool
     witness: tuple | None

@@ -31,8 +31,14 @@ from lattice_sugeno import (
     validate_capacity,
 )
 
-from lattice_sugeno.axioms import _aggregation_fill, _monotone_along_covers
+from lattice_sugeno.axioms import (
+    _SUPREMAL_RELATION,
+    _aggregation_fill,
+    _monotone_along_covers,
+)
 from lattice_sugeno.fileio import format_table, parse_table
+from lattice_sugeno.relations import encode
+import lattice_sugeno.axioms as axioms_module
 from lattice_sugeno.capacity import _MonotoneFill
 
 from _oracles import (
@@ -495,6 +501,27 @@ def test_a_failing_check_builds_part_of_the_plan():
             assert later.pairs_checked > built
 
 
+@pytest.mark.parametrize("build, arity", [
+    (ls.m3, 3), (ls.n5, 3), (lambda: ls.boolean_lattice(2), 3),
+    (lambda: ls.chain(4), 3)], ids=["M3", "N5", "boolean2", "chain4"])
+def test_a_failing_check_stops_at_the_anchor_of_its_witness(build, arity):
+    """On a fresh lattice, a pair axiom that fails leaves its kept plan
+    built up to the anchor of the witness's x and not past it."""
+    failures = 0
+    for seed in range(3):
+        for f in _three_tables(build(), arity, seed):
+            for kind, _, _ in _PAIR_AXIOMS:
+                L = build()
+                res = axiom_check(FunctionTable(L, arity, f.values), kind)
+                if res.holds:
+                    continue
+                failures += 1
+                plan = L._pair_cache[arity, _SUPREMAL_RELATION[kind]]
+                assert plan.anchors[-1][0] == encode(res.witness[0], L.size)
+                assert plan.walk is not None
+    assert failures > 0
+
+
 def test_an_interrupted_growth_drops_the_kept_plan():
     """An exception escaping the walk while a check grows the plan
     leaves no truncated plan behind: the next check builds it afresh,
@@ -735,6 +762,9 @@ def _assert_built_monotone(L, ref, arity):
         assert _monotone_along_covers(L, arity, f.values, edges)
         assert ref_monotone_boundary(ref, arity, dict(zip(f.domain(),
                                                           f.values)))
+        twin = FunctionTable(L, arity, f.values)
+        assert (axiom_check(f, AxiomKind.MONOTONE_BOUNDARY)
+                == axiom_check(twin, AxiomKind.MONOTONE_BOUNDARY))
     # other tables wait for the gate
     for f in (FunctionTable(L, arity, tables[0].values),
               table_from_function(L, arity, lambda *x: L.top),
@@ -754,6 +784,30 @@ def test_tables_built_monotone_pass_the_gate(name, arity):
 def test_tables_built_monotone_pass_the_gate_on_random_lattices(family,
                                                                 arity):
     _assert_built_monotone(*_closure_lattice(family), arity)
+
+
+def test_the_gate_runs_the_slices_only_on_unflagged_tables(monkeypatch):
+    """A table flagged monotone when built passes the gate on its two
+    boundary probes alone; a parsed table of the same values runs the
+    cover slices once, and then keeps their verdict."""
+    L = ls.boolean_lattice(2)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _monotone_along_covers(*args)
+
+    monkeypatch.setattr(axioms_module, "_monotone_along_covers", counted)
+    f = sugeno_table(ls.sample_capacities(L, 3, 1, seed=2)[0])
+    parsed = parse_table(format_table(f), L)
+    gate = axiom_check(f, AxiomKind.MONOTONE_BOUNDARY)
+    assert gate == AxiomCheck(AxiomKind.MONOTONE_BOUNDARY, True, None,
+                              2 + 3 * 16 * 4)
+    assert calls == []
+    assert axiom_check(parsed, AxiomKind.MONOTONE_BOUNDARY) == gate
+    assert calls == [3]
+    assert axiom_check(parsed, AxiomKind.COMONOTONE_SUPREMAL).holds
+    assert calls == [3]
 
 
 def test_aggregation_sampling_determinism(chain4):

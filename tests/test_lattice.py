@@ -245,6 +245,26 @@ def test_distributive_verdict_matches_sublattice_oracle(
         assert is_distributive(L) == (not ref_has_n5_or_m3(ref_from(L)))
 
 
+def test_an_interrupted_distributivity_search_leaves_no_verdict():
+    """An exception escaping the triple search leaves the lattice
+    unverified, not marked distributive; the next call decides it."""
+    L = ls.from_covers("square", ["0", "a", "b", "1"],
+                       [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+
+    class Interrupting(tuple):
+        def __getitem__(self, i):
+            raise KeyboardInterrupt
+
+    meet = L._meet
+    L._meet = meet[:2] + (Interrupting(meet[2]),) + meet[3:]
+    with pytest.raises(KeyboardInterrupt):
+        is_distributive(L)
+    assert L.distributive_flag is None
+    L._meet = meet
+    assert is_distributive(L) is True
+    assert distributivity_witness(L) is None
+
+
 def test_oracle_sees_shapes_in_their_own_presets():
     assert ref_has_n5_or_m3(ref_n5())
     assert ref_has_n5_or_m3(ref_m3())

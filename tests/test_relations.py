@@ -620,11 +620,12 @@ def _assert_letter_table_matches(L, ref, kind):
 
 def _assert_plan_matches(L, ref, kind, arity):
     """The kept plan, grown to its end, holds the pairs of a plain walk
-    with x not <= y coordinatewise: x in product order, then every y
+    with x not <= y coordinatewise: anchors strictly increasing, none
+    without a pair, and flattened, x in product order, then every y
     from x on that the oracle relates to x, with x v y and x ^ y taken
-    from the oracle, each at its rank among all the walk's pairs, and
-    its total is the walk's pair count.  An unkept plan, walked with
-    the ordered pairs, holds every pair at ranks 1, 2, ..."""
+    from the oracle, each at its rank among all the walk's pairs; its
+    total is the walk's pair count.  An unkept plan, walked with the
+    ordered pairs, holds every pair at ranks 1, 2, ..."""
     vectors = list(itertools.product(range(L.size), repeat=arity))
     index = {v: i for i, v in enumerate(vectors)}
     rows = []
@@ -637,14 +638,24 @@ def _assert_plan_matches(L, ref, kind, arity):
                              len(rows) + 1, all(map(ref.leq, x, y))))
     kept = _kept_plan(FunctionTable(L, arity, [L.top] * len(vectors)), kind)
     unkept = PairPlan(related_positions(L, kind, arity, ordered=True))
-    for plan in (kept, unkept):
-        while _grow_plan(L, arity, kind, plan, L.size ** arity):
+
+    def grown_rows(plan):
+        for _ in _grow_plan(L, arity, kind, plan):
             pass
+        assert plan.walk is None
         assert plan.total == len(rows)
-    assert list(zip(kept.xs, kept.ys, kept.joins, kept.meets,
-                    kept.ranks)) == [row[:5] for row in rows if not row[5]]
-    assert list(zip(unkept.xs, unkept.ys, unkept.joins, unkept.meets,
-                    unkept.ranks)) == [row[:5] for row in rows]
+        anchors = [anchor[0] for anchor in plan.anchors]
+        assert anchors == sorted(set(anchors))
+        flat = []
+        for a, *columns in plan.anchors:
+            assert len(columns[0]) > 0
+            assert {len(c) for c in columns} == {len(columns[0])}
+            assert {c.typecode for c in columns} == {"i"}
+            flat += [(a, *row) for row in zip(*columns)]
+        return flat
+
+    assert grown_rows(kept) == [row[:5] for row in rows if not row[5]]
+    assert grown_rows(unkept) == [row[:5] for row in rows]
     assert L._pair_cache[arity, kind] is kept
 
 
