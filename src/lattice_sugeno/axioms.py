@@ -22,21 +22,23 @@ evaluations.  Homogeneity kinds run over (c, x) pairs (|L|·|L|^n full,
 pairs (x, y) with x lexicographically <= y, relying on the symmetry of
 the relations, and on a monotone table count those with x <= y
 coordinatewise without comparing them.  Checks stop at the first
-failure, so a false verdict reports fewer pairs.
+failure, so a false verdict reports fewer pairs: those of the anchors
+before the witness's x, plus the y related to x from x through the
+witness's y, counted on x's verdict row.
 
 The supremal/infimal kinds read their pairs from a PairPlan: per
-relation and arity, anchor by anchor, the positions of y, x v y and
-x ^ y and the rank of every related pair with x not <= y, kept on the
-lattice; a table that is not monotone reads a fresh plan of every pair
-instead.  A plan is built only as far as the checks read it: a check
-compares the anchors built so far, then pulls one more anchor at a
-time while every pair holds, so a check that fails stops at the anchor
-of its witness and leaves the rest unbuilt for the next one.  A check
-compares table values by position, f(x v y) against f(x) v f(y), and
-decodes vectors only for the witness.  The homogeneity kinds likewise
-read the positions of x and of c ^ x (c v x) from lists kept per
-(arity, kind) on the lattice, each c's list built the first time a
-check reaches c.
+relation, arity and whether the table is monotone, anchor by anchor,
+the count of pairs before the anchor and the positions of y, x v y and
+x ^ y, kept on the lattice.  The plan for monotone tables holds only
+the pairs with x not <= y; the other holds every pair.  A plan is
+built only as far as the checks read it: a check compares the anchors
+built so far, then pulls one more anchor at a time while every pair
+holds, so a check that fails stops at the anchor of its witness and
+leaves the rest unbuilt for the next one.  A check compares table
+values by position, f(x v y) against f(x) v f(y), and decodes vectors
+only for the witness.  The homogeneity kinds likewise read the
+positions of x and of c ^ x (c v x) from lists kept per (arity, kind)
+on the lattice, each c's list built the first time a check reaches c.
 """
 
 import itertools
@@ -196,12 +198,13 @@ def characterization_label(pair: tuple) -> str:
 class PairPlan:
     """The related vector pairs (x, y), x lex <= y, of one pairwise
     relation at one arity, as a list of anchors in product order, each
-    ``(a, ys, joins, meets, ranks)``: the position a of x and four
-    aligned arrays, the positions of y ascending, of x v y and x ^ y,
-    and each pair's rank among all related pairs.  A kept plan holds
-    only the pairs with x not <= y, the ones a monotone table can fail,
-    and no anchor without a pair.  ``walk`` yields the anchors not yet
-    built (``relations.related_positions``), and is None once all are;
+    ``(a, start, ys, joins, meets)``: the position a of x, the count of
+    related pairs of the earlier anchors, and three aligned arrays, the
+    positions of y ascending, of x v y and of x ^ y.  The plan for
+    monotone tables holds only the pairs with x not <= y, the ones such
+    a table can fail, and no plan holds an anchor without a pair.
+    ``walk`` yields the anchors not yet built
+    (``relations.related_positions``), and is None once all are;
     ``total`` counts the pairs walked, held or not."""
 
     __slots__ = ("anchors", "total", "walk")
@@ -221,45 +224,46 @@ def _is_monotone(f: FunctionTable) -> bool:
     return f._monotone
 
 
-def _kept_plan(f: FunctionTable, kind: RelationKind) -> PairPlan:
-    """The plan of (f's arity, kind) kept on f's lattice, with the
-    anchors built so far, or, for a table that is not monotone, a fresh,
-    unkept plan of every pair; more than 10^7 vector pairs are refused
-    before either exists.  Plans are kept per lattice because the
-    supremal and infimal checks of every table, the census and the
+def _kept_plan(f: FunctionTable, kind: RelationKind) -> tuple:
+    """(key, plan): the plan of kind kept on f's lattice under key,
+    (f's arity, kind, whether f is monotone), with the anchors built so
+    far; more than 10^7 vector pairs are refused before f's monotonicity
+    is decided or the plan exists.  Plans are kept per lattice because
+    the supremal and infimal checks of every table, the census and the
     sampled lemma tables all walk the same relation on the same
     lattice."""
     lattice, arity = f.lattice, f.arity
     count = lattice.size ** arity
     guard_size(count * (count + 1) // 2, 1, "vector pairs")
-    if not _is_monotone(f):
-        return PairPlan(related_positions(lattice, kind, arity, ordered=True))
-    plan = lattice._pair_cache.get((arity, kind))
+    monotone = _is_monotone(f)
+    key = (arity, kind, monotone)
+    plan = lattice._pair_cache.get(key)
     if plan is None:
-        plan = lattice._pair_cache[arity, kind] = PairPlan(
-            related_positions(lattice, kind, arity))
-    return plan
+        plan = lattice._pair_cache[key] = PairPlan(
+            related_positions(lattice, kind, arity, ordered=not monotone))
+    return key, plan
 
 
-def _grow_plan(lattice: Lattice, arity: int, kind: RelationKind,
-               plan: PairPlan) -> Iterator[tuple]:
+def _grow_plan(lattice: Lattice, key: tuple, plan: PairPlan
+               ) -> Iterator[tuple]:
     """Pull the anchors not yet built one at a time, append each one
-    with a pair to the plan and yield it."""
+    with a pair to the plan kept under key and yield it."""
     while plan.walk is not None:
+        start = plan.total
         try:
             anchor = next(plan.walk, None)
         except BaseException:
             # a walk that raised is finished: the next check builds the
             # plan afresh
-            lattice._pair_cache.pop((arity, kind), None)
+            lattice._pair_cache.pop(key, None)
             raise
         if anchor is None:
             plan.walk = None
             return
-        a, ys, joins, meets, ranks, plan.total = anchor
+        a, ys, joins, meets, plan.total = anchor
         if ys:
-            anchor = (a, array("i", ys), array("i", joins),
-                      array("i", meets), array("i", ranks))
+            anchor = (a, start, array("i", ys), array("i", joins),
+                      array("i", meets))
             plan.anchors.append(anchor)
             yield anchor
 
@@ -413,18 +417,20 @@ def axiom_check(f: FunctionTable, kind: AxiomKind) -> AxiomCheck:
 
     if kind in _SUPREMAL_RELATION:
         relation = _SUPREMAL_RELATION[kind]
-        plan = _kept_plan(f, relation)
+        key, plan = _kept_plan(f, relation)
         supremal = kind in (AxiomKind.COMONOTONE_SUPREMAL,
                             AxiomKind.G_COMONOTONE_SUPREMAL)
         op = join_t if supremal else meet_t
-        for a, ys, joins, meets, ranks in itertools.chain(
-                plan.anchors, _grow_plan(lattice, n, relation, plan)):
+        for a, start, ys, joins, meets in itertools.chain(
+                plan.anchors, _grow_plan(lattice, key, plan)):
             row = op[values[a]]
-            for checked, b, c in zip(ranks, ys,
-                                     joins if supremal else meets):
+            for b, c in zip(ys, joins if supremal else meets):
                 if values[c] != row[values[b]]:
-                    return AxiomCheck(kind, False,
-                                      (f.decode(a), f.decode(b)), checked)
+                    # the pairs before x's, then x's from y = x through b
+                    x = f.decode(a)
+                    own = _relation_row(lattice, relation, x) >> a
+                    return AxiomCheck(kind, False, (x, f.decode(b)), start
+                                      + (own & (2 << b - a) - 1).bit_count())
         return AxiomCheck(kind, True, None, plan.total)
 
     raise ValueError("unknown axiom kind: %r" % (kind,))

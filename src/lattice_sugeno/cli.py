@@ -13,7 +13,7 @@ import sys
 
 from .axioms import characterization_report, sugeno_table
 from .bench import format_cost_report, run_bench
-from .capacity import Capacity, SugenoForm, format_subset, sugeno
+from .capacity import Capacity, SugenoForm, sugeno
 from .errors import (
     CyclicOrder,
     Error,
@@ -84,10 +84,7 @@ def _witness_text(lattice, kind, witness) -> str:
     if kind is RelationKind.COMPARABLE:
         return ("witness: not below at coordinate %d, not above at "
                 "coordinate %d" % (witness[0] + 1, witness[1] + 1))
-    mask = 0
-    for i in witness:
-        mask |= 1 << i
-    return "witness: subset %s" % format_subset(mask)
+    return "witness: subset {%s}" % ",".join(str(i + 1) for i in witness)
 
 
 def cmd_relations(args) -> int:

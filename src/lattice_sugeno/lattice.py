@@ -80,9 +80,9 @@ class Lattice:
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._distributive = distributive
         self._distributive_witness: tuple | None = None
-        # built on first use: (arity, relation kind) -> axioms.PairPlan,
-        # its anchors built as far as the checks have read and the walk
-        # that yields the rest,
+        # built on first use: (arity, relation kind, monotone tables?)
+        # -> axioms.PairPlan, its anchors built as far as the checks have
+        # read and the walk that yields the rest,
         # pairwise kind -> its k^2 relations.compatibility_table bitsets,
         # subsetwise kind -> {letter set as a k^2-bit int: its closure of
         # (fold x, fold y) pairs, or None where the set fails},

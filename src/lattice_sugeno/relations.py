@@ -34,8 +34,9 @@ iterators, so no arity meets Python's recursion limit.  For each anchor
 prefix it grows, once, the frontier of y prefixes related to it, and
 each next anchor digit extends that frontier.  It yields the related y
 of every anchor in product order, with the positions of x v y and
-x ^ y.  The pair plans of ``axioms`` read it for every anchor, y from
-x on; the verdict rows and regions read it for one anchor, every y.
+x ^ y and the count of pairs walked so far.  The pair plans of
+``axioms`` read it for every anchor, y from x on; the verdict rows and
+regions read it for one anchor, every y.
 """
 
 import itertools
@@ -270,10 +271,9 @@ def related_positions(lattice: Lattice, kind: RelationKind, n: int,
                       x: tuple | None = None,
                       ordered: bool = False) -> Iterator[tuple]:
     """The related pairs of a pairwise kind at arity n, anchor by anchor,
-    as ``(a, ys, joins, meets, ranks, seen)``: the position a of an
-    anchor x, four lists, the positions of the y related to x in
-    increasing order, of x v y and x ^ y, and each pair's 1-based rank
-    among all pairs walked, then the count of pairs walked so far.
+    as ``(a, ys, joins, meets, seen)``: the position a of an anchor x,
+    three lists, the positions of the y related to x in increasing
+    order, of x v y and of x ^ y, then the count of pairs walked so far.
 
     Without ``x``, every anchor comes in product order, each with the y
     from x itself on (x lex <= y), and the pairs with x <= y, on which
@@ -293,7 +293,7 @@ def related_positions(lattice: Lattice, kind: RelationKind, n: int,
     """
     table = compatibility_table(lattice, kind)
     k, join, meet = lattice.size, lattice._join, lattice._meet
-    ranked = x is None and not ordered
+    skip = x is None and not ordered
     keep = [~up for up in lattice._up]
     digits = (1 << k) - 1
     anchor_digits = [range(k)] * n if x is None else [(v,) for v in x]
@@ -312,33 +312,24 @@ def related_positions(lattice: Lattice, kind: RelationKind, n: int,
                 for v in todo:
                     shift = v * k
                     join_v, meet_v, keep_v = join[v], meet[v], keep[v]
-                    ys, joins, meets, ranks = [], [], [], []
+                    ys, joins, meets = [], [], []
                     for pos, pos_join, pos_meet, letters in frontier:
                         allowed = letters >> shift & digits
                         if pos == tie:
                             allowed = allowed >> v << v
-                        kept = allowed
-                        if ranked:
-                            first = seen + 1
-                            seen += allowed.bit_count()
-                            if pos_join == pos:  # y above x so far
-                                kept &= keep_v  # d above v: x <= y
+                        seen += allowed.bit_count()
+                        if skip and pos_join == pos:  # y above x so far
+                            allowed &= keep_v  # d above v: x <= y
                         base, base_join, base_meet = (pos * k, pos_join * k,
                                                       pos_meet * k)
-                        while kept:
-                            low = kept & -kept
-                            kept ^= low
+                        while allowed:
+                            low = allowed & -allowed
+                            allowed ^= low
                             d = low.bit_length() - 1
                             ys.append(base + d)
                             joins.append(base_join + join_v[d])
                             meets.append(base_meet + meet_v[d])
-                            if ranked:
-                                ranks.append(
-                                    first + (allowed & low - 1).bit_count())
-                    if not ranked:  # every pair emitted, ranks in a run
-                        ranks = range(seen + 1, seen + len(ys) + 1)
-                        seen += len(ys)
-                    yield prefix * k + v, ys, joins, meets, ranks, seen
+                    yield prefix * k + v, ys, joins, meets, seen
                 continue
             v = next(todo, None)
             if v is None:

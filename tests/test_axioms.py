@@ -255,11 +255,11 @@ def test_relation_pairs_cached_and_ordered():
     constant = FunctionTable(L, 2, [1] * 9, "constant")
     assert axiom_check(constant, AxiomKind.COMONOTONE_SUPREMAL) == (
         AxiomCheck(AxiomKind.COMONOTONE_SUPREMAL, True, None, len(first)))
-    plan = L._pair_cache[2, RelationKind.COMONOTONE]
+    plan = L._pair_cache[2, RelationKind.COMONOTONE, True]
     assert relation_pairs(L, 2, RelationKind.COMONOTONE) == first
     assert axiom_check(constant, AxiomKind.COMONOTONE_INFIMAL).holds
-    assert L._pair_cache[2, RelationKind.COMONOTONE] is plan
-    assert list(L._pair_cache) == [(2, RelationKind.COMONOTONE)]
+    assert L._pair_cache[2, RelationKind.COMONOTONE, True] is plan
+    assert list(L._pair_cache) == [(2, RelationKind.COMONOTONE, True)]
     for x, y in first:
         assert x <= y
     assert first == tuple(sorted(first))
@@ -489,7 +489,7 @@ def test_a_failing_check_builds_part_of_the_plan():
         L = ls.m3()
         step, _, integral = _three_tables(L, 3, seed=0)
         failed = axiom_check(step, AxiomKind.COMONOTONE_SUPREMAL)
-        built = L._pair_cache[3, kind].total
+        built = L._pair_cache[3, kind, True].total
         assert not failed.holds
         assert failed.pairs_checked <= built < 1065
         if drain:
@@ -516,7 +516,7 @@ def test_a_failing_check_stops_at_the_anchor_of_its_witness(build, arity):
                 if res.holds:
                     continue
                 failures += 1
-                plan = L._pair_cache[arity, _SUPREMAL_RELATION[kind]]
+                plan = L._pair_cache[arity, _SUPREMAL_RELATION[kind], True]
                 assert plan.anchors[-1][0] == encode(res.witness[0], L.size)
                 assert plan.walk is not None
     assert failures > 0
@@ -530,7 +530,7 @@ def test_an_interrupted_growth_drops_the_kept_plan():
     kind = RelationKind.COMONOTONE
     step, _, integral = _three_tables(L, 3, seed=0)
     assert not axiom_check(step, AxiomKind.COMONOTONE_INFIMAL).holds
-    plan = L._pair_cache[3, kind]
+    plan = L._pair_cache[3, kind, True]
     assert plan.walk is not None
 
     def interrupted(walk):
@@ -540,11 +540,44 @@ def test_an_interrupted_growth_drops_the_kept_plan():
     plan.walk = interrupted(plan.walk)
     with pytest.raises(KeyboardInterrupt):
         axiom_check(integral, AxiomKind.COMONOTONE_SUPREMAL)
-    assert (3, kind) not in L._pair_cache
+    assert (3, kind, True) not in L._pair_cache
     # an integral on a distributive lattice holds on all 556 pairs
     assert axiom_check(integral, AxiomKind.COMONOTONE_SUPREMAL) == (
         AxiomCheck(AxiomKind.COMONOTONE_SUPREMAL, True, None, 556))
     _assert_plan_matches(L, ref_boolean(2), kind, 3)
+
+
+def test_tables_that_are_not_monotone_share_a_kept_plan():
+    """Tables that are not monotone read one plan of every pair, kept on
+    the lattice beside the plan for monotone tables.  An exception
+    escaping the walk while a check grows that plan drops it alone: the
+    monotone plan stays, and the next check builds the other afresh,
+    still equal to the oracle walk."""
+    L = ls.boolean_lattice(2)
+    kind = RelationKind.COMONOTONE
+    integral = _three_tables(L, 3, seed=0)[2]
+    first, second = _non_monotone_tables(L, 3, seed=0)[:2]
+    assert axiom_check(integral, AxiomKind.COMONOTONE_SUPREMAL).holds
+    monotone = L._pair_cache[3, kind, True]
+    key, ordered = axioms_module._kept_plan(first, kind)
+    assert key == (3, kind, False)
+
+    def interrupted(walk):
+        yield from ()
+        raise KeyboardInterrupt
+
+    ordered.walk = interrupted(ordered.walk)
+    with pytest.raises(KeyboardInterrupt):
+        axiom_check(second, AxiomKind.COMONOTONE_SUPREMAL)
+    assert list(L._pair_cache) == [(3, kind, True)]
+    assert L._pair_cache[3, kind, True] is monotone
+    axiom_check(first, AxiomKind.COMONOTONE_SUPREMAL)
+    shared = L._pair_cache[3, kind, False]
+    assert shared is not ordered
+    assert _assert_pair_axioms_match_oracle_walk(
+        L, ref_boolean(2), 3, [second, first])[0]
+    assert L._pair_cache[3, kind, False] is shared
+    assert L._pair_cache[3, kind, True] is monotone
 
 
 def test_pair_axioms_refuse_past_the_pair_guard_before_keeping_a_plan():

@@ -21,7 +21,6 @@ from lattice_sugeno import (
 )
 
 from lattice_sugeno.axioms import (
-    PairPlan,
     _grow_plan,
     _kept_plan,
     relation_pairs,
@@ -34,7 +33,6 @@ from lattice_sugeno.relations import (
     compatibility_table,
     decode,
     encode,
-    related_positions,
     strides,
 )
 from lattice_sugeno.suites import run_scope, suite_duality, suite_lemmas
@@ -619,44 +617,45 @@ def _assert_letter_table_matches(L, ref, kind):
 
 
 def _assert_plan_matches(L, ref, kind, arity):
-    """The kept plan, grown to its end, holds the pairs of a plain walk
-    with x not <= y coordinatewise: anchors strictly increasing, none
-    without a pair, and flattened, x in product order, then every y
-    from x on that the oracle relates to x, with x v y and x ^ y taken
-    from the oracle, each at its rank among all the walk's pairs; its
-    total is the walk's pair count.  An unkept plan, walked with the
-    ordered pairs, holds every pair at ranks 1, 2, ..."""
+    """Both kept plans, grown to their end, hold the oracle's pairs:
+    anchors strictly increasing, none without a pair, each starting at
+    the count of the oracle's pairs of the earlier anchors, and,
+    flattened, x in product order, then every y from x on that the
+    oracle relates to x, with x v y and x ^ y taken from the oracle.
+    The plan for monotone tables holds the pairs with x not <= y
+    coordinatewise, the other one every pair; each total is the
+    oracle's pair count."""
     vectors = list(itertools.product(range(L.size), repeat=arity))
     index = {v: i for i, v in enumerate(vectors)}
-    rows = []
+    rows, before = [], []
     for a, x in enumerate(vectors):
+        before.append(len(rows))
         for b in range(a, len(vectors)):
             y = vectors[b]
             if _REF[kind](ref, x, y):
                 rows.append((a, b, index[tuple(map(ref.join, x, y))],
                              index[tuple(map(ref.meet, x, y))],
-                             len(rows) + 1, all(map(ref.leq, x, y))))
-    kept = _kept_plan(FunctionTable(L, arity, [L.top] * len(vectors)), kind)
-    unkept = PairPlan(related_positions(L, kind, arity, ordered=True))
-
-    def grown_rows(plan):
-        for _ in _grow_plan(L, arity, kind, plan):
+                             all(map(ref.leq, x, y))))
+    for monotone in (True, False):
+        f = FunctionTable._trusted(L, arity, [L.top] * len(vectors),
+                                   monotone=monotone)
+        key, plan = _kept_plan(f, kind)
+        assert key == (arity, kind, monotone)
+        for _ in _grow_plan(L, key, plan):
             pass
         assert plan.walk is None
         assert plan.total == len(rows)
         anchors = [anchor[0] for anchor in plan.anchors]
         assert anchors == sorted(set(anchors))
         flat = []
-        for a, *columns in plan.anchors:
-            assert len(columns[0]) > 0
+        for a, start, *columns in plan.anchors:
+            assert start == before[a]
+            assert len(columns) == 3 and len(columns[0]) > 0
             assert {len(c) for c in columns} == {len(columns[0])}
             assert {c.typecode for c in columns} == {"i"}
             flat += [(a, *row) for row in zip(*columns)]
-        return flat
-
-    assert grown_rows(kept) == [row[:5] for row in rows if not row[5]]
-    assert grown_rows(unkept) == [row[:5] for row in rows]
-    assert L._pair_cache[arity, kind] is kept
+        assert flat == [row[:4] for row in rows if not (monotone and row[4])]
+        assert L._pair_cache[key] is plan
 
 
 @pytest.mark.parametrize("kind", PAIRWISE, ids=lambda k: k.value)
