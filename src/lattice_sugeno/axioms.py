@@ -38,7 +38,7 @@ leaves the rest unbuilt for the next one.  A check compares table
 values by position, f(x v y) against f(x) v f(y), and decodes vectors
 only for the witness.  The homogeneity kinds likewise read the
 positions of x and of c ^ x (c v x) from lists kept per (arity, kind)
-on the lattice, each c's list built the first time a check reaches c.
+on the lattice, every c's list built by the first check of that kind.
 """
 
 import itertools
@@ -277,7 +277,9 @@ def relation_pairs(lattice: Lattice, arity: int, kind: RelationKind,
     read off its verdict row.  More than ``limit`` vector pairs are
     refused up front, and for the subsetwise kinds more than ``limit``
     vector-subset identities, (2k^2)^n, as well: a tighter cap on the
-    size of the output, no longer the cost of building the rows.
+    size of the output, which is built in full, so that the subsetwise
+    kinds stop short of the sizes at which a pairwise region of one
+    anchor, held whole, already takes gigabytes.
     """
     k = lattice.size
     count = k ** arity
@@ -393,19 +395,16 @@ def axiom_check(f: FunctionTable, kind: AxiomKind) -> AxiomCheck:
             return array("i", out)
 
         # kept on the lattice for every table checked there: the points
-        # x (all of them, or the cube's), and per c the points c op x,
-        # built when a check first reaches c, so a check that fails
-        # early builds no more
+        # x (all of them, or the cube's), and per c the points c op x
         cached = lattice._homogeneity.get((n, kind))
         if cached is None:
             points = positions(letters) if cube else range(len(values))
-            cached = lattice._homogeneity[n, kind] = (points, [None] * k)
+            cached = lattice._homogeneity[n, kind] = (points, [
+                positions([op[c][v] for v in letters]) for c in range(k)])
         points, scaled = cached
         fx = [values[a] for a in points] if cube else values
         for c in range(k):
             scale = op[c]
-            if scaled[c] is None:
-                scaled[c] = positions([scale[v] for v in letters])
             failed = next(itertools.compress(itertools.count(), map(
                 ne, map(values.__getitem__, scaled[c]),
                 map(scale.__getitem__, fx))), None)

@@ -24,7 +24,7 @@ from .capacity import Capacity, format_subset, validate_capacity
 from .errors import LatticeMismatch, ParseError, guard_size
 from .lattice import Lattice, chain, boolean_lattice, from_covers, m3, n5, product
 from .recognizer import RecognitionResult
-from .relations import decode
+from .relations import decode, encode
 
 
 def read_text(path: str) -> str:
@@ -111,8 +111,8 @@ def _positive_int(token: str, spec: str) -> int:
     return value
 
 
-def _content_lines(text: str):
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _content_lines(lines: Sequence[str]):
+    for lineno, line in enumerate(lines, start=1):
         if "#" in line:
             line = line.split("#", 1)[0]
         line = line.strip()
@@ -131,7 +131,7 @@ def parse_lattice(text: str, path: str = "<input>") -> Lattice:
     elements = None
     declared = {}
     covers = []
-    for lineno, line in _content_lines(text):
+    for lineno, line in _content_lines(text.splitlines()):
         fields = line.split()
         word = fields[0]
         if word == "lattice":
@@ -205,9 +205,11 @@ def _parse_element(token: str, lattice: Lattice,
     return lattice._index[token]
 
 
-def _literal_tokens(text: str, where: str) -> list:
-    """The comma-split, unstripped tokens of a "(e1,e2,...)" literal; a
-    literal without its parentheses or without a token is a ParseError."""
+def parse_vector(text: str, lattice: Lattice,
+                 where: str = "<vector>") -> tuple:
+    """Read a "(e1,e2,...)" literal against the lattice's element names;
+    a literal without its parentheses or without a coordinate, or an
+    unknown name, is a ParseError without a line number."""
     stripped = text.strip()
     if not (stripped[:1] == "(" and stripped[-1:] == ")"):
         raise ParseError("vector literal must be parenthesized, got %r"
@@ -215,14 +217,7 @@ def _literal_tokens(text: str, where: str) -> list:
     body = stripped[1:-1]
     if not body or body.isspace():
         raise ParseError("empty vector literal", where)
-    return body.split(",")
-
-
-def parse_vector(text: str, lattice: Lattice,
-                 where: str = "<vector>") -> tuple:
-    """Read a "(e1,e2,...)" literal against the lattice's element names."""
-    return tuple(_parse_element(t, lattice, where)
-                 for t in _literal_tokens(text, where))
+    return tuple(_parse_element(t, lattice, where) for t in body.split(","))
 
 
 def format_vector(lattice: Lattice, x: Sequence[int]) -> str:
@@ -286,7 +281,7 @@ def parse_capacity(text: str, lattice: Lattice,
     Lines map subsets to elements; the empty and full subsets may be
     omitted and default to bottom and top.
     """
-    lines = list(_content_lines(text))
+    lines = list(_content_lines(text.splitlines()))
     if not lines:
         raise ParseError("empty capacity file", path)
     lineno, header = lines[0]
@@ -338,70 +333,53 @@ def parse_table(text: str, lattice: Lattice,
                 path: str = "<input>") -> FunctionTable:
     """Read the function-table file format; every point is required.
 
-    Text exactly as format_table writes it is checked in bulk against
-    the writer's point keys, giving the table the line reader gives.
-    Any other text is read line by line, each body line checked in one
-    pass, in a fixed order: the arrow, the vector literal, the names of
-    its coordinates, their count, a repeated point, then the value.  An
-    unknown coordinate name is reported before a wrong count, without a
-    line number, as parse_vector reports it.  The position is built
-    digit by digit only once the count is right, so an overlong line
-    costs time linear in its length.  More than 10^7 points, or 2^n
-    subsets for the checks to read, are refused after the header.
+    The first content line is the header.  More than 10^7 points, or
+    2^n subsets for the checks to read, are refused right after it.
+    Text laid out as format_table writes it, the header on line 1 and
+    one line per point, is checked in bulk against the writer's point
+    keys, giving the table the line reader gives.  Any other text, or
+    one that fails the bulk check, is read line by line, each body line
+    checked in a fixed order: the arrow, then the literal as
+    parse_vector reads a --x (its parentheses, then the names of its
+    coordinates, reported without a line number), the count, a repeated
+    point, and the value.
     """
+    lines, names, k = text.splitlines(), lattice.elements, lattice.size
+    content = _content_lines(lines)
+    lineno, header = next(content, (None, None))
+    if header is None:
+        raise ParseError("empty table file", path)
+    name, arity = _parse_header(header, "table", lattice, path, lineno)
+    guard_size(k, arity, "points")
+    guard_size(2, arity, "subsets")
     # the bulk check: a name with a comma, "#", "->" or whitespace, or an
     # empty one, would make a canonical line read otherwise below
-    body, names = text.splitlines(), lattice.elements
-    if body and "#" not in body[0] and body[0].strip() and all(
+    if lineno == 1 and len(lines) == k ** arity + 1 and all(
             e.split() == [e] and "," not in e and "#" not in e
             and "->" not in e for e in names):
-        name, arity = _parse_header(body.pop(0).strip(), "table", lattice,
-                                    path, 1)
-        guard_size(lattice.size, arity, "points")
-        guard_size(2, arity, "subsets")
-        if len(body) == lattice.size ** arity:
-            keys = [p + e + ") -> " for p in _point_prefixes(names, arity)
-                    for e in names]
-            if all(map(str.startswith, body, keys)):
-                values = list(map(lattice._index.get,
-                                  map(str.removeprefix, body, keys)))
-                if None not in values:
-                    return FunctionTable._trusted(lattice, arity, values,
-                                                  name=name)
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError("empty table file", path)
-    lineno, header = lines[0]
-    name, arity = _parse_header(header, "table", lattice, path, lineno)
-    guard_size(lattice.size, arity, "points")
-    guard_size(2, arity, "subsets")
-    k = lattice.size
-    digit_of = lattice._index.get
+        keys = [p + e + ") -> " for p in _point_prefixes(names, arity)
+                for e in names]
+        if all(map(str.startswith, itertools.islice(lines, 1, None), keys)):
+            values = list(map(lattice._index.get, map(
+                str.removeprefix, itertools.islice(lines, 1, None), keys)))
+            if None not in values:
+                return FunctionTable._trusted(lattice, arity, values,
+                                              name=name)
     values = [None] * k ** arity
-    for lineno, line in lines[1:]:
+    for lineno, line in content:
         left, arrow, right = line.partition("->")
         if not arrow:
             raise ParseError("expected '(x1,...,xn) -> <element>'",
                              path, lineno)
-        tokens = _literal_tokens(left, path)
-        if len(tokens) != arity:
-            for token in tokens:
-                _parse_element(token, lattice, path)
+        x = parse_vector(left, lattice, path)
+        if len(x) != arity:
             raise ParseError("vector has %d coordinates, table wants %d"
-                             % (len(tokens), arity), path, lineno)
-        pos = 0
-        for token in tokens:
-            digit = digit_of(token.strip())
-            if digit is None:
-                _parse_element(token, lattice, path)  # raises
-            pos = pos * k + digit
+                             % (len(x), arity), path, lineno)
+        pos = encode(x, k)
         if values[pos] is not None:
-            raise ParseError("input %s assigned twice" % format_vector(
-                lattice, decode(pos, k, arity)), path, lineno)
-        value = digit_of(right.strip())
-        if value is None:
-            _parse_element(right, lattice, path, lineno)  # raises
-        values[pos] = value
+            raise ParseError("input %s assigned twice"
+                             % format_vector(lattice, x), path, lineno)
+        values[pos] = _parse_element(right, lattice, path, lineno)
     if None in values:
         missing = decode(values.index(None), k, arity)
         raise ParseError("missing value for input %s"

@@ -87,8 +87,8 @@ class Lattice:
         # subsetwise kind -> {letter set as a k^2-bit int: its closure of
         # (fold x, fold y) pairs, or None where the set fails},
         # (pairwise kind, anchor x) -> x's relations._relation_row,
-        # and (arity, homogeneity kind) -> the positions
-        # axioms.axiom_check compares
+        # and (arity, homogeneity kind) -> the positions of x and, for
+        # every c, of c ^ x (c v x), all built by the first axiom_check
         self._pair_cache: dict = {}
         self._letter_tables: dict = {}
         self._rows: dict = {}

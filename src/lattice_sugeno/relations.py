@@ -16,10 +16,12 @@ opposite directions":
 
 These four share fold_I(pair(x_i, y_i)) == pair(fold_I x, fold_I y),
 whose (fold, pair) only ``_interchange_ops`` picks.  ``_pair_test``
-resolves a pairwise kind once per check or letter table.  The
-subsetwise identity is decided by ``_extend``, which grows the closure
-of (fold_I x, fold_I y) pairs, at most k^2 of them, one letter at a
-time.
+resolves every kind but comparable, once per check, letter table or
+row, to one test of two letters: the order test for comonotone, that
+identity on two letters for the other four.  The subsetwise identity is
+decided by ``_extend``, which grows the closure of (fold_I x, fold_I y)
+pairs, at most k^2 of them, one letter at a time, testing the new
+letter against each pair.
 
 Checks short-circuit on the first failing identity and report it as a
 witness, along with how many identities were evaluated.  Questions over
@@ -102,22 +104,23 @@ def _interchange_ops(lattice: Lattice, kind: RelationKind) -> tuple:
 
 
 def _pair_test(lattice: Lattice, kind: RelationKind):
-    """The test of a pairwise kind on (x_i, x_j, y_i, y_j): the order
-    test for comonotone, the interchange for the other two."""
-    if kind not in PAIRWISE_KINDS:
-        raise ValueError("not a pairwise kind: %s" % kind)
+    """``test(a, b, c, d)`` of every kind but comparable, on the letters
+    (a, b) and (c, d): whether both are ordered the same way, for
+    comonotone, or fold(pair(a, b), pair(c, d)) == pair(fold(a, c),
+    fold(b, d)), for the four interchange kinds.  A letter is the
+    (x_i, y_i) of one coordinate or, for a subsetwise kind, the
+    (fold_I x, fold_I y) of a holding subset."""
     if kind is RelationKind.COMONOTONE:
         up = lattice._up
 
-        def test(xi, xj, yi, yj):
-            return bool((up[xi] >> xj & 1 and up[yi] >> yj & 1) or
-                        (up[xj] >> xi & 1 and up[yj] >> yi & 1))
+        def test(a, b, c, d):
+            return bool((up[a] >> c & 1 and up[b] >> d & 1) or
+                        (up[c] >> a & 1 and up[d] >> b & 1))
         return test
     fold, pair = _interchange_ops(lattice, kind)
 
-    def test(xi, xj, yi, yj):
-        return (fold[pair[xi][yi]][pair[xj][yj]]
-                == pair[fold[xi][xj]][fold[yi][yj]])
+    def test(a, b, c, d):
+        return fold[pair[a][b]][pair[c][d]] == pair[fold[a][c]][fold[b][d]]
     return test
 
 
@@ -152,7 +155,7 @@ def relation_check(lattice: Lattice, kind: RelationKind,
         for i in range(n):
             for j in range(i + 1, n):
                 checked += 1
-                if not test(x[i], x[j], y[i], y[j]):
+                if not test(x[i], y[i], x[j], y[j]):
                     return RelationResult(kind, False, (i, j), checked)
         return RelationResult(kind, True, None, checked)
 
@@ -176,10 +179,11 @@ def relation_check(lattice: Lattice, kind: RelationKind,
     # subsetwise kinds: every mask with top bit j comes after those below
     # j, so the first failure's top bit is the first coordinate whose
     # letter fails against the closure of the letters before it
-    fold, pair = _interchange_ops(lattice, kind)
+    fold = _interchange_ops(lattice, kind)[0]
+    test = _pair_test(lattice, kind)
     closure = {}  # (fold x, fold y) -> the first coordinate producing it
     for j, (a, b) in enumerate(zip(x, y)):
-        grown = _extend(fold, pair, closure.keys(), a, b)
+        grown = _extend(fold, test, closure.keys(), a, b)
         if grown is None:
             break
         for folds in grown:
@@ -193,11 +197,11 @@ def relation_check(lattice: Lattice, kind: RelationKind,
     mask = 1 << j
     fx = fy = lattice.top if fold is lattice._meet else lattice.bottom
     for i in range(j - 1, -1, -1):
-        fails = _fails(fold, pair, a, b, fx, fy)
+        fails = not test(a, b, fx, fy)
         for (c, d), born in closure.items():
             if fails or born >= i:
                 break
-            fails = _fails(fold, pair, a, b, fold[fx][c], fold[fy][d])
+            fails = not test(a, b, fold[fx][c], fold[fy][d])
         if not fails:
             mask |= 1 << i
             fx, fy = fold[fx][x[i]], fold[fy][y[i]]
@@ -205,25 +209,20 @@ def relation_check(lattice: Lattice, kind: RelationKind,
     return RelationResult(kind, False, witness, mask)
 
 
-def _fails(fold, pair, a: int, b: int, c: int, d: int) -> bool:
-    """Whether letter (a, b) and a holding subset folded to (c, d) break
-    fold(pair(a, b), pair(c, d)) == pair(fold(a, c), fold(b, d)): while
-    a subset holds, the fold of its pairs is the pair of its folds."""
-    return fold[pair[a][b]][pair[c][d]] != pair[fold[a][c]][fold[b][d]]
-
-
-def _extend(fold, pair, closure, a: int, b: int):
+def _extend(fold, test, closure, a: int, b: int):
     """The closure of a word whose subsets all hold, with letter (a, b)
     added, or None if a subset containing (a, b) fails.
 
     The closure is the set of (fold_I x, fold_I y) over the word's
     nonempty coordinate subsets I, at most k^2 pairs.  A subset with the
     new letter is the letter alone, which always holds, or the letter
-    with a subset of the word, known by its pair (c, d).
+    with a subset of the word, known by its pair (c, d): while a subset
+    holds, the fold of its pairs is the pair of its folds, so the two
+    hold together when the kind's ``test(a, b, c, d)`` does.
     """
     grown = {(a, b)}
     for c, d in closure:
-        if _fails(fold, pair, a, b, c, d):
+        if not test(a, b, c, d):
             return None
         grown.add((fold[a][c], fold[b][d]))
     return closure | grown
@@ -261,7 +260,7 @@ def compatibility_table(lattice: Lattice, kind: RelationKind) -> list:
     k = lattice.size
     test = _pair_test(lattice, kind)
     table = [sum(1 << c * k + d for c in range(k) for d in range(k)
-                 if test(a, c, b, d))
+                 if test(a, b, c, d))
              for a in range(k) for b in range(k)]
     lattice._letter_tables[kind] = table
     return table
@@ -429,7 +428,8 @@ def _relation_row(lattice: Lattice, kind: RelationKind, x: tuple) -> int:
     if kind in PAIRWISE_KINDS:
         ys = next(related_positions(lattice, kind, len(x), x))[1]
     else:
-        fold, pair = _interchange_ops(lattice, kind)
+        fold = _interchange_ops(lattice, kind)[0]
+        test = _pair_test(lattice, kind)
         closures = lattice._letter_tables.setdefault(kind, {0: frozenset()})
         frontier = [(0, 0)]  # (prefix position of y, letters used)
         for v in x:
@@ -439,7 +439,7 @@ def _relation_row(lattice: Lattice, kind: RelationKind, x: tuple) -> int:
                     with_d = used | 1 << v * k + d
                     if with_d not in closures:
                         closures[with_d] = _extend(
-                            fold, pair, closures[used], v, d)
+                            fold, test, closures[used], v, d)
                     if closures[with_d] is not None:
                         grown.append((pos * k + d, with_d))
             frontier = grown
@@ -478,8 +478,10 @@ def relation_region(lattice: Lattice, kind: RelationKind,
     yields for x, decoded directly; for the others, the set bits of x's
     verdict row.  More than ``limit`` vectors are refused up front, and
     for the subsetwise kinds more than ``limit`` vector-subset
-    identities, (2k)^n, as well: a tighter cap on the size of the region
-    and its output, no longer the cost of building the row."""
+    identities, (2k)^n, as well: a tighter cap on the size of the region,
+    which is returned in full, so that the subsetwise kinds stop short of
+    the millions of vectors at which a pairwise region admitted by the
+    first cap already takes gigabytes."""
     x = check_vector(lattice, x)
     guard_size(lattice.size, len(x), "vectors", limit)
     if kind in (RelationKind.SUBSETWISE_JOIN, RelationKind.SUBSETWISE_MEET):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lattice_sugeno as ls
+from lattice_sugeno import fileio
 from lattice_sugeno import (
     Capacity,
     CyclicOrder,
@@ -334,10 +335,10 @@ _GOOD_LINES = ["(%d,%d) -> %d" % (a, b, max(a, b))
 def test_table_body_errors_pinned(chain3, line, message):
     """A defect on the first body line, or after seven well-formed
     lines, is reported with the same text and path, and with its own
-    line number."""
-    for at in (0, 7):
-        body = list(_GOOD_LINES)
-        point = body[at].split(" ")[0]
+    line number, whether the well-formed lines are canonical or not."""
+    for at, arrow in itertools.product((0, 7), (" -> ", "->")):
+        body = [good.replace(" -> ", arrow) for good in _GOOD_LINES]
+        point = _GOOD_LINES[at].split(" ")[0]
         if line is None:
             del body[at]
         else:
@@ -545,6 +546,37 @@ def test_comma_names_are_left_to_the_line_reader(names, message):
     with pytest.raises(ParseError) as info:
         parse_table(text, L, path="t.tbl")
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("spec,arity", [
+    ("chain:3", 2), ("boolean:2", 3), ("builtin:N5", 2)])
+def test_commented_headers_read_as_the_line_reader_reads(monkeypatch, spec,
+                                                         arity):
+    """A canonical table whose header carries a comment is still read in
+    bulk, and one preceded by a comment line by the line reader; both
+    give the table the line reader gives for the same points.  The line
+    reader reads each literal through parse_vector, and the bulk check
+    never calls it."""
+    calls = [0]
+    original = fileio.parse_vector
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(fileio, "parse_vector", counted)
+    L = build_lattice(spec)
+    f = sugeno_table(ls.sample_capacities(L, arity, 1, seed=arity)[0])
+    header, body = format_table(f).split("\n", 1)
+    expected = parse_table(format_table(f) + "# tail\n", L)
+    assert expected == f and expected.name == f.name
+    assert calls[0] == L.size ** arity
+    for text, read in ((header + "  # a note\n" + body, 0),
+                       ("# a note\n" + header + "\n" + body, L.size ** arity)):
+        calls[0] = 0
+        again = parse_table(text, L, path="t.tbl")
+        assert again == expected and again.name == expected.name
+        assert calls[0] == read
 
 
 # -- rendered reports ---------------------------------------------------
