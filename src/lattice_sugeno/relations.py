@@ -25,10 +25,10 @@ letter against each pair.
 
 Checks short-circuit on the first failing identity and report it as a
 witness, along with how many identities were evaluated.  Questions over
-the whole domain (regions, related pairs, the theorem suites) read
-verdict rows instead: per anchor x and kind, one bitmask over all k^n
-vectors in product order, built by ``_relation_row``.  Componentwise
-order rows, y <= x and y >= x, come from ``_order_rows`` alone.
+the whole domain (regions, related pairs, thm1, thm2 and example1)
+read verdict rows instead: per anchor x and kind, one bitmask over all
+k^n vectors in product order, built by ``_relation_row``.  Order rows,
+y <= x and y >= x, come from ``_order_rows`` alone.
 
 The pairwise kinds have one walker, ``related_positions``.  It walks
 the trie of anchor prefixes depth first, on an explicit stack of digit

@@ -25,17 +25,12 @@ A suite that cannot apply (wrong lattice shape, domain too large) is
 reported as skipped rather than failed, except where the caller's
 request is outright contradictory.
 
-The relation-quantified suites (thm1, thm2, example1 and the relation
-lemmas) read per-anchor verdict rows from ``relations._relation_row``,
-one row per kind, and compare them with bitwise operations; thm1, thm2
-and lemmas refuse more than ``limit`` k^2n vector pairs.  Pairwise rows
-are kept on the lattice, so under ``all`` each (kind, anchor) row is
-built once and shared by every suite, as are the homogeneity
-positions of the axiom checks; their pair plans are kept too, grown
-only as far as the checks have read them.  thm2's subsetwise rows are
-not kept, but the letter-set closures they grow from are, so each set
-is closed once per lattice and kind.  The implication lemmas check a
-conclusion only on the tables where its premise holds.
+thm1, thm2 and example1 compare per-anchor verdict rows
+(``relations._relation_row``) bitwise, and the relation lemmas read
+letter tables; thm1, thm2 and lemmas refuse more than ``limit`` k^2n
+vector pairs.  Pairwise rows, letter tables and pair plans are kept on
+the lattice, so under ``all`` each is built once and shared by every
+suite.
 """
 
 from dataclasses import dataclass, field
@@ -60,7 +55,7 @@ from .relations import (
     _lowest,
     _relation_row,
     all_vectors,
-    encode,
+    compatibility_table,
 )
 # unused here, but perfbench/tracing.py wraps this name in this module
 from .relations import relation_check  # noqa: F401
@@ -307,6 +302,14 @@ def suite_lemmas(lattice: Lattice, arity: int, seed: int = 0,
     integrals passing all ten axioms.  The constant-vector and
     integral lemmas only hold on distributive lattices; elsewhere their
     failures are counted on one "(recorded)" line each, as thm1 does.
+
+    The relation lemmas read letter tables: a pair is related when every
+    two of its letters (x_i, y_i), equal ones included, are compatible.
+    So at n >= 2 inclusion fails exactly at two letters (a, b), (c, d),
+    comonotone-compatible or both with a <= b or both with a >= b, yet
+    not g- and dual-compatible, at x = (a,c,...,c), y = (b,d,...,d).  No
+    lattice has them: if a <= c and b <= d, both sides of the identities
+    are a v b and c ^ d; if a <= b and c <= d, they are b ^ d and a v c.
     """
     details = []
     cases = 0
@@ -316,38 +319,40 @@ def suite_lemmas(lattice: Lattice, arity: int, seed: int = 0,
     integral_failures = failures if distributive else []
 
     vectors = _anchor_vectors(lattice, arity, limit)
-    constants = [encode((c,) * arity, lattice.size)
-                 for c in range(lattice.size)]
-    # per constant c, the x not g-comonotone (or dually) with (c,...,c)
-    outliers = [[] for _ in constants]
-    for x in vectors:
-        both = (_relation_row(lattice, RelationKind.G_COMONOTONE, x)
-                & _relation_row(lattice, RelationKind.DUAL_G_COMONOTONE, x))
-        broken = ((_relation_row(lattice, RelationKind.COMONOTONE, x)
-                   | _relation_row(lattice, RelationKind.COMPARABLE, x))
-                  & ~both)
-        while broken:
-            b = _lowest(broken)
-            broken &= broken - 1
-            failures.append("relation inclusion breaks at x=%s y=%s"
-                            % (format_vector(lattice, x),
-                               format_vector(lattice, vectors[b])))
-        for c, pos in enumerate(constants):
-            if not both >> pos & 1:
-                outliers[c].append(x)
+    k = lattice.size
+    both = [g & dual for g, dual in zip(
+        compatibility_table(lattice, RelationKind.G_COMONOTONE),
+        compatibility_table(lattice, RelationKind.DUAL_G_COMONOTONE))]
+    if arity > 1:
+        comonotone = compatibility_table(lattice, RelationKind.COMONOTONE)
+        below = sum(up << a * k for a, up in enumerate(lattice._up))
+        above = sum(down << a * k for a, down in enumerate(lattice._down))
+        for letter, allowed in enumerate(both):
+            broken = (comonotone[letter]
+                      | (below if below >> letter & 1 else 0)
+                      | (above if above >> letter & 1 else 0)) & ~allowed
+            if broken:
+                (a, b), (c, d) = divmod(letter, k), divmod(_lowest(broken), k)
+                failures.append("relation inclusion breaks at x=%s y=%s" % (
+                    format_vector(lattice, (a,) + (c,) * (arity - 1)),
+                    format_vector(lattice, (b,) + (d,) * (arity - 1))))
+                break
     cases += len(vectors) ** 2
     details.append("relation inclusions checked on %d pairs"
                    % (len(vectors) ** 2))
 
-    for c, xs in enumerate(outliers):
-        const = (c,) * arity
-        for x in xs:
-            constant_failures.append(
-                "constant vector %s not g-comonotone with %s"
-                % (format_vector(lattice, const), format_vector(lattice, x)))
-    cases += lattice.size * len(vectors)
+    for c in range(k):
+        const = format_vector(lattice, (c,) * arity)
+        for x in vectors:
+            digits = set(x)
+            if not all(both[d * k + c] >> w * k + c & 1
+                       for d in digits for w in digits):
+                constant_failures.append(
+                    "constant vector %s not g-comonotone with %s"
+                    % (const, format_vector(lattice, x)))
+    cases += k * len(vectors)
     details.append("constant-vector lemma checked on %d pairs"
-                   % (lattice.size * len(vectors)))
+                   % (k * len(vectors)))
 
     # drawn first: too many subsets are refused before any cube is built
     caps = sample_capacities(lattice, arity, max(1, samples // 5), seed)

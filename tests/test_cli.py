@@ -328,6 +328,23 @@ def test_lemmas_record_the_distributive_only_lemmas_on_the_pentagon(capsys):
         "integral of (0, 3, 3, 4) fails inf_homogeneous (recorded)\n")
 
 
+def test_lemmas_record_the_distributive_only_lemmas_on_the_diamond(capsys):
+    code, out, _ = run(capsys, "theorem-suite", "lemmas",
+                       "--lattice", "builtin:M3", "--arity", "3")
+    assert code == 0
+    assert out == (
+        "lemmas: pass (16310 cases)\n"
+        "  relation inclusions checked on 15625 pairs\n"
+        "  constant-vector lemma checked on 625 pairs\n"
+        "  implication lemmas checked on 50 sampled tables\n"
+        "  integral compliance checked on 10 seeded capacities\n"
+        "  non-distributive lattice: 72 constant-vector failures, first: "
+        "constant vector (a,a,a) not g-comonotone with (0,b,c) (recorded)\n"
+        "  non-distributive lattice: 60 integral-axiom failures, first: "
+        "integral of (0, 3, 3, 3, 2, 4, 4, 4) fails inf_homogeneous "
+        "(recorded)\n")
+
+
 @pytest.mark.parametrize("spec, cases, pairs, constant", [
     ("chain:3", 168, 81, 27), ("boolean:2", 380, 256, 64)])
 def test_lemmas_on_distributive_lattices(capsys, spec, cases, pairs,
@@ -655,6 +672,10 @@ def _cap_memory():
      "error:"),
     (["theorem-suite", "lemmas", "--lattice", "chain:2", "--arity", "16"],
      "error:"),
+    (["theorem-suite", "lemmas", "--lattice", "chain:57", "--arity", "1"],
+     "error: 57^4 letter pairs exceed the limit of 10000000\n"),
+    (["theorem-suite", "lemmas", "--lattice", "chain:57", "--arity", "2"],
+     "error: 57^4 vector pairs exceed the limit of 10000000\n"),
     (["relations", "--lattice", "chain:2", "--kind", "g-comonotone",
       "--x", "(%s)" % ",".join(["0"] * 20000), "--y",
       "(%s)" % ",".join(["1"] * 20000)], "error:"),
@@ -692,7 +713,8 @@ def _cap_memory():
 ], ids=["bench-arity-40", "capacity-arity-62", "table-arity-40",
         "missing-lattice-file", "missing-file-in-product", "negative-arity",
         "negative-limit", "huge-chain", "huge-product", "huge-letter-table",
-        "huge-thm2", "huge-lemmas", "huge-pairwise",
+        "huge-thm2", "huge-lemmas", "lemmas-letter-pairs",
+        "lemmas-vector-pairs", "huge-pairwise",
         "huge-emit-table", "long-table-line", "huge-region-subsetwise",
         "huge-example1", "region-arity-flag", "relations-arity-flag",
         "one-element-thm3", "one-element-prop1", "one-element-lemmas",

@@ -768,12 +768,15 @@ def test_theorem_suites_build_each_letter_table_once(monkeypatch):
 
 def _assert_memoized_rows_match(L, ref, arity):
     """After ``all``, every row kept on the lattice is the row a fresh
-    lattice builds and the oracle's sweep; ``all`` keeps one row per
-    pairwise kind and vector, and none of any other kind."""
+    lattice builds and the oracle's sweep; thm1 keeps the g and dual
+    rows of every vector, and no row of a kind that is not pairwise is
+    kept."""
     run_scope("all", L, arity)
     vectors = list(itertools.product(range(L.size), repeat=arity))
-    assert set(L._rows) == {(kind, x) for kind in PAIRWISE
-                            for x in vectors}
+    assert {(kind, x) for kind in (RelationKind.G_COMONOTONE,
+                                   RelationKind.DUAL_G_COMONOTONE)
+            for x in vectors} <= set(L._rows)
+    assert {kind for kind, _ in L._rows} <= set(PAIRWISE)
     fresh = ls.from_covers("fresh", L.elements, [
         (L.elements[a], L.elements[b]) for a, b in L.cover_pairs()])
     for (kind, x), row in L._rows.items():
@@ -781,16 +784,20 @@ def _assert_memoized_rows_match(L, ref, arity):
         assert row == _ref_row(ref, kind, x, vectors), (kind, x)
 
 
+#: builtin lattices and their references, by name
+_NAMED = {"chain3": (lambda: (ls.chain(3), ref_chain(3))),
+          "chain4": (lambda: (ls.chain(4), ref_chain(4))),
+          "boolean2": (lambda: (ls.boolean_lattice(2), ref_boolean(2))),
+          "N5": (lambda: (ls.n5(), ref_n5())),
+          "M3": (lambda: (ls.m3(), ref_m3())),
+          "unsorted-N5": _unsorted_n5}
+
+
 @pytest.mark.parametrize("name,arity", [
     ("chain4", 3), ("boolean2", 3), ("N5", 3), ("M3", 2),
     ("unsorted-N5", 2)])
 def test_memoized_rows_after_all_match_a_fresh_lattice(name, arity):
-    build = {"chain4": (lambda: (ls.chain(4), ref_chain(4))),
-             "boolean2": (lambda: (ls.boolean_lattice(2), ref_boolean(2))),
-             "N5": (lambda: (ls.n5(), ref_n5())),
-             "M3": (lambda: (ls.m3(), ref_m3())),
-             "unsorted-N5": _unsorted_n5}[name]
-    _assert_memoized_rows_match(*build(), arity)
+    _assert_memoized_rows_match(*_NAMED[name](), arity)
 
 
 @settings(max_examples=15, deadline=None)
@@ -853,6 +860,18 @@ def test_thm1_and_lemmas_match_an_oracle_sweep(family, arity):
     else:
         assert "DIVERGENCE" not in " ".join(thm1.details)
 
+    _assert_lemmas_match_the_sweep(L, ref, arity)
+
+
+def _assert_lemmas_match_the_sweep(L, ref, arity):
+    """The relation inclusion and constant-vector failures of lemmas, as
+    listed or counted, equal a sweep of every ordered pair through the
+    reference relations."""
+    vectors = list(itertools.product(range(L.size), repeat=arity))
+
+    def fmt(v):
+        return "(%s)" % ",".join(L.elements[i] for i in v)
+
     def both(x, y):
         return ref_g_com(ref, x, y) and ref_dual_g_com(ref, x, y)
 
@@ -876,6 +895,45 @@ def test_thm1_and_lemmas_match_an_oracle_sweep(family, arity):
         first = ", first: %s" % constant[0] if constant else ""
         assert ("non-distributive lattice: %d constant-vector failures%s "
                 "(recorded)" % (len(constant), first)) in lemmas.details
+
+
+@pytest.mark.parametrize("name,arity", [
+    ("chain4", 3), ("boolean2", 3), ("N5", 3), ("M3", 3),
+    ("unsorted-N5", 3), ("chain3", 4)])
+def test_lemmas_match_an_oracle_sweep_at_larger_arities(name, arity):
+    _assert_lemmas_match_the_sweep(*_NAMED[name](), arity)
+
+
+def _cut_letters(lattice, kind, first, second):
+    """Make letters ``first`` and ``second`` incompatible, in both
+    directions, in the kept letter table of ``kind``."""
+    table = compatibility_table(lattice, kind)
+    k = lattice.size
+    l, m = first[0] * k + first[1], second[0] * k + second[1]
+    table[l] &= ~(1 << m)
+    table[m] &= ~(1 << l)
+
+
+@pytest.mark.parametrize("size, first, second, witness", [
+    (3, (0, 1), (1, 2), "x=(0,1,1) y=(1,2,2)"),
+    (3, (0, 1), (2, 1), "x=(0,2,2) y=(1,1,1)"),
+    (4, (0, 3), (1, 2), "x=(0,1,1) y=(3,2,2)"),
+    (4, (2, 1), (3, 0), "x=(2,3,3) y=(1,0,0)"),
+], ids=["comonotone-and-below", "comonotone-only", "below-only",
+        "above-only"])
+def test_a_broken_letter_table_breaks_the_inclusion_at_a_word(
+        size, first, second, witness):
+    """Two letters of a chain that are comonotone-compatible, or both
+    have a <= b, or both a >= b, made g-incompatible: the inclusion
+    breaks once, at the word x = (a,c,c), y = (b,d,d) of the first,
+    (a, b), and the second, (c, d)."""
+    L = ls.chain(size)
+    _cut_letters(L, RelationKind.G_COMONOTONE, first, second)
+    lemmas = suite_lemmas(L, 3, seed=0, samples=1)
+    assert not lemmas.passed
+    assert [d for d in lemmas.details
+            if d.startswith("relation inclusion breaks")] == [
+        "relation inclusion breaks at " + witness]
 
 
 def _eager_verdicts(f):
@@ -1166,46 +1224,60 @@ def test_theorem_suites_fold_each_letter_set_once(monkeypatch):
 # broken on purpose.
 
 
-def _flipped_rows(kind, x, y):
-    """_relation_row with one bit flipped: y in x's row of ``kind``."""
+def _flip_row(kind, y):
+    """Break ``suites._relation_row``: y flipped in the row of x = (0,1)
+    of ``kind``."""
     def rows(lattice, asked, anchor):
         row = _relation_row(lattice, asked, anchor)
-        if asked is kind and anchor == x:
+        if asked is kind and anchor == (0, 1):
             row ^= 1 << encode(y, lattice.size)
         return row
-    return rows
+
+    def breaks(monkeypatch, lattice):
+        monkeypatch.setattr(suites, "_relation_row", rows)
+    return breaks
 
 
-@pytest.mark.parametrize("suite, kind, y, lines", [
-    (lambda: suite_duality(ls.chain(2), 2),
-     RelationKind.DUAL_G_COMONOTONE, (1, 0),
+def _cut(kind, first, second):
+    """Break the lattice's letter table of ``kind`` at two letters."""
+    def breaks(monkeypatch, lattice):
+        _cut_letters(lattice, kind, first, second)
+    return breaks
+
+
+@pytest.mark.parametrize("suite, size, breaks, lines", [
+    (suite_duality, 2, _flip_row(RelationKind.DUAL_G_COMONOTONE, (1, 0)),
      ["thm1: FAIL (16 cases)",
       "  distributive lattice: expecting full agreement",
       "  DIVERGENCE x=(0,1) y=(1,0) g=False dual=True"]),
-    (lambda: suites.suite_four_equivalences(ls.chain(2), 2),
-     RelationKind.SUBSETWISE_MEET, (1, 0),
+    (suites.suite_four_equivalences, 2,
+     _flip_row(RelationKind.SUBSETWISE_MEET, (1, 0)),
      ["thm2: FAIL (7 cases)",
       "  conditions split at x=(0,1) y=(1,0): g-comonotone=False "
       "dual-g-comonotone=False subsetwise-join=False subsetwise-meet=True"]),
-    (lambda: suites.suite_region_closure(ls.chain(3), 2),
-     RelationKind.COMPARABLE, (1, 0),
+    (suites.suite_region_closure, 3,
+     _flip_row(RelationKind.COMPARABLE, (1, 0)),
      ["example1: FAIL (13 cases)",
       "  closure breaks at x=(0,1) y=(1,0): g=False union=True"]),
-    (lambda: suite_lemmas(ls.chain(2), 2), RelationKind.G_COMONOTONE, (0, 0),
+    (suite_lemmas, 2, _cut(RelationKind.G_COMONOTONE, (0, 0), (1, 0)),
      ["lemmas: FAIL (84 cases)",
       "  relation inclusions checked on 16 pairs",
       "  constant-vector lemma checked on 8 pairs",
       "  implication lemmas checked on 50 sampled tables",
       "  integral compliance checked on 10 seeded capacities",
       "  relation inclusion breaks at x=(0,1) y=(0,0)",
-      "  constant vector (0,0) not g-comonotone with (0,1)"]),
+      "  constant vector (0,0) not g-comonotone with (0,1)",
+      "  constant vector (0,0) not g-comonotone with (1,0)"]),
 ], ids=["thm1", "thm2", "example1", "lemmas"])
-def test_a_broken_row_fails_its_suite(monkeypatch, suite, kind, y, lines):
-    """One bit flipped in the row of x = (0,1); the lemmas' inclusion
-    reads only comonotone or comparable y, such as (0,0)."""
-    monkeypatch.setattr(suites, "_relation_row",
-                        _flipped_rows(kind, (0, 1), y))
-    result = suite()
+def test_a_broken_row_fails_its_suite(monkeypatch, suite, size, breaks,
+                                      lines):
+    """Each suite at arity 2 on a chain, with what it reads broken: thm1,
+    thm2 and example1 one bit of a row; lemmas the g letter table of
+    chain:2, where letters (0,0) and (1,0) are comonotone but made
+    incompatible."""
+    lattice = ls.chain(size)
+    breaks(monkeypatch, lattice)
+    result = suite(lattice, 2)
     assert (result.passed, result.lines()) == (False, lines)
 
 
