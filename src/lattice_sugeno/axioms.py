@@ -24,7 +24,7 @@ the relations, and on a monotone table count those with x <= y
 coordinatewise without comparing them.  Checks stop at the first
 failure, so a false verdict reports fewer pairs: those of the anchors
 before the witness's x, plus the y related to x from x through the
-witness's y, counted on x's verdict row.
+witness's y, counted by bisection in ``relations._related`` of x.
 
 The supremal/infimal kinds read their pairs from a PairPlan: per
 relation, arity and whether the table is monotone, anchor by anchor,
@@ -43,6 +43,7 @@ on the lattice, every c's list built by the first check of that kind.
 
 import itertools
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from operator import add, ne
@@ -67,8 +68,7 @@ from .lattice import Lattice
 from .relations import (
     RelationKind,
     _order_rows,
-    _positions,
-    _relation_row,
+    _related,
     decode,
     encode,
     related_positions,
@@ -274,12 +274,12 @@ def relation_pairs(lattice: Lattice, arity: int, kind: RelationKind,
 
     The diagonal pairs (x, x) are included, and each vector is one
     shared tuple however many pairs hold it.  The pairs of each x are
-    read off its verdict row.  More than ``limit`` vector pairs are
-    refused up front, and for the subsetwise kinds more than ``limit``
-    vector-subset identities, (2k^2)^n, as well: a tighter cap on the
-    size of the output, which is built in full, so that the subsetwise
-    kinds stop short of the sizes at which a pairwise region of one
-    anchor, held whole, already takes gigabytes.
+    read off ``relations._related`` from x on.  More than ``limit``
+    vector pairs are refused up front, and for the subsetwise kinds more
+    than ``limit`` vector-subset identities, (2k^2)^n, as well: a tighter
+    cap on the size of the output, which is built in full, so that the
+    subsetwise kinds stop short of the sizes at which a pairwise region
+    of one anchor, held whole, already takes gigabytes.
     """
     k = lattice.size
     count = k ** arity
@@ -288,7 +288,7 @@ def relation_pairs(lattice: Lattice, arity: int, kind: RelationKind,
         guard_size(2 * k * k, arity, "vector-subset identities", limit)
     vectors = list(itertools.product(range(k), repeat=arity))
     return tuple((x, vectors[b]) for a, x in enumerate(vectors)
-                 for b in _positions(_relation_row(lattice, kind, x), a))
+                 for b in _related(lattice, kind, x) if b >= a)
 
 
 _SUPREMAL_RELATION = {
@@ -427,9 +427,10 @@ def axiom_check(f: FunctionTable, kind: AxiomKind) -> AxiomCheck:
                 if values[c] != row[values[b]]:
                     # the pairs before x's, then x's from y = x through b
                     x = f.decode(a)
-                    own = _relation_row(lattice, relation, x) >> a
-                    return AxiomCheck(kind, False, (x, f.decode(b)), start
-                                      + (own & (2 << b - a) - 1).bit_count())
+                    own = _related(lattice, relation, x)
+                    return AxiomCheck(kind, False, (x, f.decode(b)),
+                                      start + bisect_right(own, b)
+                                      - bisect_left(own, a))
         return AxiomCheck(kind, True, None, plan.total)
 
     raise ValueError("unknown axiom kind: %r" % (kind,))

@@ -14,34 +14,31 @@ opposite directions":
 * subsetwise join / meet agreement: the same interchange quantified
   over every nonempty subset of coordinates instead of pairs.
 
-These four share fold_I(pair(x_i, y_i)) == pair(fold_I x, fold_I y),
-whose (fold, pair) only ``_interchange_ops`` picks.  ``_pair_test``
-resolves every kind but comparable, once per check, letter table or
-row, to one test of two letters: the order test for comonotone, that
-identity on two letters for the other four.  The subsetwise identity is
-decided by ``_extend``, which grows the closure of (fold_I x, fold_I y)
-pairs, at most k^2 of them, one letter at a time, testing the new
-letter against each pair.
+These four share fold_I(pair(x_i, y_i)) == pair(fold_I x, fold_I y).
+``_pair_test`` resolves every kind but comparable, once per check,
+letter table or region, to its fold and one test of two letters: the
+order test for comonotone, that identity on two letters for the other
+four.  The subsetwise identity is decided by ``_extend``, which grows
+the closure of (fold_I x, fold_I y) pairs, at most k^2 of them, one
+letter at a time, testing the new letter against each pair.
 
 Checks short-circuit on the first failing identity and report it as a
 witness, along with how many identities were evaluated.  Questions over
-the whole domain (regions, related pairs, thm1, thm2 and example1)
-read verdict rows instead: per anchor x and kind, one bitmask over all
-k^n vectors in product order, built by ``_relation_row``.  Order rows,
-y <= x and y >= x, come from ``_order_rows`` alone.
-
-The pairwise kinds have one walker, ``related_positions``.  It walks
-the trie of anchor prefixes depth first, on an explicit stack of digit
-iterators, so no arity meets Python's recursion limit.  For each anchor
-prefix it grows, once, the frontier of y prefixes related to it, and
-each next anchor digit extends that frontier.  It yields the related y
-of every anchor in product order, with the positions of x v y and
-x ^ y and the count of pairs walked so far.  The pair plans of
-``axioms`` read it for every anchor, y from x on; the verdict rows and
-regions read it for one anchor, every y.
+the whole domain read the positions of related y, ascending, in product
+order.  For every anchor at once, the pairwise kinds have one walker,
+``related_positions``.  It walks the trie of anchor prefixes depth
+first, on an explicit stack of digit iterators, so no arity meets
+Python's recursion limit.  For each anchor prefix it grows, once, the
+frontier of y prefixes related to it, and each next anchor digit
+extends that frontier.  It yields the related y of every anchor in
+product order, with the positions of x v y and x ^ y and the count of
+pairs walked so far; the pair plans of ``axioms`` and the theorem
+suites read it, y from x on.  For one anchor, ``_related`` gives every
+kind, and regions, related pairs and the rank of a failing pair read it.
 """
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -92,36 +89,33 @@ def check_vector(lattice: Lattice, x: Sequence[int]) -> tuple:
     return x
 
 
-def _interchange_ops(lattice: Lattice, kind: RelationKind) -> tuple:
-    """(fold, pair) tables of the interchange identity, over coordinate
-    pairs or subsets: (meet, join) for g-comonotone and subsetwise join
-    agreement, (join, meet) for the dual and subsetwise meet agreement."""
-    if kind in (RelationKind.G_COMONOTONE, RelationKind.SUBSETWISE_JOIN):
-        return lattice._meet, lattice._join
-    if kind in (RelationKind.DUAL_G_COMONOTONE, RelationKind.SUBSETWISE_MEET):
-        return lattice._join, lattice._meet
-    raise ValueError("not an interchange kind: %r" % (kind,))
-
-
-def _pair_test(lattice: Lattice, kind: RelationKind):
-    """``test(a, b, c, d)`` of every kind but comparable, on the letters
-    (a, b) and (c, d): whether both are ordered the same way, for
-    comonotone, or fold(pair(a, b), pair(c, d)) == pair(fold(a, c),
-    fold(b, d)), for the four interchange kinds.  A letter is the
-    (x_i, y_i) of one coordinate or, for a subsetwise kind, the
-    (fold_I x, fold_I y) of a holding subset."""
+def _pair_test(lattice: Lattice, kind: RelationKind) -> tuple:
+    """(fold, test) of every kind but comparable, on the letters (a, b)
+    and (c, d): ``test(a, b, c, d)`` is whether both are ordered the same
+    way, for comonotone (fold None), or fold(pair(a, b), pair(c, d)) ==
+    pair(fold(a, c), fold(b, d)), with (fold, pair) = (meet, join) for
+    g-comonotone and subsetwise join agreement, (join, meet) for the dual
+    and subsetwise meet agreement.  A letter is the (x_i, y_i) of one
+    coordinate or, for a subsetwise kind, the (fold_I x, fold_I y) of a
+    holding subset."""
     if kind is RelationKind.COMONOTONE:
         up = lattice._up
 
         def test(a, b, c, d):
             return bool((up[a] >> c & 1 and up[b] >> d & 1) or
                         (up[c] >> a & 1 and up[d] >> b & 1))
-        return test
-    fold, pair = _interchange_ops(lattice, kind)
+        return None, test
+    if kind in (RelationKind.G_COMONOTONE, RelationKind.SUBSETWISE_JOIN):
+        fold, pair = lattice._meet, lattice._join
+    elif kind in (RelationKind.DUAL_G_COMONOTONE,
+                  RelationKind.SUBSETWISE_MEET):
+        fold, pair = lattice._join, lattice._meet
+    else:
+        raise ValueError("not a kind of two letters: %r" % (kind,))
 
     def test(a, b, c, d):
         return fold[pair[a][b]][pair[c][d]] == pair[fold[a][c]][fold[b][d]]
-    return test
+    return fold, test
 
 
 def relation_check(lattice: Lattice, kind: RelationKind,
@@ -151,7 +145,7 @@ def relation_check(lattice: Lattice, kind: RelationKind,
     checked = 0
 
     if kind in PAIRWISE_KINDS:
-        test = _pair_test(lattice, kind)
+        test = _pair_test(lattice, kind)[1]
         for i in range(n):
             for j in range(i + 1, n):
                 checked += 1
@@ -179,8 +173,7 @@ def relation_check(lattice: Lattice, kind: RelationKind,
     # subsetwise kinds: every mask with top bit j comes after those below
     # j, so the first failure's top bit is the first coordinate whose
     # letter fails against the closure of the letters before it
-    fold = _interchange_ops(lattice, kind)[0]
-    test = _pair_test(lattice, kind)
+    fold, test = _pair_test(lattice, kind)
     closure = {}  # (fold x, fold y) -> the first coordinate producing it
     for j, (a, b) in enumerate(zip(x, y)):
         grown = _extend(fold, test, closure.keys(), a, b)
@@ -249,19 +242,30 @@ def compatibility_table(lattice: Lattice, kind: RelationKind) -> list:
     is bit c * k + d.  Entry ``[a * k + b]`` has bit c * k + d set when
     letters (a, b) and (c, d), at two coordinates in either order,
     satisfy the kind's identity; (x, y) is related exactly when every
-    two of its letters are compatible.  Costs k^4 identity evaluations,
-    so more than 10^7 of them are refused up front; each table is built
-    once per lattice and kind and kept on the lattice.
+    two of its letters are compatible.  The comonotone table is read off
+    the up- and down-sets in O(k^3), the others cost k^4 identity
+    evaluations; more than 10^7 letter pairs are refused up front.  Each
+    table is built once per lattice and kind and kept on the lattice.
     """
     table = lattice._letter_tables.get(kind)
     if table is not None:
         return table
     guard_size(lattice.size, 4, "letter pairs")
     k = lattice.size
-    test = _pair_test(lattice, kind)
-    table = [sum(1 << c * k + d for c in range(k) for d in range(k)
-                 if test(a, b, c, d))
-             for a in range(k) for b in range(k)]
+    if kind is RelationKind.COMONOTONE:
+        # (c, d) above (a, b) in both places, or below in both: the k-bit
+        # row up[b] (down[b]) in the slot of each c above (below) a, all
+        # copied by one product with a mask of one bit per such slot
+        up, down = lattice._up, lattice._down
+        slots = [[sum(1 << c * k for c in _positions(rows[a]))
+                  for a in range(k)] for rows in (up, down)]
+        table = [slots[0][a] * up[b] | slots[1][a] * down[b]
+                 for a in range(k) for b in range(k)]
+    else:
+        test = _pair_test(lattice, kind)[1]
+        table = [sum(1 << c * k + d for c in range(k) for d in range(k)
+                     if test(a, b, c, d))
+                 for a in range(k) for b in range(k)]
     lattice._letter_tables[kind] = table
     return table
 
@@ -382,8 +386,8 @@ def decode(pos: int, k: int, n: int) -> tuple:
 
 
 def _order_rows(lattice: Lattice, x: tuple) -> tuple:
-    """(below, above): the verdict rows of the y with y <= x and with
-    y >= x coordinatewise.
+    """(below, above): the bitmasks over the k^n positions (product
+    order) of the y with y <= x and with y >= x coordinatewise.
 
     Each row is built as a string of binary digits, position 0 first,
     one coordinate at a time from the last: the digits so far are
@@ -402,93 +406,71 @@ def _order_rows(lattice: Lattice, x: tuple) -> tuple:
     return int(below[::-1], 2), int(above[::-1], 2)
 
 
-def _relation_row(lattice: Lattice, kind: RelationKind, x: tuple) -> int:
-    """The verdict row of x: the bitmask over the k^n positions
-    (product order) of the y that x is related to.
-
-    Comparable is the union of the two order rows.  The other kinds grow
-    only the related y, one coordinate at a time, in time proportional
-    to the row.  Pairwise rows come from ``related_positions`` walked
-    for x alone, and are kept on the lattice per kind and anchor, since
-    the theorem suites and ``relation_pairs`` read them again.  A
-    subsetwise prefix carries the set of letters (x_i, y_i) it uses, as
-    a k^2-bit int: a verdict depends on that set alone, and every subset
-    of a holding set holds, so digit d is kept when ``_extend`` grows
-    the set's closure by (x_j, d).  Each set's closure, or None where
-    the set fails, is kept on the lattice per kind, shared by every
-    anchor.
-    """
-    if kind is RelationKind.COMPARABLE:
-        below, above = _order_rows(lattice, x)
-        return below | above
-    row = lattice._rows.get((kind, x))
-    if row is not None:
-        return row
-    k = lattice.size
-    if kind in PAIRWISE_KINDS:
-        ys = next(related_positions(lattice, kind, len(x), x))[1]
-    else:
-        fold = _interchange_ops(lattice, kind)[0]
-        test = _pair_test(lattice, kind)
-        closures = lattice._letter_tables.setdefault(kind, {0: frozenset()})
-        frontier = [(0, 0)]  # (prefix position of y, letters used)
-        for v in x:
-            grown = []
-            for pos, used in frontier:
-                for d in range(k):
-                    with_d = used | 1 << v * k + d
-                    if with_d not in closures:
-                        closures[with_d] = _extend(
-                            fold, test, closures[used], v, d)
-                    if closures[with_d] is not None:
-                        grown.append((pos * k + d, with_d))
-            frontier = grown
-        ys = [pos for pos, _ in frontier]
-    # rows are built as strings of binary digits, position 0 first:
-    # OR-ing each bit into an int costs the row's length
-    digits = bytearray(b"0") * k ** len(x)
-    for pos in ys:
-        digits[pos] = 49  # ord("1")
-    row = int(digits[::-1], 2)
-    if kind in PAIRWISE_KINDS:
-        lattice._rows[kind, x] = row
-    return row
-
-
-def _lowest(mask: int) -> int:
-    """Position of the lowest set bit: the first witness of a row."""
-    return (mask & -mask).bit_length() - 1
-
-
-def _positions(row: int, start: int = 0) -> Iterator[int]:
-    """The set bits of a verdict row from ``start`` on, in increasing
-    order, found in one scan of its binary digits."""
+def _positions(row: int) -> Iterator[int]:
+    """The set bits of a bitmask in increasing order, found in one scan
+    of its binary digits."""
     bits = bin(row)[:1:-1]
-    pos = bits.find("1", start)
+    pos = bits.find("1")
     while pos >= 0:
         yield pos
         pos = bits.find("1", pos + 1)
 
 
+def _related(lattice: Lattice, kind: RelationKind, x: tuple) -> Sequence:
+    """The positions of the y that x is related to, in product order,
+    grown in time proportional to the region for every kind but
+    comparable.
+
+    A pairwise kind reads ``related_positions`` walked for x alone, kept
+    on the lattice per kind and anchor as an ``array("i")``, since every
+    failing supremal or infimal check ranks its witness on one.
+    Comparable reads the set bits of x's two order rows.  A subsetwise
+    prefix carries the set of letters (x_i, y_i) it uses, as a k^2-bit
+    int: a verdict depends on that set alone, and every subset of a
+    holding set holds, so digit d is kept when ``_extend`` grows the
+    set's closure by (x_j, d).  Each set's closure, or None where the set
+    fails, is kept on the lattice per kind, shared by every anchor.
+    """
+    if kind is RelationKind.COMPARABLE:
+        below, above = _order_rows(lattice, x)
+        return list(_positions(below | above))
+    if kind in PAIRWISE_KINDS:
+        ys = lattice._regions.get((kind, x))
+        if ys is None:
+            ys = lattice._regions[kind, x] = array("i", next(
+                related_positions(lattice, kind, len(x), x))[1])
+        return ys
+    k = lattice.size
+    fold, test = _pair_test(lattice, kind)
+    closures = lattice._letter_tables.setdefault(kind, {0: frozenset()})
+    frontier = [(0, 0)]  # (prefix position of y, letters used)
+    for v in x:
+        grown = []
+        for pos, used in frontier:
+            for d in range(k):
+                with_d = used | 1 << v * k + d
+                if with_d not in closures:
+                    closures[with_d] = _extend(
+                        fold, test, closures[used], v, d)
+                if closures[with_d] is not None:
+                    grown.append((pos * k + d, with_d))
+        frontier = grown
+    return [pos for pos, _ in frontier]
+
+
 def relation_region(lattice: Lattice, kind: RelationKind,
                     x: Sequence[int], limit: int = 10 ** 7) -> tuple:
-    """All vectors y standing in the relation to x, in product order,
-    grown in time proportional to the region for every kind but
-    comparable: for a pairwise kind, the positions ``related_positions``
-    yields for x, decoded directly; for the others, the set bits of x's
-    verdict row.  More than ``limit`` vectors are refused up front, and
-    for the subsetwise kinds more than ``limit`` vector-subset
-    identities, (2k)^n, as well: a tighter cap on the size of the region,
-    which is returned in full, so that the subsetwise kinds stop short of
-    the millions of vectors at which a pairwise region admitted by the
-    first cap already takes gigabytes."""
+    """All vectors y standing in the relation to x, in product order:
+    the positions ``_related`` gives, decoded.  More than ``limit``
+    vectors are refused up front, and for the subsetwise kinds more than
+    ``limit`` vector-subset identities, (2k)^n, as well: a tighter cap on
+    the size of the region, which is returned in full, so that the
+    subsetwise kinds stop short of the millions of vectors at which a
+    pairwise region admitted by the first cap already takes gigabytes."""
     x = check_vector(lattice, x)
     guard_size(lattice.size, len(x), "vectors", limit)
     if kind in (RelationKind.SUBSETWISE_JOIN, RelationKind.SUBSETWISE_MEET):
         guard_size(2 * lattice.size, len(x), "vector-subset identities",
                    limit)
-    if kind in PAIRWISE_KINDS:
-        ys = next(related_positions(lattice, kind, len(x), x))[1]
-    else:
-        ys = _positions(_relation_row(lattice, kind, x))
-    return tuple(decode(pos, lattice.size, len(x)) for pos in ys)
+    return tuple(decode(pos, lattice.size, len(x))
+                 for pos in _related(lattice, kind, x))

@@ -25,12 +25,15 @@ A suite that cannot apply (wrong lattice shape, domain too large) is
 reported as skipped rather than failed, except where the caller's
 request is outright contradictory.
 
-thm1, thm2 and example1 compare per-anchor verdict rows
-(``relations._relation_row``) bitwise, and the relation lemmas read
-letter tables; thm1, thm2 and lemmas refuse more than ``limit`` k^2n
-vector pairs.  Pairwise rows, letter tables and pair plans are kept on
-the lattice, so under ``all`` each is built once and shared by every
-suite.
+thm1, thm2 and example1 zip the walks of their pairwise kinds
+(``relations.related_positions``), each anchor x with the y from x on,
+and read the other kinds for x alone (``relations._related``).  Every
+relation is symmetric and holds on the diagonal, so the first anchor
+with a divergence, a split or a witness has it at some y > x.  The
+relation lemmas read letter tables; thm1, thm2 and lemmas refuse more
+than ``limit`` k^2n vector pairs.  Letter tables and pair plans are
+kept on the lattice, so under ``all`` each is built once and shared by
+every suite.
 """
 
 from dataclasses import dataclass, field
@@ -52,10 +55,11 @@ from .lattice import Lattice, is_distributive
 from .recognizer import RecognitionMethod, recognize
 from .relations import (
     RelationKind,
-    _lowest,
-    _relation_row,
+    _positions,
+    _related,
     all_vectors,
     compatibility_table,
+    related_positions,
 )
 # unused here, but perfbench/tracing.py wraps this name in this module
 from .relations import relation_check  # noqa: F401
@@ -86,6 +90,13 @@ def _anchor_vectors(lattice: Lattice, arity: int, limit: int) -> list:
     return list(vectors)
 
 
+def _walks(lattice: Lattice, arity: int, *kinds) -> zip:
+    """The pairwise kinds' walks zipped, anchor by anchor in product
+    order, each anchor with its related y from itself on."""
+    return zip(*(related_positions(lattice, kind, arity, ordered=True)
+                 for kind in kinds))
+
+
 def _is_chain(lattice: Lattice) -> bool:
     full = (1 << lattice.size) - 1
     return all(up | down == full
@@ -102,14 +113,14 @@ def suite_duality(lattice: Lattice, arity: int,
     distributive = is_distributive(lattice)
     divergences = 0
     first = None
-    for x in vectors:
-        g = _relation_row(lattice, RelationKind.G_COMONOTONE, x)
-        d = _relation_row(lattice, RelationKind.DUAL_G_COMONOTONE, x)
-        divergent = g ^ d
-        divergences += divergent.bit_count()
-        if divergent and first is None:
-            b = _lowest(divergent)
-            first = (x, vectors[b], bool(g >> b & 1), bool(d >> b & 1))
+    kinds = RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE
+    for (a, g, *_), (_, dual, *_) in _walks(lattice, arity, *kinds):
+        if g != dual:
+            g, dual = set(g), set(dual)
+            divergences += 2 * len(g ^ dual)  # (x, y) and (y, x)
+            if first is None:
+                b = min(g ^ dual)
+                first = (vectors[a], vectors[b], b in g, b in dual)
     cases = len(vectors) ** 2
     details = []
     if distributive:
@@ -146,18 +157,20 @@ def suite_four_equivalences(lattice: Lattice, arity: int,
     vectors = _anchor_vectors(lattice, arity, limit)
     kinds = (RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE,
              RelationKind.SUBSETWISE_JOIN, RelationKind.SUBSETWISE_MEET)
-    for a, x in enumerate(vectors):
-        g, d, sj, sm = (_relation_row(lattice, kind, x) for kind in kinds)
-        split = (g ^ d) | (g ^ sj) | (g ^ sm)
-        if split:
-            b = _lowest(split)
+    for (a, g, *_), (_, dual, *_) in _walks(lattice, arity, *kinds[:2]):
+        x = vectors[a]
+        regions = [g, dual] + [[b for b in _related(lattice, kind, x)
+                                if b >= a] for kind in kinds[2:]]
+        if any(ys != g for ys in regions):
+            regions = [set(ys) for ys in regions]
+            b = min(set.union(*regions) - set.intersection(*regions))
             return SuiteResult(
                 "thm2", False, a * len(vectors) + b + 1,
                 ["conditions split at x=%s y=%s: %s"
                  % (format_vector(lattice, x),
                     format_vector(lattice, vectors[b]),
-                    " ".join("%s=%s" % (k.value, bool(row >> b & 1))
-                             for k, row in zip(kinds, (g, d, sj, sm))))])
+                    " ".join("%s=%s" % (kind.value, b in ys)
+                             for kind, ys in zip(kinds, regions)))])
     return SuiteResult("thm2", True, len(vectors) ** 2,
                        ["all four conditions agree on every pair"])
 
@@ -246,15 +259,16 @@ def suite_region_closure(lattice: Lattice, arity: int,
     if arity not in (2, 3):
         raise ValueError("example1 runs at arity 2 or 3, not %d" % arity)
     vectors = list(all_vectors(lattice, arity, limit))
-    for a, x in enumerate(vectors):
-        g = _relation_row(lattice, RelationKind.G_COMONOTONE, x)
-        union = (_relation_row(lattice, RelationKind.COMONOTONE, x)
-                 | _relation_row(lattice, RelationKind.COMPARABLE, x))
+    kinds = RelationKind.G_COMONOTONE, RelationKind.COMONOTONE
+    for (a, g, *_), (_, comonotone, *_) in _walks(lattice, arity, *kinds):
+        x = vectors[a]
+        g, union = set(g), set(comonotone).union(
+            b for b in _related(lattice, RelationKind.COMPARABLE, x) if b >= a)
         # arity 2: any difference breaks closure; arity 3: a g-comonotone
         # y outside the union is the strictness witness
-        found = g ^ union if arity == 2 else g & ~union
+        found = g ^ union if arity == 2 else g - union
         if found:
-            b = _lowest(found)
+            b = min(found)
             cases = a * len(vectors) + b + 1
             if arity == 2:
                 return SuiteResult(
@@ -262,7 +276,7 @@ def suite_region_closure(lattice: Lattice, arity: int,
                     ["closure breaks at x=%s y=%s: g=%s union=%s"
                      % (format_vector(lattice, x),
                         format_vector(lattice, vectors[b]),
-                        bool(g >> b & 1), bool(union >> b & 1))])
+                        b in g, b in union)])
             return SuiteResult(
                 "example1", True, cases,
                 ["strictness witness: y=%s is g-comonotone with "
@@ -332,7 +346,8 @@ def suite_lemmas(lattice: Lattice, arity: int, seed: int = 0,
                       | (below if below >> letter & 1 else 0)
                       | (above if above >> letter & 1 else 0)) & ~allowed
             if broken:
-                (a, b), (c, d) = divmod(letter, k), divmod(_lowest(broken), k)
+                (a, b), (c, d) = (divmod(letter, k),
+                                  divmod(next(_positions(broken)), k))
                 failures.append("relation inclusion breaks at x=%s y=%s" % (
                     format_vector(lattice, (a,) + (c,) * (arity - 1)),
                     format_vector(lattice, (b,) + (d,) * (arity - 1))))

@@ -312,6 +312,18 @@ def test_suite_duality_search_on_the_pentagon(capsys):
     assert "32 divergent pairs, first x=(0,b) y=(c,a)" in out
 
 
+def test_suite_duality_counts_both_orders_at_arity_four(capsys):
+    """On N5 at arity 4, past the arities the random sweeps reach, the
+    divergences found with x lex <= y are counted in both orders, and
+    the first is the lexicographically first pair."""
+    assert run(capsys, "theorem-suite", "thm1", "--lattice", "builtin:N5",
+               "--arity", "4") == (0, (
+                   "thm1: pass (390625 cases)\n"
+                   "  non-distributive lattice: 22688 divergent pairs, "
+                   "first x=(0,0,0,b) y=(0,0,c,a) g=True dual=False "
+                   "(recorded)\n"), "")
+
+
 def test_lemmas_record_the_distributive_only_lemmas_on_the_pentagon(capsys):
     code, out, _ = run(capsys, "theorem-suite", "lemmas",
                        "--lattice", "builtin:N5", "--arity", "2")
@@ -886,10 +898,12 @@ def test_benchmark_tracer_times_capacity_recovery(capsys, files):
 
 
 def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "lattice_sugeno.cli",
          "relations", "--lattice", "chain:11",
          "--x", "(6,3,5)", "--y", "(7,2,9)", "--kind", "g-comonotone"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0
     assert proc.stdout == "g-comonotone: true\n"

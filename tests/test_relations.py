@@ -29,7 +29,8 @@ from lattice_sugeno.cli import build_parser
 from lattice_sugeno.errors import guard_size
 from lattice_sugeno.relations import (
     _order_rows,
-    _relation_row,
+    _pair_test,
+    _related,
     compatibility_table,
     decode,
     encode,
@@ -672,6 +673,36 @@ def test_letter_table_matches_oracle_on_random_lattices(family):
         _assert_letter_table_matches(L, ref, kind)
 
 
+def _assert_comonotone_table_matches_the_order_test(L):
+    """The comonotone letter table, read off the up- and down-sets, is
+    the table of the order test of two letters, evaluated k^4 times."""
+    k = L.size
+    test = _pair_test(L, RelationKind.COMONOTONE)[1]
+    assert compatibility_table(L, RelationKind.COMONOTONE) == [
+        sum(1 << c * k + d for c in range(k) for d in range(k)
+            if test(a, b, c, d))
+        for a in range(k) for b in range(k)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ls.chain(1), lambda: ls.chain(2), lambda: ls.chain(9),
+    lambda: ls.boolean_lattice(3), ls.n5, ls.m3,
+    lambda: ls.product([ls.chain(2), ls.chain(3)]),
+    lambda: _unsorted_n5()[0]],
+    ids=["chain1", "chain2", "chain9", "boolean3", "N5", "M3", "prod23",
+         "unsorted-N5"])
+def test_comonotone_letter_table_matches_the_order_test(build):
+    _assert_comonotone_table_matches_the_order_test(build())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sets(st.integers(0, 7)))
+def test_comonotone_letter_table_matches_the_order_test_on_random_lattices(
+        family):
+    _assert_comonotone_table_matches_the_order_test(
+        _closure_lattice(family)[0])
+
+
 @pytest.mark.parametrize("kind", PAIRWISE, ids=lambda k: k.value)
 @pytest.mark.parametrize("name,arity", [
     (name, arity) for name in _TABLE_ZOO for arity in (1, 2, 3)
@@ -691,32 +722,26 @@ def test_pair_plan_matches_oracle_walk_on_random_lattices(family, arity,
     _assert_plan_matches(L, ref, kind, arity)
 
 
-# -- the verdict rows of the theorem suites ----------------------------------
+# -- the positions related to one anchor -------------------------------------
 
 
-def _ref_row(ref, kind, x, vectors):
-    return sum(1 << b for b, y in enumerate(vectors) if _REF[kind](ref, x, y))
+def _ref_positions(ref, kind, x, vectors):
+    return [b for b, y in enumerate(vectors) if _REF[kind](ref, x, y)]
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sets(st.integers(0, 7)), st.integers(1, 3))
-def test_verdict_rows_match_oracle_on_random_lattices(family, arity):
-    """Every row of every kind, the two subsetwise kinds included,
-    equals the definitional sweep over all y."""
+def test_related_matches_oracle_on_random_lattices(family, arity):
+    """The positions related to every anchor, for all six kinds, equal
+    the definitional sweep over all y, ascending."""
     L, ref = _closure_lattice(family)
     if L.size ** arity > 64:
         arity = 2
     vectors = list(itertools.product(range(L.size), repeat=arity))
     for x in vectors:
-        for kind in (RelationKind.COMONOTONE, RelationKind.COMPARABLE,
-                     RelationKind.G_COMONOTONE,
-                     RelationKind.DUAL_G_COMONOTONE):
-            assert _relation_row(L, kind, x) == _ref_row(ref, kind, x,
-                                                         vectors)
-        expected = (_ref_row(ref, RelationKind.SUBSETWISE_JOIN, x, vectors),
-                    _ref_row(ref, RelationKind.SUBSETWISE_MEET, x, vectors))
-        assert (_relation_row(L, RelationKind.SUBSETWISE_JOIN, x),
-                _relation_row(L, RelationKind.SUBSETWISE_MEET, x)) == expected
+        for kind in KINDS:
+            assert list(_related(L, kind, x)) == _ref_positions(
+                ref, kind, x, vectors), (kind, x)
 
 
 def _assert_order_rows_match(L, ref, arity):
@@ -749,7 +774,7 @@ def test_order_rows_on_an_n5_with_unsorted_indices():
 
 
 def test_theorem_suites_build_each_letter_table_once(monkeypatch):
-    """Every scope of ``all`` on chain:4 at arity 3, the verdict rows
+    """Every scope of ``all`` on chain:4 at arity 3, the suites' walks
     and the pair plans alike, shares one letter table per pairwise
     kind: counted as the distinct tables handed out."""
     built = {}
@@ -767,21 +792,18 @@ def test_theorem_suites_build_each_letter_table_once(monkeypatch):
 
 
 def _assert_memoized_rows_match(L, ref, arity):
-    """After ``all``, every row kept on the lattice is the row a fresh
-    lattice builds and the oracle's sweep; thm1 keeps the g and dual
-    rows of every vector, and no row of a kind that is not pairwise is
+    """After ``all``, every list of related positions kept on the
+    lattice, by the ranks of failing pair checks, is the list a fresh
+    lattice gives and the oracle's sweep; only pairwise kinds are
     kept."""
     run_scope("all", L, arity)
     vectors = list(itertools.product(range(L.size), repeat=arity))
-    assert {(kind, x) for kind in (RelationKind.G_COMONOTONE,
-                                   RelationKind.DUAL_G_COMONOTONE)
-            for x in vectors} <= set(L._rows)
-    assert {kind for kind, _ in L._rows} <= set(PAIRWISE)
+    assert {kind for kind, _ in L._regions} <= set(PAIRWISE)
     fresh = ls.from_covers("fresh", L.elements, [
         (L.elements[a], L.elements[b]) for a, b in L.cover_pairs()])
-    for (kind, x), row in L._rows.items():
-        assert row == _relation_row(fresh, kind, x)
-        assert row == _ref_row(ref, kind, x, vectors), (kind, x)
+    for (kind, x), ys in L._regions.items():
+        assert ys == _related(fresh, kind, x)
+        assert list(ys) == _ref_positions(ref, kind, x, vectors), (kind, x)
 
 
 #: builtin lattices and their references, by name
@@ -797,13 +819,25 @@ _NAMED = {"chain3": (lambda: (ls.chain(3), ref_chain(3))),
     ("chain4", 3), ("boolean2", 3), ("N5", 3), ("M3", 2),
     ("unsorted-N5", 2)])
 def test_memoized_rows_after_all_match_a_fresh_lattice(name, arity):
-    _assert_memoized_rows_match(*_NAMED[name](), arity)
+    L, ref = _NAMED[name]()
+    _assert_memoized_rows_match(L, ref, arity)
+    assert L._regions
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.sets(st.integers(0, 7)), st.integers(1, 2))
 def test_memoized_rows_after_all_match_on_random_lattices(family, arity):
     _assert_memoized_rows_match(*_closure_lattice(family), arity)
+
+
+@pytest.mark.parametrize("scope,lattice", [
+    ("thm1", ls.n5()), ("thm2", ls.boolean_lattice(2)),
+    ("example1", ls.chain(4))])
+def test_the_zipped_suites_keep_no_region(scope, lattice):
+    """thm1, thm2 and example1 read the walks of every anchor at once
+    and keep no list of related positions on the lattice."""
+    run_scope(scope, lattice, 3)
+    assert lattice._regions == {}
 
 
 def test_relation_pairs_refuses_too_many_subset_identities():
@@ -1151,15 +1185,15 @@ def _one_pass_subsetwise_rows(lattice, x):
 
 
 def _assert_subsetwise_rows_match(L, arity):
-    """Every anchor's two subsetwise rows, on one lattice whose set
-    verdicts are shared across anchors, equal the one-pass sweep; the
-    kinds are asked for in alternating order."""
+    """Every anchor's two subsetwise regions, on one lattice whose set
+    verdicts are shared across anchors, are the set bits of the one-pass
+    sweep's rows; the kinds are asked for in alternating order."""
     kinds = [RelationKind.SUBSETWISE_JOIN, RelationKind.SUBSETWISE_MEET]
     for a, x in enumerate(itertools.product(range(L.size), repeat=arity)):
-        rows = {kind: _relation_row(L, kind, x)
-                for kind in (kinds if a % 2 else kinds[::-1])}
-        assert (rows[kinds[0]], rows[kinds[1]]) == (
-            _one_pass_subsetwise_rows(L, x)), x
+        regions = {kind: _related(L, kind, x)
+                   for kind in (kinds if a % 2 else kinds[::-1])}
+        assert tuple(sum(1 << b for b in regions[kind]) for kind in kinds
+                     ) == _one_pass_subsetwise_rows(L, x), x
 
 
 _SUBSETWISE_ROW_ZOO = {
@@ -1220,21 +1254,34 @@ def test_theorem_suites_fold_each_letter_set_once(monkeypatch):
 
 
 # -- the FAIL lines of the theorem suites ------------------------------------
-# The theorems hold, so these lines only show when a row or a verdict is
+# The theorems hold, so these lines only show when what a suite reads is
 # broken on purpose.
 
 
 def _flip_row(kind, y):
-    """Break ``suites._relation_row``: y flipped in the row of x = (0,1)
-    of ``kind``."""
-    def rows(lattice, asked, anchor):
-        row = _relation_row(lattice, asked, anchor)
-        if asked is kind and anchor == (0, 1):
-            row ^= 1 << encode(y, lattice.size)
-        return row
+    """Break what a suite reads of ``kind``: y flipped among the y related
+    to x = (0,1), in the walk of a pairwise kind
+    (``suites.related_positions``), or else in ``suites._related``."""
+    def flipped(lattice, ys):
+        return sorted(set(ys) ^ {encode(y, lattice.size)})
+
+    def walk(lattice, asked, n, x=None, ordered=False):
+        anchor = encode((0, 1), lattice.size)
+        for a, ys, *rest in relations.related_positions(lattice, asked, n,
+                                                         x, ordered):
+            if asked is kind and a == anchor:
+                ys = flipped(lattice, ys)
+            yield (a, ys, *rest)
+
+    def related(lattice, asked, x):
+        ys = relations._related(lattice, asked, x)
+        return flipped(lattice, ys) if (asked, x) == (kind, (0, 1)) else ys
 
     def breaks(monkeypatch, lattice):
-        monkeypatch.setattr(suites, "_relation_row", rows)
+        if kind in PAIRWISE:
+            monkeypatch.setattr(suites, "related_positions", walk)
+        else:
+            monkeypatch.setattr(suites, "_related", related)
     return breaks
 
 
@@ -1272,7 +1319,9 @@ def _cut(kind, first, second):
 def test_a_broken_row_fails_its_suite(monkeypatch, suite, size, breaks,
                                       lines):
     """Each suite at arity 2 on a chain, with what it reads broken: thm1,
-    thm2 and example1 one bit of a row; lemmas the g letter table of
+    thm2 and example1 one y related to x = (0,1), in the dual walk, the
+    subsetwise meet region and the comparable region; lemmas the g
+    letter table of
     chain:2, where letters (0,0) and (1,0) are comonotone but made
     incompatible."""
     lattice = ls.chain(size)
@@ -1282,15 +1331,21 @@ def test_a_broken_row_fails_its_suite(monkeypatch, suite, size, breaks,
 
 
 def test_example1_without_a_strictness_witness_fails(monkeypatch):
-    """At arity 3 a g-comonotone row equal to the union leaves no
+    """At arity 3 a g-comonotone walk equal to the union leaves no
     strictness witness, after all 64^2 pairs."""
-    def rows(lattice, kind, x):
-        if kind is RelationKind.G_COMONOTONE:
-            return (_relation_row(lattice, RelationKind.COMONOTONE, x)
-                    | _relation_row(lattice, RelationKind.COMPARABLE, x))
-        return _relation_row(lattice, kind, x)
+    def walk(lattice, kind, n, x=None, ordered=False):
+        if kind is not RelationKind.G_COMONOTONE:
+            yield from relations.related_positions(lattice, kind, n, x,
+                                                   ordered)
+            return
+        for a, ys, *rest in relations.related_positions(
+                lattice, RelationKind.COMONOTONE, n, x, ordered):
+            comparable = relations._related(lattice, RelationKind.COMPARABLE,
+                                            decode(a, lattice.size, n))
+            yield (a, sorted(set(ys).union(b for b in comparable if b >= a)),
+                   *rest)
 
-    monkeypatch.setattr(suites, "_relation_row", rows)
+    monkeypatch.setattr(suites, "related_positions", walk)
     result = suites.suite_region_closure(ls.chain(4), 3)
     assert (result.passed, result.lines()) == (
         False, ["example1: FAIL (4096 cases)",
