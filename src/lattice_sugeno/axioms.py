@@ -24,7 +24,8 @@ the relations, and on a monotone table count those with x <= y
 coordinatewise without comparing them.  Checks stop at the first
 failure, so a false verdict reports fewer pairs: those of the anchors
 before the witness's x, plus the y related to x from x through the
-witness's y, counted by bisection in ``relations._related`` of x.
+witness's y, counted by bisection in the positions related to x from x
+on, which the plan keeps per anchor at which a check failed.
 
 The supremal/infimal kinds read their pairs from a PairPlan: per
 relation, arity and whether the table is monotone, anchor by anchor,
@@ -205,14 +206,19 @@ class PairPlan:
     a table can fail, and no plan holds an anchor without a pair.
     ``walk`` yields the anchors not yet built
     (``relations.related_positions``), and is None once all are;
-    ``total`` counts the pairs walked, held or not."""
+    ``total`` counts the pairs walked, held or not.  ``regions`` maps
+    the position a of an anchor at which a check failed to an array of
+    the positions related to x from x on, every pair and not only the
+    held ones, which ranks that check's witness and every later one
+    failing there."""
 
-    __slots__ = ("anchors", "total", "walk")
+    __slots__ = ("anchors", "total", "walk", "regions")
 
     def __init__(self, walk: Iterator[tuple]):
         self.anchors = []
         self.total = 0
         self.walk = walk
+        self.regions = {}
 
 
 def _is_monotone(f: FunctionTable) -> bool:
@@ -291,11 +297,12 @@ def relation_pairs(lattice: Lattice, arity: int, kind: RelationKind,
                  for b in _related(lattice, kind, x) if b >= a)
 
 
-_SUPREMAL_RELATION = {
-    AxiomKind.COMONOTONE_SUPREMAL: RelationKind.COMONOTONE,
-    AxiomKind.COMONOTONE_INFIMAL: RelationKind.COMONOTONE,
-    AxiomKind.G_COMONOTONE_SUPREMAL: RelationKind.G_COMONOTONE,
-    AxiomKind.G_COMONOTONE_INFIMAL: RelationKind.G_COMONOTONE,
+#: pair axiom kind -> (the relation its pairs stand in, supremal?)
+_PAIR_RELATION = {
+    AxiomKind.COMONOTONE_SUPREMAL: (RelationKind.COMONOTONE, True),
+    AxiomKind.COMONOTONE_INFIMAL: (RelationKind.COMONOTONE, False),
+    AxiomKind.G_COMONOTONE_SUPREMAL: (RelationKind.G_COMONOTONE, True),
+    AxiomKind.G_COMONOTONE_INFIMAL: (RelationKind.G_COMONOTONE, False),
 }
 
 
@@ -414,11 +421,9 @@ def axiom_check(f: FunctionTable, kind: AxiomKind) -> AxiomCheck:
             checked += len(points)
         return AxiomCheck(kind, True, None, checked)
 
-    if kind in _SUPREMAL_RELATION:
-        relation = _SUPREMAL_RELATION[kind]
+    if kind in _PAIR_RELATION:
+        relation, supremal = _PAIR_RELATION[kind]
         key, plan = _kept_plan(f, relation)
-        supremal = kind in (AxiomKind.COMONOTONE_SUPREMAL,
-                            AxiomKind.G_COMONOTONE_SUPREMAL)
         op = join_t if supremal else meet_t
         for a, start, ys, joins, meets in itertools.chain(
                 plan.anchors, _grow_plan(lattice, key, plan)):
@@ -427,10 +432,13 @@ def axiom_check(f: FunctionTable, kind: AxiomKind) -> AxiomCheck:
                 if values[c] != row[values[b]]:
                     # the pairs before x's, then x's from y = x through b
                     x = f.decode(a)
-                    own = _related(lattice, relation, x)
+                    kept = plan.regions.get(a)
+                    if kept is None:
+                        own = _related(lattice, relation, x)
+                        kept = plan.regions[a] = array(
+                            "i", own[bisect_left(own, a):])
                     return AxiomCheck(kind, False, (x, f.decode(b)),
-                                      start + bisect_right(own, b)
-                                      - bisect_left(own, a))
+                                      start + bisect_right(kept, b))
         return AxiomCheck(kind, True, None, plan.total)
 
     raise ValueError("unknown axiom kind: %r" % (kind,))

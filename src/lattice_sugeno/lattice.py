@@ -82,17 +82,15 @@ class Lattice:
         self._distributive_witness: tuple | None = None
         # built on first use: (arity, relation kind, monotone tables?)
         # -> axioms.PairPlan, its anchors built as far as the checks have
-        # read and the walk that yields the rest,
+        # read, the walk that yields the rest and, per anchor where a
+        # check failed, the positions related to it that rank witnesses,
         # pairwise kind -> its k^2 relations.compatibility_table bitsets,
         # subsetwise kind -> {letter set as a k^2-bit int: its closure of
         # (fold x, fold y) pairs, or None where the set fails},
-        # (pairwise kind, anchor x) -> an array of the positions of the y
-        # related to x, ascending (relations._related),
         # and (arity, homogeneity kind) -> the positions of x and, for
         # every c, of c ^ x (c v x), all built by the first axiom_check
         self._pair_cache: dict = {}
         self._letter_tables: dict = {}
-        self._regions: dict = {}
         self._homogeneity: dict = {}
 
     def _bound_table(self, rows, kind: str):

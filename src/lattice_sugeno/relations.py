@@ -38,7 +38,6 @@ kind, and regions, related pairs and the rank of a failing pair read it.
 """
 
 import itertools
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -421,9 +420,7 @@ def _related(lattice: Lattice, kind: RelationKind, x: tuple) -> Sequence:
     grown in time proportional to the region for every kind but
     comparable.
 
-    A pairwise kind reads ``related_positions`` walked for x alone, kept
-    on the lattice per kind and anchor as an ``array("i")``, since every
-    failing supremal or infimal check ranks its witness on one.
+    A pairwise kind reads ``related_positions`` walked for x alone.
     Comparable reads the set bits of x's two order rows.  A subsetwise
     prefix carries the set of letters (x_i, y_i) it uses, as a k^2-bit
     int: a verdict depends on that set alone, and every subset of a
@@ -435,11 +432,7 @@ def _related(lattice: Lattice, kind: RelationKind, x: tuple) -> Sequence:
         below, above = _order_rows(lattice, x)
         return list(_positions(below | above))
     if kind in PAIRWISE_KINDS:
-        ys = lattice._regions.get((kind, x))
-        if ys is None:
-            ys = lattice._regions[kind, x] = array("i", next(
-                related_positions(lattice, kind, len(x), x))[1])
-        return ys
+        return next(related_positions(lattice, kind, len(x), x))[1]
     k = lattice.size
     fold, test = _pair_test(lattice, kind)
     closures = lattice._letter_tables.setdefault(kind, {0: frozenset()})

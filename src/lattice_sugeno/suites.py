@@ -120,28 +120,24 @@ def suite_duality(lattice: Lattice, arity: int,
             divergences += 2 * len(g ^ dual)  # (x, y) and (y, x)
             if first is None:
                 b = min(g ^ dual)
-                first = (vectors[a], vectors[b], b in g, b in dual)
+                first = "x=%s y=%s g=%s dual=%s" % (
+                    format_vector(lattice, vectors[a]),
+                    format_vector(lattice, vectors[b]), b in g, b in dual)
     cases = len(vectors) ** 2
     details = []
     if distributive:
         passed = divergences == 0
         details.append("distributive lattice: expecting full agreement")
         if first is not None:
-            details.append("DIVERGENCE x=%s y=%s g=%s dual=%s"
-                           % (format_vector(lattice, first[0]),
-                              format_vector(lattice, first[1]),
-                              first[2], first[3]))
+            details.append("DIVERGENCE " + first)
     else:
         passed = True
         if first is None:
             details.append("non-distributive lattice: no divergence found "
                            "(recorded)")
         else:
-            details.append(
-                "non-distributive lattice: %d divergent pairs, first "
-                "x=%s y=%s g=%s dual=%s (recorded)"
-                % (divergences, format_vector(lattice, first[0]),
-                   format_vector(lattice, first[1]), first[2], first[3]))
+            details.append("non-distributive lattice: %d divergent pairs, "
+                           "first %s (recorded)" % (divergences, first))
     return SuiteResult("thm1", passed, cases, details)
 
 

@@ -32,7 +32,7 @@ from lattice_sugeno import (
 )
 
 from lattice_sugeno.axioms import (
-    _SUPREMAL_RELATION,
+    _PAIR_RELATION,
     _aggregation_fill,
     _monotone_along_covers,
 )
@@ -516,10 +516,36 @@ def test_a_failing_check_stops_at_the_anchor_of_its_witness(build, arity):
                 if res.holds:
                     continue
                 failures += 1
-                plan = L._pair_cache[arity, _SUPREMAL_RELATION[kind], True]
+                plan = L._pair_cache[arity, _PAIR_RELATION[kind][0], True]
                 assert plan.anchors[-1][0] == encode(res.witness[0], L.size)
                 assert plan.walk is not None
     assert failures > 0
+
+
+def test_failing_checks_at_one_anchor_read_its_region_once(monkeypatch):
+    """Two failing checks at one anchor of one plan rank their witnesses
+    on one list of related positions, kept in the plan: ``_related`` is
+    called once, and the second check equals one on a fresh lattice."""
+    calls = []
+    original = axioms_module._related
+
+    def counted(lattice, kind, x):
+        calls.append((kind, x))
+        return original(lattice, kind, x)
+
+    monkeypatch.setattr(axioms_module, "_related", counted)
+    L = ls.m3()
+    step = _three_tables(L, 3, seed=0)[0]
+    twin = FunctionTable(L, 3, step.values)
+    first = axiom_check(step, AxiomKind.COMONOTONE_SUPREMAL)
+    second = axiom_check(twin, AxiomKind.COMONOTONE_SUPREMAL)
+    assert not first.holds and second == first
+    plan = L._pair_cache[3, RelationKind.COMONOTONE, True]
+    a = encode(first.witness[0], L.size)
+    assert calls == [(RelationKind.COMONOTONE, first.witness[0])]
+    assert list(plan.regions) == [a]
+    fresh = FunctionTable(ls.m3(), 3, step.values)
+    assert axiom_check(fresh, AxiomKind.COMONOTONE_SUPREMAL) == second
 
 
 def test_an_interrupted_growth_drops_the_kept_plan():

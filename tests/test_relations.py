@@ -792,18 +792,25 @@ def test_theorem_suites_build_each_letter_table_once(monkeypatch):
 
 
 def _assert_memoized_rows_match(L, ref, arity):
-    """After ``all``, every list of related positions kept on the
-    lattice, by the ranks of failing pair checks, is the list a fresh
-    lattice gives and the oracle's sweep; only pairwise kinds are
-    kept."""
+    """After ``all``, every list of related positions a pair plan keeps
+    to rank its failing checks is, for its anchor x, the list from x on
+    that a fresh lattice gives and the oracle's sweep; returns how many
+    lists were kept."""
     run_scope("all", L, arity)
     vectors = list(itertools.product(range(L.size), repeat=arity))
-    assert {kind for kind, _ in L._regions} <= set(PAIRWISE)
     fresh = ls.from_covers("fresh", L.elements, [
         (L.elements[a], L.elements[b]) for a, b in L.cover_pairs()])
-    for (kind, x), ys in L._regions.items():
-        assert ys == _related(fresh, kind, x)
-        assert list(ys) == _ref_positions(ref, kind, x, vectors), (kind, x)
+    kept = 0
+    for (n, kind, _), plan in L._pair_cache.items():
+        assert n == arity and kind in PAIRWISE
+        for a, ys in plan.regions.items():
+            x = vectors[a]
+            assert list(ys) == [b for b in _related(fresh, kind, x)
+                                if b >= a]
+            assert list(ys) == [b for b in _ref_positions(
+                ref, kind, x, vectors) if b >= a], (kind, x)
+            kept += 1
+    return kept
 
 
 #: builtin lattices and their references, by name
@@ -820,8 +827,7 @@ _NAMED = {"chain3": (lambda: (ls.chain(3), ref_chain(3))),
     ("unsorted-N5", 2)])
 def test_memoized_rows_after_all_match_a_fresh_lattice(name, arity):
     L, ref = _NAMED[name]()
-    _assert_memoized_rows_match(L, ref, arity)
-    assert L._regions
+    assert _assert_memoized_rows_match(L, ref, arity)
 
 
 @settings(max_examples=15, deadline=None)
@@ -835,9 +841,19 @@ def test_memoized_rows_after_all_match_on_random_lattices(family, arity):
     ("example1", ls.chain(4))])
 def test_the_zipped_suites_keep_no_region(scope, lattice):
     """thm1, thm2 and example1 read the walks of every anchor at once
-    and keep no list of related positions on the lattice."""
+    and build no pair plan, so no plan keeps a region of theirs."""
     run_scope(scope, lattice, 3)
-    assert lattice._regions == {}
+    assert lattice._pair_cache == {}
+
+
+def test_regions_and_relation_pairs_leave_no_plan_behind():
+    """A region and the related pairs of every kind are read off
+    ``_related`` and build no pair plan on the lattice."""
+    L = ls.n5()
+    for kind in KINDS:
+        relation_region(L, kind, (1, 2, 3))
+        relation_pairs(L, 2, kind)
+    assert L._pair_cache == {}
 
 
 def test_relation_pairs_refuses_too_many_subset_identities():
