@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import os
 import resource
@@ -881,6 +882,25 @@ def test_benchmark_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert all(getattr(getattr(ls, m), n) is fn
                for (m, n), fn in before.items())
+
+
+def test_benchmark_tracer_names_read_nowhere_are_pinned():
+    """The names the benchmark's tracer wraps that their own module
+    never reads, found by AST, are exactly the five bound only for it.
+    A refactor that drops the last call site of any other wrapped name
+    fails here, instead of leaving its per-layer metric at zero."""
+    unread = set()
+    for module, names in _benchmark_tracing()._PATCHES.items():
+        with open(getattr(ls, module).__file__) as source:
+            tree = ast.parse(source.read())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unread |= {(module, n) for n in names if n not in read}
+    assert unread == {("axioms", "sugeno"), ("axioms", "relation_check"),
+                      ("axioms", "relation_pairs"),
+                      ("suites", "relation_check"),
+                      ("recognizer", "sugeno")}
 
 
 def test_benchmark_tracer_times_capacity_recovery(capsys, files):

@@ -673,34 +673,56 @@ def test_letter_table_matches_oracle_on_random_lattices(family):
         _assert_letter_table_matches(L, ref, kind)
 
 
-def _assert_comonotone_table_matches_the_order_test(L):
-    """The comonotone letter table, read off the up- and down-sets, is
-    the table of the order test of two letters, evaluated k^4 times."""
+def _assert_table_matches_the_pair_test(L, kind):
+    """The letter table of a pairwise kind, read off the up- and
+    down-sets for comonotone and built row by row from the meet and join
+    tables for the others, is the table of the kind's test of two
+    letters, ``_pair_test``, evaluated k^4 times."""
     k = L.size
-    test = _pair_test(L, RelationKind.COMONOTONE)[1]
-    assert compatibility_table(L, RelationKind.COMONOTONE) == [
+    test = _pair_test(L, kind)[1]
+    assert compatibility_table(L, kind) == [
         sum(1 << c * k + d for c in range(k) for d in range(k)
             if test(a, b, c, d))
         for a in range(k) for b in range(k)]
 
 
-@pytest.mark.parametrize("build", [
-    lambda: ls.chain(1), lambda: ls.chain(2), lambda: ls.chain(9),
-    lambda: ls.boolean_lattice(3), ls.n5, ls.m3,
-    lambda: ls.product([ls.chain(2), ls.chain(3)]),
-    lambda: _unsorted_n5()[0]],
-    ids=["chain1", "chain2", "chain9", "boolean3", "N5", "M3", "prod23",
-         "unsorted-N5"])
+_PAIR_TEST_ZOO = {
+    "chain1": lambda: ls.chain(1), "chain2": lambda: ls.chain(2),
+    "chain9": lambda: ls.chain(9), "boolean3": lambda: ls.boolean_lattice(3),
+    "N5": ls.n5, "M3": ls.m3,
+    "prod23": lambda: ls.product([ls.chain(2), ls.chain(3)]),
+    "unsorted-N5": lambda: _unsorted_n5()[0]}
+
+
+@pytest.mark.parametrize("build", _PAIR_TEST_ZOO.values(), ids=_PAIR_TEST_ZOO)
 def test_comonotone_letter_table_matches_the_order_test(build):
-    _assert_comonotone_table_matches_the_order_test(build())
+    _assert_table_matches_the_pair_test(build(), RelationKind.COMONOTONE)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sets(st.integers(0, 7)))
 def test_comonotone_letter_table_matches_the_order_test_on_random_lattices(
         family):
-    _assert_comonotone_table_matches_the_order_test(
-        _closure_lattice(family)[0])
+    _assert_table_matches_the_pair_test(_closure_lattice(family)[0],
+                                        RelationKind.COMONOTONE)
+
+
+_INTERCHANGE = [RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE]
+
+
+@pytest.mark.parametrize("kind", _INTERCHANGE, ids=lambda k: k.value)
+@pytest.mark.parametrize("build", _PAIR_TEST_ZOO.values(), ids=_PAIR_TEST_ZOO)
+def test_interchange_letter_tables_match_the_pair_test(build, kind):
+    _assert_table_matches_the_pair_test(build(), kind)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sets(st.integers(0, 7)))
+def test_interchange_letter_tables_match_the_pair_test_on_random_lattices(
+        family):
+    L = _closure_lattice(family)[0]
+    for kind in _INTERCHANGE:
+        _assert_table_matches_the_pair_test(L, kind)
 
 
 @pytest.mark.parametrize("kind", PAIRWISE, ids=lambda k: k.value)
