@@ -342,8 +342,7 @@ def parse_table(text: str, lattice: Lattice,
     checked in a fixed order: the arrow, then the literal as
     parse_vector reads a --x (its parentheses, then the names of its
     coordinates, reported without a line number), the count, a repeated
-    point, and the value.  A literal spelled as a canonical point key is
-    looked up among those keys, which is the same reading.
+    point, and the value.
     """
     lines, names, k = text.splitlines(), lattice.elements, lattice.size
     content = _content_lines(lines)
@@ -353,44 +352,33 @@ def parse_table(text: str, lattice: Lattice,
     name, arity = _parse_header(header, "table", lattice, path, lineno)
     guard_size(k, arity, "points")
     guard_size(2, arity, "subsets")
-    # a name with a comma, "#", "->" or whitespace, or an empty one, would
-    # make a canonical point key read otherwise below; the keys are built
-    # only for text with a line per point, so never beyond the input
-    points = {}
-    if len(lines) > k ** arity and all(
+    # the bulk check: a name with a comma, "#", "->" or whitespace, or an
+    # empty one, would make a canonical line read otherwise below
+    if lineno == 1 and len(lines) == k ** arity + 1 and all(
             e.split() == [e] and "," not in e and "#" not in e
             and "->" not in e for e in names):
-        prefixes = _point_prefixes(names, arity)
-        # the bulk check
-        if lineno == 1 and len(lines) == k ** arity + 1:
-            keys = [p + e + ") -> " for p in prefixes for e in names]
-            if all(map(str.startswith, itertools.islice(lines, 1, None),
-                       keys)):
-                values = list(map(lattice._index.get, map(
-                    str.removeprefix, itertools.islice(lines, 1, None),
-                    keys)))
-                if None not in values:
-                    return FunctionTable._trusted(lattice, arity, values,
-                                                  name=name)
-        # the line reader's literals in canonical form, by position
-        points = {p + e + ")": pos for pos, (p, e) in
-                  enumerate(itertools.product(prefixes, names))}
+        keys = [p + e + ") -> " for p in _point_prefixes(names, arity)
+                for e in names]
+        if all(map(str.startswith, itertools.islice(lines, 1, None), keys)):
+            values = list(map(lattice._index.get, map(
+                str.removeprefix, itertools.islice(lines, 1, None), keys)))
+            if None not in values:
+                return FunctionTable._trusted(lattice, arity, values,
+                                              name=name)
     values = [None] * k ** arity
     for lineno, line in content:
         left, arrow, right = line.partition("->")
         if not arrow:
             raise ParseError("expected '(x1,...,xn) -> <element>'",
                              path, lineno)
-        pos = points.get(left.rstrip())
-        if pos is None:
-            x = parse_vector(left, lattice, path)
-            if len(x) != arity:
-                raise ParseError("vector has %d coordinates, table wants %d"
-                                 % (len(x), arity), path, lineno)
-            pos = encode(x, k)
+        x = parse_vector(left, lattice, path)
+        if len(x) != arity:
+            raise ParseError("vector has %d coordinates, table wants %d"
+                             % (len(x), arity), path, lineno)
+        pos = encode(x, k)
         if values[pos] is not None:
-            raise ParseError("input %s assigned twice" % format_vector(
-                lattice, decode(pos, k, arity)), path, lineno)
+            raise ParseError("input %s assigned twice"
+                             % format_vector(lattice, x), path, lineno)
         values[pos] = _parse_element(right, lattice, path, lineno)
     if None in values:
         missing = decode(values.index(None), k, arity)

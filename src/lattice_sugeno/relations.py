@@ -16,9 +16,9 @@ opposite directions":
 
 These four share fold_I(pair(x_i, y_i)) == pair(fold_I x, fold_I y).
 ``_pair_test`` resolves every kind but comparable, once per check,
-letter table or region, to its fold and one test of two letters: the
-order test for comonotone, that identity on two letters for the other
-four.  The subsetwise identity is decided by ``_extend``, which grows
+letter table or region, to its fold, its pair and one test of two
+letters: the order test for comonotone, that identity on two letters
+for the other four.  The subsetwise identity is decided by ``_extend``, which grows
 the closure of (fold_I x, fold_I y) pairs, at most k^2 of them, one
 letter at a time, testing the new letter against each pair.
 
@@ -90,9 +90,10 @@ def check_vector(lattice: Lattice, x: Sequence[int]) -> tuple:
 
 
 def _pair_test(lattice: Lattice, kind: RelationKind) -> tuple:
-    """(fold, test) of every kind but comparable, on the letters (a, b)
-    and (c, d): ``test(a, b, c, d)`` is whether both are ordered the same
-    way, for comonotone (fold None), or fold(pair(a, b), pair(c, d)) ==
+    """(fold, pair, test) of every kind but comparable, on the letters
+    (a, b) and (c, d): ``test(a, b, c, d)`` is whether both are ordered
+    the same way, for comonotone (fold and pair None), or
+    fold(pair(a, b), pair(c, d)) ==
     pair(fold(a, c), fold(b, d)), with (fold, pair) = (meet, join) for
     g-comonotone and subsetwise join agreement, (join, meet) for the dual
     and subsetwise meet agreement.  A letter is the (x_i, y_i) of one
@@ -104,7 +105,7 @@ def _pair_test(lattice: Lattice, kind: RelationKind) -> tuple:
         def test(a, b, c, d):
             return bool((up[a] >> c & 1 and up[b] >> d & 1) or
                         (up[c] >> a & 1 and up[d] >> b & 1))
-        return None, test
+        return None, None, test
     if kind in (RelationKind.G_COMONOTONE, RelationKind.SUBSETWISE_JOIN):
         fold, pair = lattice._meet, lattice._join
     elif kind in (RelationKind.DUAL_G_COMONOTONE,
@@ -115,7 +116,7 @@ def _pair_test(lattice: Lattice, kind: RelationKind) -> tuple:
 
     def test(a, b, c, d):
         return fold[pair[a][b]][pair[c][d]] == pair[fold[a][c]][fold[b][d]]
-    return fold, test
+    return fold, pair, test
 
 
 def relation_check(lattice: Lattice, kind: RelationKind,
@@ -145,7 +146,7 @@ def relation_check(lattice: Lattice, kind: RelationKind,
     checked = 0
 
     if kind in PAIRWISE_KINDS:
-        test = _pair_test(lattice, kind)[1]
+        test = _pair_test(lattice, kind)[2]
         for i in range(n):
             for j in range(i + 1, n):
                 checked += 1
@@ -173,7 +174,7 @@ def relation_check(lattice: Lattice, kind: RelationKind,
     # subsetwise kinds: every mask with top bit j comes after those below
     # j, so the first failure's top bit is the first coordinate whose
     # letter fails against the closure of the letters before it
-    fold, test = _pair_test(lattice, kind)
+    fold, _, test = _pair_test(lattice, kind)
     closure = {}  # (fold x, fold y) -> the first coordinate producing it
     for j, (a, b) in enumerate(zip(x, y)):
         grown = _extend(fold, test, closure.keys(), a, b)
@@ -271,9 +272,9 @@ def compatibility_table(lattice: Lattice, kind: RelationKind) -> list:
         # row by row: letter (c, d) fits (a, b) when fold[p][pair[c][d]],
         # p = pair[a][b], equals pair[fold[a][c]][fold[b][d]]; both sides
         # of a row are k^2 bytes in letter order, translated from rows of
-        # the two tables, and compared byte by byte
-        fold = _pair_test(lattice, kind)[0]
-        pair = lattice._join if fold is lattice._meet else lattice._meet
+        # the two tables, and compared byte by byte.  The guard above
+        # keeps k <= 56, so every element is one byte.
+        fold, pair, _ = _pair_test(lattice, kind)
         pad = bytes(256 - k)
         fold_maps = [bytes(row) + pad for row in fold]
         pair_maps = [bytes(row) + pad for row in pair]
@@ -457,7 +458,7 @@ def _related(lattice: Lattice, kind: RelationKind, x: tuple) -> Sequence:
     if kind in PAIRWISE_KINDS:
         return next(related_positions(lattice, kind, len(x), x))[1]
     k = lattice.size
-    fold, test = _pair_test(lattice, kind)
+    fold, _, test = _pair_test(lattice, kind)
     closures = lattice._letter_tables.setdefault(kind, {0: frozenset()})
     frontier = [(0, 0)]  # (prefix position of y, letters used)
     for v in x:

@@ -679,7 +679,7 @@ def _assert_table_matches_the_pair_test(L, kind):
     tables for the others, is the table of the kind's test of two
     letters, ``_pair_test``, evaluated k^4 times."""
     k = L.size
-    test = _pair_test(L, kind)[1]
+    test = _pair_test(L, kind)[2]
     assert compatibility_table(L, kind) == [
         sum(1 << c * k + d for c in range(k) for d in range(k)
             if test(a, b, c, d))
