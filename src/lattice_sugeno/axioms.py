@@ -37,9 +37,14 @@ built so far, then pulls one more anchor at a time while every pair
 holds, so a check that fails stops at the anchor of its witness and
 leaves the rest unbuilt for the next one.  A check compares table
 values by position, f(x v y) against f(x) v f(y), and decodes vectors
-only for the witness.  The homogeneity kinds likewise read the
-positions of x and of c ^ x (c v x) from lists kept per (arity, kind)
-on the lattice, every c's list built by the first check of that kind.
+only for the witness.  The homogeneity kinds compare, for each c, the
+row of f(c ^ x) (f(c v x)) against the row of c ^ f(x) (c v f(x)) over
+every point x as two byte strings: the first read from the table by a
+getter of the positions of c ^ x, the second translated from the row
+of f(x) by the byte map v -> c ^ v.  The points, the getters and the
+maps are kept per (arity, kind) on the lattice, built by the first
+check of that kind; only a row that differs is scanned for its first
+point.
 """
 
 import itertools
@@ -47,7 +52,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from operator import add, ne
+from operator import add, itemgetter, ne
 from typing import Callable, Iterator, Sequence
 
 from .capacity import (
@@ -393,29 +398,45 @@ def axiom_check(f: FunctionTable, kind: AxiomKind) -> AxiomCheck:
         letters = (lattice.bottom, lattice.top) if cube else range(k)
         op = meet_t if infside else join_t
 
-        def positions(digits) -> array:
+        def positions(digits) -> list:
             # positions of the domain's points with each letter replaced
             # by its digit, in domain order, built one coordinate at a time
             out = [0]
             for _ in range(n):
                 out = [p * k + d for p in out for d in digits]
-            return array("i", out)
+            return out
+
+        def getter(pos: list) -> itemgetter:
+            # a getter of one position returns the bare value, so a
+            # one-point domain takes a slice of one
+            return itemgetter(*pos) if len(pos) > 1 else itemgetter(
+                slice(pos[0], pos[0] + 1))
 
         # kept on the lattice for every table checked there: the points
-        # x (all of them, or the cube's), and per c the points c op x
+        # x (all of them, or the cube's) and, per c, a getter of the
+        # values at the points c op x and the map v -> c op v, a byte
+        # translation table while every element fits in a byte
+        wide = k > 256
         cached = lattice._homogeneity.get((n, kind))
         if cached is None:
             points = positions(letters) if cube else range(len(values))
             cached = lattice._homogeneity[n, kind] = (points, [
-                positions([op[c][v] for v in letters]) for c in range(k)])
-        points, scaled = cached
-        fx = [values[a] for a in points] if cube else values
-        for c in range(k):
-            scale = op[c]
-            failed = next(itertools.compress(itertools.count(), map(
-                ne, map(values.__getitem__, scaled[c]),
-                map(scale.__getitem__, fx))), None)
-            if failed is not None:
+                getter(positions([op[c][v] for v in letters]))
+                for c in range(k)], [
+                op[c] if wide else bytes(op[c]) + bytes(256 - k)
+                for c in range(k)])
+        points, getters, scales = cached
+        # each row, f(c op x) against c op f(x) over every point x, is
+        # compared as two byte strings, or as tuples past one byte
+        pack = tuple if wide else bytes
+        fx = pack([values[a] for a in points] if cube else values)
+        for c, (get, scale) in enumerate(zip(getters, scales)):
+            left = pack(get(values))
+            right = (tuple(map(scale.__getitem__, fx)) if wide
+                     else fx.translate(scale))
+            if left != right:
+                failed = next(itertools.compress(itertools.count(), map(
+                    ne, left, right)))
                 return AxiomCheck(kind, False, (c, f.decode(points[failed])),
                                   checked + failed + 1)
             checked += len(points)

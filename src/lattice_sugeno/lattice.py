@@ -87,8 +87,10 @@ class Lattice:
         # pairwise kind -> its k^2 relations.compatibility_table bitsets,
         # subsetwise kind -> {letter set as a k^2-bit int: its closure of
         # (fold x, fold y) pairs, or None where the set fails},
-        # and (arity, homogeneity kind) -> the positions of x and, for
-        # every c, of c ^ x (c v x), all built by the first axiom_check
+        # and (arity, homogeneity kind) -> the points x and, for every
+        # c, a getter of a table's values at the points c ^ x (c v x) and
+        # the byte map v -> c ^ v (c v v), all built by the first
+        # axiom_check
         self._pair_cache: dict = {}
         self._letter_tables: dict = {}
         self._homogeneity: dict = {}

@@ -20,7 +20,10 @@ letter table or region, to its fold, its pair and one test of two
 letters: the order test for comonotone, that identity on two letters
 for the other four.  The subsetwise identity is decided by ``_extend``, which grows
 the closure of (fold_I x, fold_I y) pairs, at most k^2 of them, one
-letter at a time, testing the new letter against each pair.
+letter at a time, testing the new letter against each pair.  Whether
+g-comonotone, its dual and the subsetwise kinds agree on every pair of
+an arity is decided on letters alone by ``_four_kinds_agree``: the g
+and dual letter tables, and the closures of the cliques of the g table.
 
 Checks short-circuit on the first failing identity and report it as a
 witness, along with how many identities were evaluated.  Questions over
@@ -220,6 +223,55 @@ def _extend(fold, test, closure, a: int, b: int):
             return None
         grown.add((fold[a][c], fold[b][d]))
     return closure | grown
+
+
+def _four_kinds_agree(lattice: Lattice, n: int) -> bool:
+    """Whether g-comonotone, its dual and the two subsetwise kinds relate
+    exactly the same vector pairs at arity n.
+
+    Each verdict depends only on the set of letters (x_i, y_i) a pair
+    uses, and at arity n every set of at most n letters is used by some
+    pair.  A set is g-related (dual-related) when it is a clique of the
+    kind's letter table, and a subsetwise kind holds only on a g-clique,
+    since every two of the set's letters must hold.  On two letters the
+    subsetwise-join test is the g test and the subsetwise-meet test the
+    dual one.  So the four agree at n = 1 always, and at n >= 2 exactly
+    when the g and dual tables are equal and every clique of 3 to n
+    letters holds for both subsetwise kinds.  Cliques are searched depth
+    first in increasing letter order, each child costing one ``_extend``
+    per subsetwise kind on its parent's closures.
+    """
+    if n == 1:
+        return True
+    table = compatibility_table(lattice, RelationKind.G_COMONOTONE)
+    if table != compatibility_table(lattice,
+                                    RelationKind.DUAL_G_COMONOTONE):
+        return False
+    if n == 2:
+        return True
+    k = lattice.size
+    join_fold, _, join_test = _pair_test(lattice, RelationKind.SUBSETWISE_JOIN)
+    meet_fold, _, meet_test = _pair_test(lattice, RelationKind.SUBSETWISE_MEET)
+    # per clique on the path: the letters that may extend it, ascending,
+    # and its closures for the two kinds; the root is the empty clique
+    every = (1 << k * k) - 1
+    stack = [(_positions(every), every, frozenset(), frozenset())]
+    while stack:
+        todo, allowed, joins, meets = stack[-1]
+        letter = next(todo, None)
+        if letter is None:
+            stack.pop()
+            continue
+        a, b = divmod(letter, k)
+        joins = _extend(join_fold, join_test, joins, a, b)
+        meets = _extend(meet_fold, meet_test, meets, a, b)
+        if joins is None or meets is None:
+            return False
+        if len(stack) < n:
+            rest = allowed & table[letter] >> letter + 1 << letter + 1
+            if rest:
+                stack.append((_positions(rest), rest, joins, meets))
+    return True
 
 
 def relation_holds(lattice: Lattice, kind: RelationKind,

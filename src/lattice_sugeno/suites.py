@@ -25,15 +25,22 @@ A suite that cannot apply (wrong lattice shape, domain too large) is
 reported as skipped rather than failed, except where the caller's
 request is outright contradictory.
 
-thm1, thm2 and example1 zip the walks of their pairwise kinds
+thm1 and thm2 decide on the letter tables kept on the lattice: every
+verdict of g, its dual and the subsetwise kinds depends only on the set
+of letters (x_i, y_i) a pair uses, so at arity n >= 2 g and its dual
+agree exactly when their letter tables are equal, and the four kinds
+of thm2 agree exactly when ``relations._four_kinds_agree`` says so.
+Only where a table or a clique of letters tells the kinds apart do
+thm1 and thm2, like example1, zip the walks of their pairwise kinds
 (``relations.related_positions``), each anchor x with the y from x on,
-and read the other kinds for x alone (``relations._related``).  Every
-relation is symmetric and holds on the diagonal, so the first anchor
-with a divergence, a split or a witness has it at some y > x.  The
-relation lemmas read letter tables; thm1, thm2 and lemmas refuse more
-than ``limit`` k^2n vector pairs.  Letter tables and pair plans are
-kept on the lattice, so under ``all`` each is built once and shared by
-every suite.
+and read the other kinds for x alone (``relations._related``), for
+the count and the first witness.  Every relation is symmetric and
+holds on the diagonal, so the first anchor with a divergence, a split
+or a witness has it at some y > x.  The relation lemmas read letter
+tables too.  thm1, thm2 and lemmas refuse more than ``limit`` k^2n
+vector pairs, walked or not.  Letter tables and pair plans are kept on
+the lattice, so under ``all`` each is built once and shared by every
+suite.
 """
 
 from dataclasses import dataclass, field
@@ -55,6 +62,7 @@ from .lattice import Lattice, is_distributive
 from .recognizer import RecognitionMethod, recognize
 from .relations import (
     RelationKind,
+    _four_kinds_agree,
     _positions,
     _related,
     all_vectors,
@@ -114,7 +122,12 @@ def suite_duality(lattice: Lattice, arity: int,
     divergences = 0
     first = None
     kinds = RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE
-    for (a, g, *_), (_, dual, *_) in _walks(lattice, arity, *kinds):
+    # at arity 1 every pair is one letter, related by both; beyond, a
+    # pair of two letters tells the kinds apart wherever the tables do
+    equal = arity == 1 or (compatibility_table(lattice, kinds[0])
+                           == compatibility_table(lattice, kinds[1]))
+    walks = () if equal else _walks(lattice, arity, *kinds)
+    for (a, g, *_), (_, dual, *_) in walks:
         if g != dual:
             g, dual = set(g), set(dual)
             divergences += 2 * len(g ^ dual)  # (x, y) and (y, x)
@@ -153,7 +166,10 @@ def suite_four_equivalences(lattice: Lattice, arity: int,
     vectors = _anchor_vectors(lattice, arity, limit)
     kinds = (RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE,
              RelationKind.SUBSETWISE_JOIN, RelationKind.SUBSETWISE_MEET)
-    for (a, g, *_), (_, dual, *_) in _walks(lattice, arity, *kinds[:2]):
+    # the walk runs only to find the first split the letters promise
+    walks = () if _four_kinds_agree(lattice, arity) else _walks(
+        lattice, arity, *kinds[:2])
+    for (a, g, *_), (_, dual, *_) in walks:
         x = vectors[a]
         regions = [g, dual] + [[b for b in _related(lattice, kind, x)
                                 if b >= a] for kind in kinds[2:]]

@@ -37,7 +37,7 @@ from lattice_sugeno.axioms import (
     _monotone_along_covers,
 )
 from lattice_sugeno.fileio import format_table, parse_table
-from lattice_sugeno.relations import encode
+from lattice_sugeno.relations import decode, encode
 import lattice_sugeno.axioms as axioms_module
 from lattice_sugeno.capacity import _MonotoneFill
 
@@ -54,7 +54,12 @@ from _oracles import (
     ref_n5,
     ref_product,
 )
-from test_relations import _TABLE_ZOO, _assert_plan_matches, _closure_lattice
+from test_relations import (
+    _TABLE_ZOO,
+    _RefChain,
+    _assert_plan_matches,
+    _closure_lattice,
+)
 
 
 def h_table(chain3):
@@ -905,7 +910,13 @@ _HOMOGENEITY_AXIOMS = (
     (ls.n5(), ref_n5(), 2),
     (ls.m3(), ref_m3(), 1),
     (ls.chain(1), ref_chain(1), 2),
-], ids=["chain4", "boolean2", "prod23", "N5", "M3", "chain1"])
+    # one point at arity 1: a getter of one position
+    (ls.chain(1), ref_chain(1), 1),
+    (ls.chain(1), ref_chain(1), 3),
+    # built through the API: element indices past one byte
+    (ls.chain(300), _RefChain(300), 1),
+], ids=["chain4", "boolean2", "prod23", "N5", "M3", "chain1", "chain1-n1",
+        "chain1-n3", "chain300"])
 def test_homogeneity_matches_an_ordered_oracle_walk(L, ref, arity):
     """Each homogeneity axiom's verdict, witness and pairs_checked equal
     a walk over c, then x in product order (the {bottom, top} cube for
@@ -972,10 +983,18 @@ def test_homogeneity_positions_are_shared_across_tables(kind, opname,
         assert (res.holds, res.witness, res.pairs_checked) == expected
         assert (again.holds, again.witness, again.pairs_checked) == expected
         assert (res.witness or (None,))[0] == failing_c
-        # the first check builds the scaled positions of every c
-        _, scaled = L._homogeneity[arity, kind]
-        built = [row is not None for row in scaled]
-        assert built == [True, True, True, True]
+        # the first check builds, for every c, the getter of f at the
+        # points c op x and the byte map v -> c op v
+        points, getters, scales = L._homogeneity[arity, kind]
+        letters = (L.bottom, L.top) if boolean else range(L.size)
+        domain = list(itertools.product(letters, repeat=arity))
+        assert [decode(p, L.size, arity) for p in points] == domain
+        op = getattr(ref, opname)
+        for c, (get, scale) in enumerate(zip(getters, scales)):
+            assert tuple(get(range(L.size ** arity))) == tuple(
+                encode([op(c, v) for v in x], L.size) for x in domain)
+            assert scale == bytes(op(c, v) for v in range(L.size)) + bytes(
+                256 - L.size)
     assert list(L._homogeneity) == [(arity, kind)]
 
 

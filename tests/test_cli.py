@@ -325,6 +325,28 @@ def test_suite_duality_counts_both_orders_at_arity_four(capsys):
                    "(recorded)\n"), "")
 
 
+@pytest.mark.parametrize("spec, cases", [
+    ("chain:3", 6561), ("boolean:2", 65536)])
+def test_suite_four_equivalences_on_cliques_of_four_letters(capsys, spec,
+                                                            cases):
+    """At arity 4 thm2 folds cliques of up to four letters; the lines are
+    those of the walk over every pair that the letters replaced."""
+    assert run(capsys, "theorem-suite", "thm2", "--lattice", spec,
+               "--arity", "4") == (0, (
+                   "thm2: pass (%d cases)\n"
+                   "  all four conditions agree on every pair\n" % cases), "")
+
+
+def test_suite_duality_on_m3_finds_no_divergence(capsys):
+    """M3 is not distributive, yet its g and dual letter tables are equal,
+    so no pair diverges and nothing is walked."""
+    assert run(capsys, "theorem-suite", "thm1", "--lattice", "builtin:M3",
+               "--arity", "3") == (0, (
+                   "thm1: pass (15625 cases)\n"
+                   "  non-distributive lattice: no divergence found "
+                   "(recorded)\n"), "")
+
+
 def test_lemmas_record_the_distributive_only_lemmas_on_the_pentagon(capsys):
     code, out, _ = run(capsys, "theorem-suite", "lemmas",
                        "--lattice", "builtin:N5", "--arity", "2")

@@ -28,6 +28,7 @@ from lattice_sugeno.axioms import (
 from lattice_sugeno.cli import build_parser
 from lattice_sugeno.errors import guard_size
 from lattice_sugeno.relations import (
+    _four_kinds_agree,
     _order_rows,
     _pair_test,
     _related,
@@ -796,9 +797,10 @@ def test_order_rows_on_an_n5_with_unsorted_indices():
 
 
 def test_theorem_suites_build_each_letter_table_once(monkeypatch):
-    """Every scope of ``all`` on chain:4 at arity 3, the suites' walks
-    and the pair plans alike, shares one letter table per pairwise
-    kind: counted as the distinct tables handed out."""
+    """Every scope of ``all`` on chain:4 at arity 3, the suites' letter
+    decisions and the pair plans alike, shares one letter table per
+    pairwise kind: counted as the distinct tables handed out, to
+    ``relations`` and to ``suites``."""
     built = {}
     original = relations.compatibility_table
 
@@ -808,6 +810,7 @@ def test_theorem_suites_build_each_letter_table_once(monkeypatch):
         return table
 
     monkeypatch.setattr(relations, "compatibility_table", counted)
+    monkeypatch.setattr(suites, "compatibility_table", counted)
     run_scope("all", ls.chain(4), 3)
     assert {kind: len(tables) for kind, tables in built.items()} == {
         kind: 1 for kind in PAIRWISE}
@@ -1109,7 +1112,7 @@ class _RefChain:
     max of the indices, no table involved."""
 
     def __init__(self, k):
-        self.bottom, self.top = 0, k - 1
+        self.size, self.bottom, self.top = k, 0, k - 1
 
     meet, join = staticmethod(min), staticmethod(max)
 
@@ -1272,10 +1275,10 @@ def test_a_subsetwise_region_builds_only_its_own_kind():
 
 
 def test_theorem_suites_fold_each_letter_set_once(monkeypatch):
-    """Under ``all`` on boolean:2 at arity 3, the subsetwise rows of every
-    thm2 anchor share one closure per letter set and kind: the closure
-    step runs exactly once per closure kept on the lattice, the seeded
-    empty set of each kind aside."""
+    """Under ``all`` on boolean:2 at arity 3, thm2 folds each clique of
+    one to three letters of the g letter table once per subsetwise kind,
+    counted against the cliques found by brute force, and keeps no
+    closure on the lattice."""
     calls = [0]
     original = relations._extend
 
@@ -1286,9 +1289,14 @@ def test_theorem_suites_fold_each_letter_set_once(monkeypatch):
     monkeypatch.setattr(relations, "_extend", counted)
     L = ls.boolean_lattice(2)
     run_scope("all", L, 3)
-    kinds = (RelationKind.SUBSETWISE_JOIN, RelationKind.SUBSETWISE_MEET)
-    kept = sum(len(L._letter_tables[kind]) - 1 for kind in kinds)
-    assert calls[0] == kept > 0
+    table = compatibility_table(L, RelationKind.G_COMONOTONE)
+    cliques = sum(
+        all(table[l] >> m & 1 for l, m in itertools.combinations(letters, 2))
+        for size in (1, 2, 3)
+        for letters in itertools.combinations(range(L.size ** 2), size))
+    assert calls[0] == 2 * cliques > 0
+    assert not {RelationKind.SUBSETWISE_JOIN,
+                RelationKind.SUBSETWISE_MEET} & set(L._letter_tables)
 
 
 # -- the FAIL lines of the theorem suites ------------------------------------
@@ -1298,28 +1306,15 @@ def test_theorem_suites_fold_each_letter_set_once(monkeypatch):
 
 def _flip_row(kind, y):
     """Break what a suite reads of ``kind``: y flipped among the y related
-    to x = (0,1), in the walk of a pairwise kind
-    (``suites.related_positions``), or else in ``suites._related``."""
-    def flipped(lattice, ys):
-        return sorted(set(ys) ^ {encode(y, lattice.size)})
-
-    def walk(lattice, asked, n, x=None, ordered=False):
-        anchor = encode((0, 1), lattice.size)
-        for a, ys, *rest in relations.related_positions(lattice, asked, n,
-                                                         x, ordered):
-            if asked is kind and a == anchor:
-                ys = flipped(lattice, ys)
-            yield (a, ys, *rest)
-
+    to x = (0,1) in ``suites._related``."""
     def related(lattice, asked, x):
         ys = relations._related(lattice, asked, x)
-        return flipped(lattice, ys) if (asked, x) == (kind, (0, 1)) else ys
+        if (asked, x) == (kind, (0, 1)):
+            return sorted(set(ys) ^ {encode(y, lattice.size)})
+        return ys
 
     def breaks(monkeypatch, lattice):
-        if kind in PAIRWISE:
-            monkeypatch.setattr(suites, "related_positions", walk)
-        else:
-            monkeypatch.setattr(suites, "_related", related)
+        monkeypatch.setattr(suites, "_related", related)
     return breaks
 
 
@@ -1330,21 +1325,51 @@ def _cut(kind, first, second):
     return breaks
 
 
-@pytest.mark.parametrize("suite, size, breaks, lines", [
-    (suite_duality, 2, _flip_row(RelationKind.DUAL_G_COMONOTONE, (1, 0)),
+def _join(kind, first, second):
+    """Make two letters compatible in the lattice's letter table of
+    ``kind``, in both directions."""
+    def breaks(monkeypatch, lattice):
+        table = compatibility_table(lattice, kind)
+        k = lattice.size
+        l, m = first[0] * k + first[1], second[0] * k + second[1]
+        table[l] |= 1 << m
+        table[m] |= 1 << l
+    return breaks
+
+
+def _fail_closure(kind, letters):
+    """Break the subsetwise ``kind`` at one set of letters: ``_extend``
+    refuses to grow any closure into the closure of that set, which on
+    chain:2 is the set itself, so only the set fails, in every order
+    its letters are added."""
+    def breaks(monkeypatch, lattice):
+        fold = _pair_test(lattice, kind)[0]
+        original = relations._extend
+
+        def extend(fold_asked, test, closure, a, b):
+            grown = original(fold_asked, test, closure, a, b)
+            return None if fold_asked is fold and grown == letters else grown
+        monkeypatch.setattr(relations, "_extend", extend)
+    return breaks
+
+
+@pytest.mark.parametrize("suite, size, arity, breaks, lines", [
+    (suite_duality, 2, 2,
+     _join(RelationKind.DUAL_G_COMONOTONE, (0, 1), (1, 0)),
      ["thm1: FAIL (16 cases)",
       "  distributive lattice: expecting full agreement",
       "  DIVERGENCE x=(0,1) y=(1,0) g=False dual=True"]),
-    (suites.suite_four_equivalences, 2,
-     _flip_row(RelationKind.SUBSETWISE_MEET, (1, 0)),
-     ["thm2: FAIL (7 cases)",
-      "  conditions split at x=(0,1) y=(1,0): g-comonotone=False "
-      "dual-g-comonotone=False subsetwise-join=False subsetwise-meet=True"]),
-    (suites.suite_region_closure, 3,
+    (suites.suite_four_equivalences, 2, 3,
+     _fail_closure(RelationKind.SUBSETWISE_MEET,
+                   frozenset({(0, 0), (0, 1), (1, 1)})),
+     ["thm2: FAIL (12 cases)",
+      "  conditions split at x=(0,0,1) y=(0,1,1): g-comonotone=True "
+      "dual-g-comonotone=True subsetwise-join=True subsetwise-meet=False"]),
+    (suites.suite_region_closure, 3, 2,
      _flip_row(RelationKind.COMPARABLE, (1, 0)),
      ["example1: FAIL (13 cases)",
       "  closure breaks at x=(0,1) y=(1,0): g=False union=True"]),
-    (suite_lemmas, 2, _cut(RelationKind.G_COMONOTONE, (0, 0), (1, 0)),
+    (suite_lemmas, 2, 2, _cut(RelationKind.G_COMONOTONE, (0, 0), (1, 0)),
      ["lemmas: FAIL (84 cases)",
       "  relation inclusions checked on 16 pairs",
       "  constant-vector lemma checked on 8 pairs",
@@ -1354,18 +1379,127 @@ def _cut(kind, first, second):
       "  constant vector (0,0) not g-comonotone with (0,1)",
       "  constant vector (0,0) not g-comonotone with (1,0)"]),
 ], ids=["thm1", "thm2", "example1", "lemmas"])
-def test_a_broken_row_fails_its_suite(monkeypatch, suite, size, breaks,
+def test_a_broken_row_fails_its_suite(monkeypatch, suite, size, arity, breaks,
                                       lines):
-    """Each suite at arity 2 on a chain, with what it reads broken: thm1,
-    thm2 and example1 one y related to x = (0,1), in the dual walk, the
-    subsetwise meet region and the comparable region; lemmas the g
-    letter table of
-    chain:2, where letters (0,0) and (1,0) are comonotone but made
-    incompatible."""
+    """Each suite on a chain, with what it reads broken.  thm1 at arity
+    2 reads the dual letter table, here with letters (0,1) and (1,0)
+    made compatible, so that y = (1,0) becomes dual-related to x = (0,1).
+    thm2 at arity 3 reads the closures of every clique of three letters,
+    here with the subsetwise-meet one of {(0,0), (0,1), (1,1)} failing.
+    example1 at arity 2 reads the comparable region of x = (0,1), here
+    with y = (1,0) flipped.  lemmas reads the g letter table of chain:2,
+    where letters (0,0) and (1,0) are comonotone but made incompatible.
+    Each prints the lines the walks it replaced printed under the same
+    breakage."""
     lattice = ls.chain(size)
     breaks(monkeypatch, lattice)
-    result = suite(lattice, 2)
+    result = suite(lattice, arity)
     assert (result.passed, result.lines()) == (False, lines)
+
+
+# -- thm1 and thm2 decided on letters, against the walks they replaced ------
+
+
+def _walked_divergence(L, n):
+    """Whether some vector pair at arity n is g-comonotone and not dual
+    g-comonotone, or the other way, by the zipped walk of both kinds."""
+    kinds = RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE
+    return any(g != dual
+               for (_, g, *_), (_, dual, *_) in suites._walks(L, n, *kinds))
+
+
+def _walked_agreement(L, n):
+    """Whether g-comonotone, its dual and both subsetwise kinds relate the
+    same vector pairs at arity n, by the zipped walk of the pairwise kinds
+    and the subsetwise region of every anchor, from the anchor on."""
+    vectors = list(itertools.product(range(L.size), repeat=n))
+    kinds = RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE
+    for (a, g, *_), (_, dual, *_) in suites._walks(L, n, *kinds):
+        if dual != g or any(
+                [b for b in _related(L, kind, vectors[a]) if b >= a] != g
+                for kind in (RelationKind.SUBSETWISE_JOIN,
+                             RelationKind.SUBSETWISE_MEET)):
+            return False
+    return True
+
+
+def _walkable(L, arity, points=256):
+    """The arity, lowered until the walk's domain has at most ``points``
+    vectors."""
+    while arity > 1 and L.size ** arity > points:
+        arity -= 1
+    return arity
+
+
+@pytest.mark.parametrize("name,arity", [
+    (name, arity) for name in _SUBSETWISE_ROW_ZOO for arity in (1, 2, 3, 4)
+    if _SUBSETWISE_ROW_ZOO[name]().size ** arity <= 625])
+def test_thm2_decision_matches_the_walk(name, arity):
+    L = _SUBSETWISE_ROW_ZOO[name]()
+    assert _four_kinds_agree(L, arity) == _walked_agreement(L, arity)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(0, 7)), st.integers(1, 4))
+def test_thm2_decision_matches_the_walk_on_random_lattices(family, arity):
+    L, _ = _closure_lattice(family)
+    arity = _walkable(L, arity)
+    assert _four_kinds_agree(L, arity) == _walked_agreement(L, arity)
+
+
+def test_thm2_decision_splits_where_the_walk_does():
+    """The decision is not vacuous: N5 splits at arity 2 on its tables,
+    and M3, whose tables are equal, splits at arity 3 on a clique."""
+    for L, arity in ((ls.n5(), 2), (ls.m3(), 3)):
+        assert not _four_kinds_agree(L, arity)
+        assert not _walked_agreement(L, arity)
+    assert _four_kinds_agree(ls.m3(), 2) and _walked_agreement(ls.m3(), 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.integers(0, 7)), st.integers(1, 3))
+def test_thm1_table_shortcut_matches_the_walk(family, arity):
+    """At arity 1 no pair diverges; beyond, some pair does exactly when
+    the g and dual letter tables differ."""
+    L, _ = _closure_lattice(family)
+    arity = _walkable(L, arity)
+    equal = arity == 1 or (
+        compatibility_table(L, RelationKind.G_COMONOTONE)
+        == compatibility_table(L, RelationKind.DUAL_G_COMONOTONE))
+    assert equal != _walked_divergence(L, arity)
+
+
+@pytest.mark.parametrize("L, equal", [
+    (ls.m3(), True), (ls.n5(), False), (_unsorted_n5()[0], False),
+    (ls.chain(4), True), (ls.boolean_lattice(2), True)],
+    ids=["M3", "N5", "unsorted-N5", "chain4", "boolean2"])
+def test_thm1_table_shortcut_on_named_lattices(L, equal):
+    """M3 is not distributive, yet its g and dual tables are equal and
+    no pair diverges at arities 2 and 3; N5 diverges on its tables."""
+    tables = [compatibility_table(L, kind) for kind in (
+        RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE)]
+    assert (tables[0] == tables[1]) == equal
+    for arity in (2, 3):
+        assert _walked_divergence(L, arity) != equal
+
+
+@pytest.mark.parametrize("L, arity", [
+    (ls.chain(4), 3), (ls.boolean_lattice(2), 4), (ls.chain(3), 4),
+    (ls.product([ls.chain(2), ls.chain(3)]), 3)],
+    ids=["chain4", "boolean2", "chain3", "prod23"])
+def test_thm2_on_a_distributive_lattice_walks_nothing(monkeypatch, L, arity):
+    """On a distributive lattice thm2 passes on the letter tables alone:
+    neither a pairwise walk nor a subsetwise region is read, and thm1
+    walks nothing either."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(suites, "related_positions", refuse)
+    monkeypatch.setattr(suites, "_related", refuse)
+    thm2 = suites.suite_four_equivalences(L, arity)
+    thm1 = suite_duality(L, arity)
+    assert (thm2.passed, thm2.cases) == (True, L.size ** (2 * arity))
+    assert (thm1.passed, thm1.cases) == (True, L.size ** (2 * arity))
 
 
 def test_example1_without_a_strictness_witness_fails(monkeypatch):
