@@ -21,9 +21,10 @@ letters: the order test for comonotone, that identity on two letters
 for the other four.  The subsetwise identity is decided by ``_extend``, which grows
 the closure of (fold_I x, fold_I y) pairs, at most k^2 of them, one
 letter at a time, testing the new letter against each pair.  Whether
-g-comonotone, its dual and the subsetwise kinds agree on every pair of
-an arity is decided on letters alone by ``_four_kinds_agree``: the g
-and dual letter tables, and the closures of the cliques of the g table.
+g-comonotone and its dual (``_dual_agrees``), and with them the
+subsetwise kinds (``_four_kinds_agree``), agree on every pair of an
+arity is decided on letters alone: the g and dual letter tables, and
+the closures of the cliques of the g table.
 
 Checks short-circuit on the first failing identity and report it as a
 witness, along with how many identities were evaluated.  Questions over
@@ -225,6 +226,16 @@ def _extend(fold, test, closure, a: int, b: int):
     return closure | grown
 
 
+def _dual_agrees(lattice: Lattice, n: int) -> bool:
+    """Whether g-comonotone and its dual relate exactly the same vector
+    pairs at arity n: at n = 1 every pair is one letter, related by both,
+    and beyond, a pair of two letters tells the kinds apart wherever
+    their letter tables do."""
+    return n == 1 or (compatibility_table(lattice, RelationKind.G_COMONOTONE)
+                      == compatibility_table(lattice,
+                                             RelationKind.DUAL_G_COMONOTONE))
+
+
 def _four_kinds_agree(lattice: Lattice, n: int) -> bool:
     """Whether g-comonotone, its dual and the two subsetwise kinds relate
     exactly the same vector pairs at arity n.
@@ -241,14 +252,11 @@ def _four_kinds_agree(lattice: Lattice, n: int) -> bool:
     first in increasing letter order, each child costing one ``_extend``
     per subsetwise kind on its parent's closures.
     """
-    if n == 1:
+    if not _dual_agrees(lattice, n):
+        return False
+    if n <= 2:
         return True
     table = compatibility_table(lattice, RelationKind.G_COMONOTONE)
-    if table != compatibility_table(lattice,
-                                    RelationKind.DUAL_G_COMONOTONE):
-        return False
-    if n == 2:
-        return True
     k = lattice.size
     join_fold, _, join_test = _pair_test(lattice, RelationKind.SUBSETWISE_JOIN)
     meet_fold, _, meet_test = _pair_test(lattice, RelationKind.SUBSETWISE_MEET)

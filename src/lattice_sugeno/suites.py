@@ -28,8 +28,9 @@ request is outright contradictory.
 thm1 and thm2 decide on the letter tables kept on the lattice: every
 verdict of g, its dual and the subsetwise kinds depends only on the set
 of letters (x_i, y_i) a pair uses, so at arity n >= 2 g and its dual
-agree exactly when their letter tables are equal, and the four kinds
-of thm2 agree exactly when ``relations._four_kinds_agree`` says so.
+agree exactly when their letter tables are equal
+(``relations._dual_agrees``), and the four kinds of thm2 agree exactly
+when ``relations._four_kinds_agree`` says so.
 Only where a table or a clique of letters tells the kinds apart do
 thm1 and thm2, like example1, zip the walks of their pairwise kinds
 (``relations.related_positions``), each anchor x with the y from x on,
@@ -62,6 +63,7 @@ from .lattice import Lattice, is_distributive
 from .recognizer import RecognitionMethod, recognize
 from .relations import (
     RelationKind,
+    _dual_agrees,
     _four_kinds_agree,
     _positions,
     _related,
@@ -122,11 +124,8 @@ def suite_duality(lattice: Lattice, arity: int,
     divergences = 0
     first = None
     kinds = RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE
-    # at arity 1 every pair is one letter, related by both; beyond, a
-    # pair of two letters tells the kinds apart wherever the tables do
-    equal = arity == 1 or (compatibility_table(lattice, kinds[0])
-                           == compatibility_table(lattice, kinds[1]))
-    walks = () if equal else _walks(lattice, arity, *kinds)
+    walks = () if _dual_agrees(lattice, arity) else _walks(
+        lattice, arity, *kinds)
     for (a, g, *_), (_, dual, *_) in walks:
         if g != dual:
             g, dual = set(g), set(dual)

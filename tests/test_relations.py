@@ -28,6 +28,7 @@ from lattice_sugeno.axioms import (
 from lattice_sugeno.cli import build_parser
 from lattice_sugeno.errors import guard_size
 from lattice_sugeno.relations import (
+    _dual_agrees,
     _four_kinds_agree,
     _order_rows,
     _pair_test,
@@ -1463,10 +1464,7 @@ def test_thm1_table_shortcut_matches_the_walk(family, arity):
     the g and dual letter tables differ."""
     L, _ = _closure_lattice(family)
     arity = _walkable(L, arity)
-    equal = arity == 1 or (
-        compatibility_table(L, RelationKind.G_COMONOTONE)
-        == compatibility_table(L, RelationKind.DUAL_G_COMONOTONE))
-    assert equal != _walked_divergence(L, arity)
+    assert _dual_agrees(L, arity) != _walked_divergence(L, arity)
 
 
 @pytest.mark.parametrize("L, equal", [
@@ -1480,6 +1478,7 @@ def test_thm1_table_shortcut_on_named_lattices(L, equal):
         RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE)]
     assert (tables[0] == tables[1]) == equal
     for arity in (2, 3):
+        assert _dual_agrees(L, arity) == equal
         assert _walked_divergence(L, arity) != equal
 
 
