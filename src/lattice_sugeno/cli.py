@@ -2,13 +2,15 @@
 
 Exit codes: 0 when the requested check holds (or the enumeration ran),
 1 when a verdict is negative (the witness is printed, or the table is
-no aggregation function), 2 for usage and input-format problems; main
-maps the package's errors to them.  All reports are plain deterministic
+no aggregation function), 2 for usage and input-format problems and
+for a standard output closed before the report was written; main maps
+the package's errors to them.  All reports are plain deterministic
 text on standard output; diagnostics go to standard error.
 """
 
 import argparse
 import functools
+import os
 import sys
 
 from .axioms import characterization_report, sugeno_table
@@ -273,7 +275,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered nowhere,
+        # so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except NotAggregation as exc:
         # a table that is no aggregation function is a negative verdict
         print("not an aggregation function: %s" % exc)

@@ -85,8 +85,9 @@ class Lattice:
         # read, the walk that yields the rest and, per anchor where a
         # check failed, the positions related to it that rank witnesses,
         # pairwise kind -> its k^2 relations.compatibility_table bitsets,
-        # subsetwise kind -> {letter set as a k^2-bit int: its closure of
-        # (fold x, fold y) pairs, or None where the set fails},
+        # subsetwise kind -> {(closure of (fold x, fold y) pairs, digit v
+        # of x): the list of (digit d of y, next closure) that
+        # relations._letter_steps accepts, d ascending},
         # and (arity, homogeneity kind) -> the points x and, for every
         # c, a getter of a table's values at the points c ^ x (c v x) and
         # the byte map v -> c ^ v (c v v), all built by the first

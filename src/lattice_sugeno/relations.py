@@ -38,7 +38,11 @@ extends that frontier.  It yields the related y of every anchor in
 product order, with the positions of x v y and x ^ y and the count of
 pairs walked so far; the pair plans of ``axioms`` and the theorem
 suites read it, y from x on.  For one anchor, ``_related`` gives every
-kind, and regions, related pairs and the rank of a failing pair read it.
+kind, and regions, related pairs and the rank of a failing pair read it:
+comparable from the order rows, every other kind through its letter
+automaton (``_letter_steps``), whose state after a prefix of letters is
+the compatible-letter mask of a pairwise kind or the fold closure of a
+subsetwise one.
 """
 
 import itertools
@@ -354,18 +358,16 @@ def compatibility_table(lattice: Lattice, kind: RelationKind) -> list:
 
 
 def related_positions(lattice: Lattice, kind: RelationKind, n: int,
-                      x: tuple | None = None,
                       ordered: bool = False) -> Iterator[tuple]:
     """The related pairs of a pairwise kind at arity n, anchor by anchor,
     as ``(a, ys, joins, meets, seen)``: the position a of an anchor x,
     three lists, the positions of the y related to x in increasing
     order, of x v y and of x ^ y, then the count of pairs walked so far.
 
-    Without ``x``, every anchor comes in product order, each with the y
-    from x itself on (x lex <= y), and the pairs with x <= y, on which
-    every monotone f meets both identities, are counted but not emitted
-    unless ``ordered`` is set.  Given ``x``, only that anchor comes,
-    with every y related to it.
+    Every anchor comes in product order, each with the y from x itself
+    on (x lex <= y), and the pairs with x <= y, on which every monotone f
+    meets both identities, are counted but not emitted unless
+    ``ordered`` is set.
 
     The walk runs depth first over the trie of anchor prefixes.  An
     anchor prefix's frontier holds the y prefixes related to it, each
@@ -379,20 +381,19 @@ def related_positions(lattice: Lattice, kind: RelationKind, n: int,
     """
     table = compatibility_table(lattice, kind)
     k, join, meet = lattice.size, lattice._join, lattice._meet
-    skip = x is None and not ordered
+    skip = not ordered
     keep = [~up for up in lattice._up]
     digits = (1 << k) - 1
-    anchor_digits = [range(k)] * n if x is None else [(v,) for v in x]
 
     def walk():
         # per anchor prefix on the path: (position, frontier, digits left);
         # per y prefix, increasing, a frontier holds (positions of y, x v y
-        # and x ^ y, compatible letters), the one at ``tie`` the anchor's
-        stack = [(0, [(0, 0, 0, (1 << k * k) - 1)], iter(anchor_digits[0]))]
+        # and x ^ y, compatible letters), the one at the anchor prefix's
+        # own position tied to it
+        stack = [(0, [(0, 0, 0, (1 << k * k) - 1)], iter(range(k)))]
         seen = 0
         while stack:
             prefix, frontier, todo = stack[-1]
-            tie = prefix if x is None else -1
             if len(stack) == n:
                 stack.pop()
                 for v in todo:
@@ -401,7 +402,7 @@ def related_positions(lattice: Lattice, kind: RelationKind, n: int,
                     ys, joins, meets = [], [], []
                     for pos, pos_join, pos_meet, letters in frontier:
                         allowed = letters >> shift & digits
-                        if pos == tie:
+                        if pos == prefix:
                             allowed = allowed >> v << v
                         seen += allowed.bit_count()
                         if skip and pos_join == pos:  # y above x so far
@@ -427,7 +428,7 @@ def related_positions(lattice: Lattice, kind: RelationKind, n: int,
             grown = []
             for pos, pos_join, pos_meet, letters in frontier:
                 allowed = letters >> shift & digits
-                if pos == tie:
+                if pos == prefix:
                     allowed = allowed >> v << v
                 base, base_join, base_meet = (pos * k, pos_join * k,
                                               pos_meet * k)
@@ -438,8 +439,7 @@ def related_positions(lattice: Lattice, kind: RelationKind, n: int,
                     grown.append((base + d, base_join + join_v[d],
                                   base_meet + meet_v[d],
                                   letters & entries[d]))
-            stack.append((prefix * k + v, grown,
-                          iter(anchor_digits[len(stack)])))
+            stack.append((prefix * k + v, grown, iter(range(k))))
 
     return walk()
 
@@ -499,39 +499,68 @@ def _positions(row: int) -> Iterator[int]:
         pos = bits.find("1", pos + 1)
 
 
+def _letter_steps(lattice: Lattice, kind: RelationKind) -> tuple:
+    """(start, step) of the letter automaton of every kind but
+    comparable: ``step(state, v)`` lists, ascending, the digits d whose
+    letter (v, d) the state accepts, each with its next state, and the
+    words the automaton reads from ``start`` are the related pairs.
+
+    A pairwise state is the set of letters compatible with every letter
+    read so far, as compatibility_table's k^2-bit mask; d is accepted
+    when (v, d) is in it, and the next state is the mask ANDed with
+    (v, d)'s row.  A subsetwise state is the closure of the letters read
+    (``_extend``), which (v, d) must grow without a failing subset.
+    Subsetwise steps are kept on the lattice per kind and per (closure,
+    v), shared by every anchor and arity; pairwise steps cost a few bit
+    operations and are computed afresh.
+    """
+    k = lattice.size
+    if kind in PAIRWISE_KINDS:
+        table = compatibility_table(lattice, kind)
+        digits = (1 << k) - 1
+
+        def step(letters, v):
+            allowed = letters >> v * k & digits
+            after = []
+            while allowed:
+                low = allowed & -allowed
+                allowed ^= low
+                d = low.bit_length() - 1
+                after.append((d, letters & table[v * k + d]))
+            return after
+        return (1 << k * k) - 1, step
+    fold, _, test = _pair_test(lattice, kind)
+    steps = lattice._letter_tables.setdefault(kind, {})
+
+    def step(closure, v):
+        after = steps.get((closure, v))
+        if after is None:
+            after = steps[closure, v] = [
+                (d, grown) for d in range(k)
+                if (grown := _extend(fold, test, closure, v, d)) is not None]
+        return after
+    return frozenset(), step
+
+
 def _related(lattice: Lattice, kind: RelationKind, x: tuple) -> Sequence:
     """The positions of the y that x is related to, in product order,
     grown in time proportional to the region for every kind but
     comparable.
 
-    A pairwise kind reads ``related_positions`` walked for x alone.
-    Comparable reads the set bits of x's two order rows.  A subsetwise
-    prefix carries the set of letters (x_i, y_i) it uses, as a k^2-bit
-    int: a verdict depends on that set alone, and every subset of a
-    holding set holds, so digit d is kept when ``_extend`` grows the
-    set's closure by (x_j, d).  Each set's closure, or None where the set
-    fails, is kept on the lattice per kind, shared by every anchor.
+    Comparable reads the set bits of x's two order rows.  Every other
+    kind grows a frontier of (y prefix position, state) pairs through
+    its letter automaton (``_letter_steps``), one digit v of x at a
+    time; the prefixes left after the last digit are the region.
     """
     if kind is RelationKind.COMPARABLE:
         below, above = _order_rows(lattice, x)
         return list(_positions(below | above))
-    if kind in PAIRWISE_KINDS:
-        return next(related_positions(lattice, kind, len(x), x))[1]
     k = lattice.size
-    fold, _, test = _pair_test(lattice, kind)
-    closures = lattice._letter_tables.setdefault(kind, {0: frozenset()})
-    frontier = [(0, 0)]  # (prefix position of y, letters used)
+    start, step = _letter_steps(lattice, kind)
+    frontier = [(0, start)]
     for v in x:
-        grown = []
-        for pos, used in frontier:
-            for d in range(k):
-                with_d = used | 1 << v * k + d
-                if with_d not in closures:
-                    closures[with_d] = _extend(
-                        fold, test, closures[used], v, d)
-                if closures[with_d] is not None:
-                    grown.append((pos * k + d, with_d))
-        frontier = grown
+        frontier = [(pos * k + d, after) for pos, state in frontier
+                    for d, after in step(state, v)]
     return [pos for pos, _ in frontier]
 
 

@@ -122,6 +122,66 @@ def test_region_listing(capsys):
                    "(0,0)\n(0,1)\n(1,1)\n")
 
 
+_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+@pytest.mark.parametrize("spec, kind, x, golden", [
+    ("builtin:M3", "subsetwise-meet", "(0,0,a)",
+     "region_m3_subsetwise_meet_00a.txt"),
+    ("builtin:N5", "subsetwise-meet", "(0,a,c)",
+     "region_n5_subsetwise_meet_0ac.txt"),
+    ("builtin:N5", "subsetwise-join", "(0,a,c)",
+     "region_n5_subsetwise_join_0ac.txt")])
+def test_subsetwise_region_matches_its_golden_listing(capsys, spec, kind, x,
+                                                      golden):
+    """Subsetwise regions on the non-distributive lattices, listed in
+    full as recorded."""
+    with open(os.path.join(_GOLDEN, golden), encoding="utf-8") as handle:
+        expected = handle.read()
+    assert run(capsys, "region", "--lattice", spec, "--kind", kind,
+               "--x", x) == (0, expected, "")
+
+
+@pytest.mark.parametrize("spec, kind, x, count", [
+    ("builtin:M3", "subsetwise-meet", "(0,0,a)", 65),
+    ("builtin:M3", "dual-g-comonotone", "(0,0,a)", 67),
+    ("builtin:N5", "subsetwise-meet", "(0,a,c)", 39),
+    ("builtin:N5", "dual-g-comonotone", "(0,a,c)", 41),
+    ("chain:128", "subsetwise-join", "(0,127)", 8256)])
+def test_region_header_counts_every_listed_vector(capsys, spec, kind, x,
+                                                  count):
+    """On M3 and N5 the subsetwise-meet region is smaller than the dual
+    g-comonotone one around the same x."""
+    code, out, err = run(capsys, "region", "--lattice", spec, "--kind",
+                         kind, "--x", x)
+    lines = out.splitlines()
+    assert (code, err) == (0, "")
+    assert lines[0] == "region %s around %s: %d vectors" % (kind, x, count)
+    assert len(lines) == count + 1
+
+
+def test_a_reader_closing_stdout_early_gets_no_traceback():
+    """Output into a pipe whose reader has gone away ends with exit 2 and
+    an empty stderr.  The listing is about 2 MB, more than any pipe
+    buffer holds, so the write after the reader closes must fail."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ls.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lattice_sugeno.cli", "region", "--lattice",
+         "chain:56", "--kind", "comparable", "--x", "(0,0,0)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src), preexec_fn=_cap_memory)
+    try:
+        assert proc.stdout.readline() == (
+            b"region comparable around (0,0,0): 175616 vectors\n")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=20)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (code, err) == (2, b"")
+
+
 # -- lattice-validate ---------------------------------------------------
 
 

@@ -1,7 +1,9 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -768,6 +770,53 @@ def test_related_matches_oracle_on_random_lattices(family, arity):
                 ref, kind, x, vectors), (kind, x)
 
 
+def _assert_related_on_one_lattice(L, ref, seed):
+    """Arities 1 to 4 (up to 256 points) on the one lattice object, every
+    anchor in shuffled order with the six kinds interleaved: each list of
+    related positions equals the oracle's sweep, so a step memo kept on
+    the lattice answers alike for every arity and kind."""
+    rng = random.Random(seed)
+    cases = []
+    for arity in range(1, 5):
+        if L.size ** arity > 256:
+            break
+        vectors = list(itertools.product(range(L.size), repeat=arity))
+        cases += [(kind, x, vectors) for x in vectors for kind in KINDS]
+    rng.shuffle(cases)
+    for kind, x, vectors in cases:
+        assert list(_related(L, kind, x)) == _ref_positions(
+            ref, kind, x, vectors), (kind, x)
+
+
+@pytest.mark.parametrize("name", ["N5", "M3", "chain1", "boolean3"])
+def test_related_on_one_warm_lattice_matches_oracle(name):
+    L, ref = {"N5": (ls.n5(), ref_n5()), "M3": (ls.m3(), ref_m3()),
+              "chain1": (ls.chain(1), ref_chain(1)),
+              "boolean3": (ls.boolean_lattice(3), ref_boolean(3))}[name]
+    _assert_related_on_one_lattice(L, ref, name)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sets(st.integers(0, 7)), st.integers(0, 2 ** 16))
+def test_related_on_one_warm_random_lattice_matches_oracle(family, seed):
+    _assert_related_on_one_lattice(*_closure_lattice(family), seed)
+
+
+def test_chain_128_subsetwise_region_stays_small():
+    """The 8,256 vectors around (0,127) on chain:128 are grown through
+    fold closures keyed by closure and digit, within 10 MB of traced
+    allocations."""
+    L = ls.chain(128)
+    tracemalloc.start()
+    try:
+        region = relation_region(L, RelationKind.SUBSETWISE_JOIN, (0, 127))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(region) == 8256
+    assert peak < 10 * 2 ** 20, peak
+
+
 def _assert_order_rows_match(L, ref, arity):
     vectors = list(itertools.product(range(L.size), repeat=arity))
     for x in vectors:
@@ -1267,8 +1316,8 @@ def test_subsetwise_rows_match_the_one_pass_sweep_on_random_lattices(
 
 
 def test_a_subsetwise_region_builds_only_its_own_kind():
-    """A region of one subsetwise kind keeps set verdicts of that kind
-    only: nothing of the other kind is folded."""
+    """A region of one subsetwise kind keeps the letter steps of that
+    kind only: nothing of the other kind is folded."""
     L = ls.m3()
     relation_region(L, RelationKind.SUBSETWISE_JOIN, (1, 2, 3))
     assert RelationKind.SUBSETWISE_JOIN in L._letter_tables
@@ -1504,13 +1553,12 @@ def test_thm2_on_a_distributive_lattice_walks_nothing(monkeypatch, L, arity):
 def test_example1_without_a_strictness_witness_fails(monkeypatch):
     """At arity 3 a g-comonotone walk equal to the union leaves no
     strictness witness, after all 64^2 pairs."""
-    def walk(lattice, kind, n, x=None, ordered=False):
+    def walk(lattice, kind, n, ordered=False):
         if kind is not RelationKind.G_COMONOTONE:
-            yield from relations.related_positions(lattice, kind, n, x,
-                                                   ordered)
+            yield from relations.related_positions(lattice, kind, n, ordered)
             return
         for a, ys, *rest in relations.related_positions(
-                lattice, RelationKind.COMONOTONE, n, x, ordered):
+                lattice, RelationKind.COMONOTONE, n, ordered):
             comparable = relations._related(lattice, RelationKind.COMPARABLE,
                                             decode(a, lattice.size, n))
             yield (a, sorted(set(ys).union(b for b in comparable if b >= a)),
