@@ -385,6 +385,53 @@ def test_suite_duality_counts_both_orders_at_arity_four(capsys):
                    "(recorded)\n"), "")
 
 
+@pytest.mark.parametrize("spec, arity, cases, divergences, first", [
+    ("builtin:N5", 5, 9765625, 400800,
+     "x=(0,0,0,0,b) y=(0,0,0,c,a)"),
+    ("prod:builtin:N5xbuiltin:N5", 2, 390625, 28224,
+     "x=(0.0,0.b) y=(0.c,0.a)")], ids=["N5-arity5", "N5xN5-arity2"])
+def test_suite_duality_counts_on_larger_domains(capsys, spec, arity, cases,
+                                                divergences, first):
+    """The divergence count and first witness past the arities and sizes
+    the other pins reach, as recorded."""
+    assert run(capsys, "theorem-suite", "thm1", "--lattice", spec,
+               "--arity", str(arity)) == (0, (
+                   "thm1: pass (%d cases)\n"
+                   "  non-distributive lattice: %d divergent pairs, "
+                   "first %s g=True dual=False (recorded)\n"
+                   % (cases, divergences, first)), "")
+
+
+def _suites_grid():
+    """The recorded commands of ``golden/suites_grid.txt``, each as
+    (argv, exit code, stdout, stderr).  A command's line is "$ argv =>
+    code"; the lines after it, up to the next command, are its stdout
+    lines after "out: " and its stderr lines after "err: "."""
+    with open(os.path.join(_GOLDEN, "suites_grid.txt"),
+              encoding="utf-8") as handle:
+        records = []
+        for line in handle.read().splitlines():
+            if line.startswith("$ "):
+                argv, code = line[2:].split(" => ")
+                records.append((argv.split(), int(code), [], []))
+            else:
+                tag, text = line.split(": ", 1)
+                records[-1][{"out": 2, "err": 3}[tag]].append(text + "\n")
+    return [(argv, code, "".join(out), "".join(err))
+            for argv, code, out, err in records]
+
+
+def test_suites_match_their_golden_grid(capsys):
+    """thm1, thm2, example1 and lemmas at arities 1-4 on chains, boolean:2,
+    N5, M3 and two products: exit codes, stdout and stderr (refusals
+    included) as recorded, command by command."""
+    grid = _suites_grid()
+    assert len(grid) == 160
+    for argv, code, out, err in grid:
+        assert (" ".join(argv),) + run(capsys, *argv) == (
+            " ".join(argv), code, out, err)
+
+
 @pytest.mark.parametrize("spec, cases", [
     ("chain:3", 6561), ("boolean:2", 65536)])
 def test_suite_four_equivalences_on_cliques_of_four_letters(capsys, spec,
