@@ -36,13 +36,14 @@ Python's recursion limit.  For each anchor prefix it grows, once, the
 frontier of y prefixes related to it, and each next anchor digit
 extends that frontier.  It yields the related y of every anchor in
 product order, with the positions of x v y and x ^ y and the count of
-pairs walked so far; the pair plans of ``axioms`` and the theorem
-suites read it, y from x on.  For one anchor, ``_related`` gives every
-kind, and regions, related pairs and the rank of a failing pair read it:
-comparable from the order rows, every other kind through its letter
-automaton (``_letter_steps``), whose state after a prefix of letters is
-the compatible-letter mask of a pairwise kind or the fold closure of a
-subsetwise one.
+pairs walked so far; the pair plans of ``axioms`` read it, y from x on.
+For one anchor, ``_related`` gives every kind, and regions, related
+pairs, the rank of a failing pair and the theorem suites' witnesses
+read it: comparable from the order rows, every other kind through its
+letter automaton (``_letter_steps``), whose state after a prefix of
+letters is the compatible-letter mask of a pairwise kind or the fold
+closure of a subsetwise one.  With x free too, ``_pair_count`` counts
+the related pairs of a letter table over the same masks.
 """
 
 import itertools
@@ -355,6 +356,28 @@ def compatibility_table(lattice: Lattice, kind: RelationKind) -> list:
                                        .translate(_BITS)[::-1], 2)
     lattice._letter_tables[kind] = table
     return table
+
+
+def _pair_count(table: list, n: int) -> int:
+    """The number of arity-n vector pairs whose every two letters,
+    equal ones included, are compatible in ``table``, a list of k^2
+    letter bitsets like compatibility_table's.
+
+    A dynamic program over the compatible-letter masks: the ways of
+    reaching each mask, one level per coordinate.  A letter in the mask
+    may come next, and leaves the mask ANDed with its row; the last
+    coordinate takes any letter of the mask, so the last level is summed
+    by the masks' bit counts rather than stepped.
+    """
+    ways = {(1 << len(table)) - 1: 1}
+    for _ in range(n - 1):
+        grown = {}
+        for letters, count in ways.items():
+            for letter in _positions(letters):
+                after = letters & table[letter]
+                grown[after] = grown.get(after, 0) + count
+        ways = grown
+    return sum(letters.bit_count() * count for letters, count in ways.items())
 
 
 def related_positions(lattice: Lattice, kind: RelationKind, n: int,

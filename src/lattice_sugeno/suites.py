@@ -25,23 +25,17 @@ A suite that cannot apply (wrong lattice shape, domain too large) is
 reported as skipped rather than failed, except where the caller's
 request is outright contradictory.
 
-thm1 and thm2 decide on the letter tables kept on the lattice: every
-verdict of g, its dual and the subsetwise kinds depends only on the set
-of letters (x_i, y_i) a pair uses, so at arity n >= 2 g and its dual
-agree exactly when their letter tables are equal
-(``relations._dual_agrees``), and the four kinds of thm2 agree exactly
-when ``relations._four_kinds_agree`` says so.
-Only where a table or a clique of letters tells the kinds apart do
-thm1 and thm2, like example1, zip the walks of their pairwise kinds
-(``relations.related_positions``), each anchor x with the y from x on,
-and read the other kinds for x alone (``relations._related``), for
-the count and the first witness.  Every relation is symmetric and
-holds on the diagonal, so the first anchor with a divergence, a split
-or a witness has it at some y > x.  The relation lemmas read letter
-tables too.  thm1, thm2 and lemmas refuse more than ``limit`` k^2n
-vector pairs, walked or not.  Letter tables and pair plans are kept on
-the lattice, so under ``all`` each is built once and shared by every
-suite.
+Every verdict of a relation depends only on the set of letters
+(x_i, y_i) a pair uses, so the suites decide on the letter tables kept
+on the lattice.  At arity n >= 2 g and its dual agree exactly when their
+tables are equal (``relations._dual_agrees``), the four kinds of thm2
+when ``relations._four_kinds_agree`` says so, and example1's closure
+holds at arity 2 when the g table is ``_same_order``'s.  thm1 counts its
+divergences on the tables (``relations._pair_count``).  Only a witness
+is found by scanning the anchors' regions (``_first_split``).  thm1,
+thm2 and lemmas refuse more than ``limit`` k^2n vector pairs, scanned or
+not.  Letter tables and pair plans are kept on the lattice, so under
+``all`` each is built once and shared by every suite.
 """
 
 from dataclasses import dataclass, field
@@ -65,11 +59,11 @@ from .relations import (
     RelationKind,
     _dual_agrees,
     _four_kinds_agree,
+    _pair_count,
     _positions,
     _related,
     all_vectors,
     compatibility_table,
-    related_positions,
 )
 # unused here, but perfbench/tracing.py wraps this name in this module
 from .relations import relation_check  # noqa: F401
@@ -93,18 +87,42 @@ class SuiteResult:
 
 
 def _anchor_vectors(lattice: Lattice, arity: int, limit: int) -> list:
-    """Every vector, listed for a suite that walks each as an anchor:
+    """Every vector, listed for a suite that may scan each as an anchor:
     more than ``limit`` vectors or k^2n vector pairs are refused first."""
     vectors = all_vectors(lattice, arity, limit)
     guard_size(lattice.size, 2 * arity, "vector pairs", limit)
     return list(vectors)
 
 
-def _walks(lattice: Lattice, arity: int, *kinds) -> zip:
-    """The pairwise kinds' walks zipped, anchor by anchor in product
-    order, each anchor with its related y from itself on."""
-    return zip(*(related_positions(lattice, kind, arity, ordered=True)
-                 for kind in kinds))
+def _first_split(lattice: Lattice, vectors: list, kinds: tuple,
+                 split) -> tuple | None:
+    """The first vector pair (x, y), in product order, that ``split`` of
+    x's regions of ``kinds`` (``_related``, as sets of positions) holds:
+    (cases, x, y, verdicts), the pairs up to it, x and y formatted, and
+    whether each kind relates them.  The kinds are symmetric, so the
+    first anchor x with a split has the first pair; None if none does."""
+    for a, x in enumerate(vectors):
+        regions = [set(_related(lattice, kind, x)) for kind in kinds]
+        found = split(*regions)
+        if found:
+            b = min(found)
+            return (a * len(vectors) + b + 1, format_vector(lattice, x),
+                    format_vector(lattice, vectors[b]),
+                    [b in ys for ys in regions])
+
+
+def _same_order(lattice: Lattice) -> list:
+    """Per letter (a, b), a k^2-bit row like compatibility_table's: the
+    letters comonotone with it or ordered the same way, c <= d where
+    a <= b and c >= d where a >= b.  So a vector pair of two letters is
+    comonotone or comparable when they are in each other's rows."""
+    k = lattice.size
+    below = sum(up << a * k for a, up in enumerate(lattice._up))
+    above = sum(down << a * k for a, down in enumerate(lattice._down))
+    return [row | (below if below >> letter & 1 else 0)
+            | (above if above >> letter & 1 else 0)
+            for letter, row in enumerate(
+                compatibility_table(lattice, RelationKind.COMONOTONE))]
 
 
 def _is_chain(lattice: Lattice) -> bool:
@@ -120,24 +138,21 @@ def suite_duality(lattice: Lattice, arity: int,
     ones the suite searches for a divergence and records the outcome
     either way."""
     vectors = _anchor_vectors(lattice, arity, limit)
-    distributive = is_distributive(lattice)
     divergences = 0
     first = None
-    kinds = RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE
-    walks = () if _dual_agrees(lattice, arity) else _walks(
-        lattice, arity, *kinds)
-    for (a, g, *_), (_, dual, *_) in walks:
-        if g != dual:
-            g, dual = set(g), set(dual)
-            divergences += 2 * len(g ^ dual)  # (x, y) and (y, x)
-            if first is None:
-                b = min(g ^ dual)
-                first = "x=%s y=%s g=%s dual=%s" % (
-                    format_vector(lattice, vectors[a]),
-                    format_vector(lattice, vectors[b]), b in g, b in dual)
+    if not _dual_agrees(lattice, arity):
+        kinds = RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE
+        g, dual = (compatibility_table(lattice, kind) for kind in kinds)
+        both = list(map(int.__and__, g, dual))
+        divergences = (_pair_count(g, arity) + _pair_count(dual, arity)
+                       - 2 * _pair_count(both, arity))
+        split = _first_split(lattice, vectors, kinds, set.__xor__)
+        if split is not None:
+            _, x, y, verdicts = split
+            first = "x=%s y=%s g=%s dual=%s" % (x, y, *verdicts)
     cases = len(vectors) ** 2
     details = []
-    if distributive:
+    if is_distributive(lattice):
         passed = divergences == 0
         details.append("distributive lattice: expecting full agreement")
         if first is not None:
@@ -165,23 +180,17 @@ def suite_four_equivalences(lattice: Lattice, arity: int,
     vectors = _anchor_vectors(lattice, arity, limit)
     kinds = (RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE,
              RelationKind.SUBSETWISE_JOIN, RelationKind.SUBSETWISE_MEET)
-    # the walk runs only to find the first split the letters promise
-    walks = () if _four_kinds_agree(lattice, arity) else _walks(
-        lattice, arity, *kinds[:2])
-    for (a, g, *_), (_, dual, *_) in walks:
-        x = vectors[a]
-        regions = [g, dual] + [[b for b in _related(lattice, kind, x)
-                                if b >= a] for kind in kinds[2:]]
-        if any(ys != g for ys in regions):
-            regions = [set(ys) for ys in regions]
-            b = min(set.union(*regions) - set.intersection(*regions))
-            return SuiteResult(
-                "thm2", False, a * len(vectors) + b + 1,
-                ["conditions split at x=%s y=%s: %s"
-                 % (format_vector(lattice, x),
-                    format_vector(lattice, vectors[b]),
-                    " ".join("%s=%s" % (kind.value, b in ys)
-                             for kind, ys in zip(kinds, regions)))])
+    # the scan runs only to find the first split the letters promise
+    split = None if _four_kinds_agree(lattice, arity) else _first_split(
+        lattice, vectors, kinds,
+        lambda *regions: set.union(*regions) - set.intersection(*regions))
+    if split is not None:
+        cases, x, y, verdicts = split
+        return SuiteResult(
+            "thm2", False, cases,
+            ["conditions split at x=%s y=%s: %s"
+             % (x, y, " ".join("%s=%s" % (kind.value, holds)
+                               for kind, holds in zip(kinds, verdicts)))])
     return SuiteResult("thm2", True, len(vectors) ** 2,
                        ["all four conditions agree on every pair"])
 
@@ -270,30 +279,25 @@ def suite_region_closure(lattice: Lattice, arity: int,
     if arity not in (2, 3):
         raise ValueError("example1 runs at arity 2 or 3, not %d" % arity)
     vectors = list(all_vectors(lattice, arity, limit))
-    kinds = RelationKind.G_COMONOTONE, RelationKind.COMONOTONE
-    for (a, g, *_), (_, comonotone, *_) in _walks(lattice, arity, *kinds):
-        x = vectors[a]
-        g, union = set(g), set(comonotone).union(
-            b for b in _related(lattice, RelationKind.COMPARABLE, x) if b >= a)
-        # arity 2: any difference breaks closure; arity 3: a g-comonotone
-        # y outside the union is the strictness witness
-        found = g ^ union if arity == 2 else g - union
-        if found:
-            b = min(found)
-            cases = a * len(vectors) + b + 1
-            if arity == 2:
-                return SuiteResult(
-                    "example1", False, cases,
-                    ["closure breaks at x=%s y=%s: g=%s union=%s"
-                     % (format_vector(lattice, x),
-                        format_vector(lattice, vectors[b]),
-                        b in g, b in union)])
+    kinds = (RelationKind.G_COMONOTONE, RelationKind.COMONOTONE,
+             RelationKind.COMPARABLE)
+    # arity 2: closure holds on agreeing letter tables, else breaks at any
+    # difference; arity 3: a g-comonotone y outside the union is a witness
+    split = None if arity == 2 and compatibility_table(
+        lattice, kinds[0]) == _same_order(lattice) else _first_split(
+            lattice, vectors, kinds, lambda g, *union: (
+                g ^ set.union(*union) if arity == 2 else g.difference(*union)))
+    if split is not None:
+        cases, x, y, (g, comonotone, comparable) = split
+        if arity == 2:
             return SuiteResult(
-                "example1", True, cases,
-                ["strictness witness: y=%s is g-comonotone with "
-                 "x=%s yet neither comonotone nor comparable"
-                 % (format_vector(lattice, vectors[b]),
-                    format_vector(lattice, x))])
+                "example1", False, cases,
+                ["closure breaks at x=%s y=%s: g=%s union=%s"
+                 % (x, y, g, comonotone or comparable)])
+        return SuiteResult(
+            "example1", True, cases,
+            ["strictness witness: y=%s is g-comonotone with "
+             "x=%s yet neither comonotone nor comparable" % (y, x)])
     cases = len(vectors) ** 2
     if arity == 2:
         return SuiteResult("example1", True, cases,
@@ -330,11 +334,11 @@ def suite_lemmas(lattice: Lattice, arity: int, seed: int = 0,
 
     The relation lemmas read letter tables: a pair is related when every
     two of its letters (x_i, y_i), equal ones included, are compatible.
-    So at n >= 2 inclusion fails exactly at two letters (a, b), (c, d),
-    comonotone-compatible or both with a <= b or both with a >= b, yet
-    not g- and dual-compatible, at x = (a,c,...,c), y = (b,d,...,d).  No
-    lattice has them: if a <= c and b <= d, both sides of the identities
-    are a v b and c ^ d; if a <= b and c <= d, they are b ^ d and a v c.
+    So at n >= 2 inclusion fails exactly at two letters (a, b), (c, d) in
+    each other's ``_same_order`` rows, yet not g- and dual-compatible, at
+    x = (a,c,...,c), y = (b,d,...,d).  No lattice has them: if a <= c and
+    b <= d, both sides of the identities are a v b and c ^ d; if a <= b
+    and c <= d, they are b ^ d and a v c.
     """
     details = []
     cases = 0
@@ -349,13 +353,8 @@ def suite_lemmas(lattice: Lattice, arity: int, seed: int = 0,
         compatibility_table(lattice, RelationKind.G_COMONOTONE),
         compatibility_table(lattice, RelationKind.DUAL_G_COMONOTONE))]
     if arity > 1:
-        comonotone = compatibility_table(lattice, RelationKind.COMONOTONE)
-        below = sum(up << a * k for a, up in enumerate(lattice._up))
-        above = sum(down << a * k for a, down in enumerate(lattice._down))
-        for letter, allowed in enumerate(both):
-            broken = (comonotone[letter]
-                      | (below if below >> letter & 1 else 0)
-                      | (above if above >> letter & 1 else 0)) & ~allowed
+        for letter, row in enumerate(_same_order(lattice)):
+            broken = row & ~both[letter]
             if broken:
                 (a, b), (c, d) = (divmod(letter, k),
                                   divmod(next(_positions(broken)), k))

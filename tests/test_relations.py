@@ -33,6 +33,7 @@ from lattice_sugeno.relations import (
     _dual_agrees,
     _four_kinds_agree,
     _order_rows,
+    _pair_count,
     _pair_test,
     _related,
     compatibility_table,
@@ -1354,20 +1355,6 @@ def test_theorem_suites_fold_each_letter_set_once(monkeypatch):
 # broken on purpose.
 
 
-def _flip_row(kind, y):
-    """Break what a suite reads of ``kind``: y flipped among the y related
-    to x = (0,1) in ``suites._related``."""
-    def related(lattice, asked, x):
-        ys = relations._related(lattice, asked, x)
-        if (asked, x) == (kind, (0, 1)):
-            return sorted(set(ys) ^ {encode(y, lattice.size)})
-        return ys
-
-    def breaks(monkeypatch, lattice):
-        monkeypatch.setattr(suites, "_related", related)
-    return breaks
-
-
 def _cut(kind, first, second):
     """Break the lattice's letter table of ``kind`` at two letters."""
     def breaks(monkeypatch, lattice):
@@ -1416,9 +1403,9 @@ def _fail_closure(kind, letters):
       "  conditions split at x=(0,0,1) y=(0,1,1): g-comonotone=True "
       "dual-g-comonotone=True subsetwise-join=True subsetwise-meet=False"]),
     (suites.suite_region_closure, 3, 2,
-     _flip_row(RelationKind.COMPARABLE, (1, 0)),
+     _join(RelationKind.G_COMONOTONE, (0, 1), (1, 0)),
      ["example1: FAIL (13 cases)",
-      "  closure breaks at x=(0,1) y=(1,0): g=False union=True"]),
+      "  closure breaks at x=(0,1) y=(1,0): g=True union=False"]),
     (suite_lemmas, 2, 2, _cut(RelationKind.G_COMONOTONE, (0, 0), (1, 0)),
      ["lemmas: FAIL (84 cases)",
       "  relation inclusions checked on 16 pairs",
@@ -1436,8 +1423,9 @@ def test_a_broken_row_fails_its_suite(monkeypatch, suite, size, arity, breaks,
     made compatible, so that y = (1,0) becomes dual-related to x = (0,1).
     thm2 at arity 3 reads the closures of every clique of three letters,
     here with the subsetwise-meet one of {(0,0), (0,1), (1,1)} failing.
-    example1 at arity 2 reads the comparable region of x = (0,1), here
-    with y = (1,0) flipped.  lemmas reads the g letter table of chain:2,
+    example1 at arity 2 reads the g letter table of chain:3, here with
+    letters (0,1) and (1,0) made compatible, so that y = (1,0) becomes
+    g-related to x = (0,1) outside the union.  lemmas reads the g letter table of chain:2,
     where letters (0,0) and (1,0) are comonotone but made incompatible.
     Each prints the lines the walks it replaced printed under the same
     breakage."""
@@ -1452,25 +1440,22 @@ def test_a_broken_row_fails_its_suite(monkeypatch, suite, size, arity, breaks,
 
 def _walked_divergence(L, n):
     """Whether some vector pair at arity n is g-comonotone and not dual
-    g-comonotone, or the other way, by the zipped walk of both kinds."""
-    kinds = RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE
-    return any(g != dual
-               for (_, g, *_), (_, dual, *_) in suites._walks(L, n, *kinds))
+    g-comonotone, or the other way, by both kinds' full regions around
+    every anchor (``_related``, checked against the oracles by the region
+    tests)."""
+    return any(_related(L, RelationKind.G_COMONOTONE, x)
+               != _related(L, RelationKind.DUAL_G_COMONOTONE, x)
+               for x in itertools.product(range(L.size), repeat=n))
 
 
 def _walked_agreement(L, n):
     """Whether g-comonotone, its dual and both subsetwise kinds relate the
-    same vector pairs at arity n, by the zipped walk of the pairwise kinds
-    and the subsetwise region of every anchor, from the anchor on."""
-    vectors = list(itertools.product(range(L.size), repeat=n))
-    kinds = RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE
-    for (a, g, *_), (_, dual, *_) in suites._walks(L, n, *kinds):
-        if dual != g or any(
-                [b for b in _related(L, kind, vectors[a]) if b >= a] != g
-                for kind in (RelationKind.SUBSETWISE_JOIN,
-                             RelationKind.SUBSETWISE_MEET)):
-            return False
-    return True
+    same vector pairs at arity n, by the four kinds' full regions around
+    every anchor."""
+    kinds = (RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE,
+             RelationKind.SUBSETWISE_JOIN, RelationKind.SUBSETWISE_MEET)
+    return all(len({tuple(_related(L, kind, x)) for kind in kinds}) == 1
+               for x in itertools.product(range(L.size), repeat=n))
 
 
 def _walkable(L, arity, points=256):
@@ -1531,19 +1516,86 @@ def test_thm1_table_shortcut_on_named_lattices(L, equal):
         assert _walked_divergence(L, arity) != equal
 
 
+def _assert_pair_counts_match_the_oracles(L, ref, n):
+    """_pair_count on the g, dual, g-and-dual and comonotone letter
+    tables counts the pairs the oracles relate, over every vector pair."""
+    g, dual, comonotone = (compatibility_table(L, kind) for kind in (
+        RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE,
+        RelationKind.COMONOTONE))
+    both = [g_row & dual_row for g_row, dual_row in zip(g, dual)]
+    vectors = list(itertools.product(range(L.size), repeat=n))
+    counts = [0] * 4
+    for x in vectors:
+        for y in vectors:
+            verdicts = (ref_g_com(ref, x, y), ref_dual_g_com(ref, x, y))
+            counts[0] += verdicts[0]
+            counts[1] += verdicts[1]
+            counts[2] += all(verdicts)
+            counts[3] += ref_comonotone(ref, x, y)
+    assert [_pair_count(table, n) for table in (g, dual, both, comonotone)
+            ] == counts
+
+
+@pytest.mark.parametrize("name, arity", [
+    (name, arity) for name in _TABLE_ZOO for arity in (1, 2, 3)
+    if _TABLE_ZOO[name][0].size ** arity <= 256])
+def test_pair_counts_match_the_oracles(name, arity):
+    _assert_pair_counts_match_the_oracles(*_TABLE_ZOO[name], arity)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sets(st.integers(0, 7)), st.integers(1, 3))
+def test_pair_counts_match_the_oracles_on_random_lattices(family, arity):
+    L, ref = _closure_lattice(family)
+    _assert_pair_counts_match_the_oracles(L, ref, _walkable(L, arity))
+
+
+def _closes_at_arity_two(ref):
+    """Whether, by the oracles, every arity-2 pair is g-comonotone exactly
+    when it is comonotone or comparable."""
+    vectors = list(itertools.product(range(ref.size), repeat=2))
+    return all(ref_g_com(ref, x, y) == (ref_comonotone(ref, x, y)
+                                        or ref_comparable(ref, x, y))
+               for x in vectors for y in vectors)
+
+
+@pytest.mark.parametrize("L, ref, closed", [
+    *((ls.chain(k), ref_chain(k), True) for k in range(1, 7)),
+    (ls.boolean_lattice(2), ref_boolean(2), False),
+    (ls.n5(), ref_n5(), False), (ls.m3(), ref_m3(), False),
+    (*_unsorted_n5(), False),
+    (ls.product([ls.chain(2), ls.chain(3)]),
+     ref_product([ref_chain(2), ref_chain(3)]), False)],
+    ids=["chain%d" % k for k in range(1, 7)] + [
+        "boolean2", "N5", "M3", "unsorted-N5", "prod23"])
+def test_same_order_table_is_the_closure_at_arity_two(L, ref, closed):
+    """example1's letter pass: the g table equals ``_same_order``'s exactly
+    where the oracles find closure at arity 2, on chains and nowhere
+    else here."""
+    assert (compatibility_table(L, RelationKind.G_COMONOTONE)
+            == suites._same_order(L)) == _closes_at_arity_two(ref) == closed
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.integers(0, 7)))
+def test_same_order_table_is_the_closure_on_random_lattices(family):
+    L, ref = _closure_lattice(family)
+    assert (compatibility_table(L, RelationKind.G_COMONOTONE)
+            == suites._same_order(L)) == _closes_at_arity_two(ref)
+
+
 @pytest.mark.parametrize("L, arity", [
     (ls.chain(4), 3), (ls.boolean_lattice(2), 4), (ls.chain(3), 4),
     (ls.product([ls.chain(2), ls.chain(3)]), 3)],
     ids=["chain4", "boolean2", "chain3", "prod23"])
 def test_thm2_on_a_distributive_lattice_walks_nothing(monkeypatch, L, arity):
     """On a distributive lattice thm2 passes on the letter tables alone:
-    neither a pairwise walk nor a subsetwise region is read, and thm1
-    walks nothing either."""
+    no region is read, and thm1 neither reads a region nor counts."""
     def refuse(*args, **kwargs):
         raise AssertionError("walked")
 
-    monkeypatch.setattr(suites, "related_positions", refuse)
     monkeypatch.setattr(suites, "_related", refuse)
+    monkeypatch.setattr(suites, "_pair_count", refuse)
     thm2 = suites.suite_four_equivalences(L, arity)
     thm1 = suite_duality(L, arity)
     assert (thm2.passed, thm2.cases) == (True, L.size ** (2 * arity))
@@ -1551,20 +1603,16 @@ def test_thm2_on_a_distributive_lattice_walks_nothing(monkeypatch, L, arity):
 
 
 def test_example1_without_a_strictness_witness_fails(monkeypatch):
-    """At arity 3 a g-comonotone walk equal to the union leaves no
+    """At arity 3 a g-comonotone region equal to the union leaves no
     strictness witness, after all 64^2 pairs."""
-    def walk(lattice, kind, n, ordered=False):
+    def related(lattice, kind, x):
         if kind is not RelationKind.G_COMONOTONE:
-            yield from relations.related_positions(lattice, kind, n, ordered)
-            return
-        for a, ys, *rest in relations.related_positions(
-                lattice, RelationKind.COMONOTONE, n, ordered):
-            comparable = relations._related(lattice, RelationKind.COMPARABLE,
-                                            decode(a, lattice.size, n))
-            yield (a, sorted(set(ys).union(b for b in comparable if b >= a)),
-                   *rest)
+            return relations._related(lattice, kind, x)
+        return sorted(set(relations._related(
+            lattice, RelationKind.COMONOTONE, x)).union(relations._related(
+                lattice, RelationKind.COMPARABLE, x)))
 
-    monkeypatch.setattr(suites, "related_positions", walk)
+    monkeypatch.setattr(suites, "_related", related)
     result = suites.suite_region_closure(ls.chain(4), 3)
     assert (result.passed, result.lines()) == (
         False, ["example1: FAIL (4096 cases)",
