@@ -37,13 +37,12 @@ frontier of y prefixes related to it, and each next anchor digit
 extends that frontier.  It yields the related y of every anchor in
 product order, with the positions of x v y and x ^ y and the count of
 pairs walked so far; the pair plans of ``axioms`` read it, y from x on.
-For one anchor, ``_related`` gives every kind, and regions, related
-pairs, the rank of a failing pair and the theorem suites' witnesses
-read it: comparable from the order rows, every other kind through its
-letter automaton (``_letter_steps``), whose state after a prefix of
-letters is the compatible-letter mask of a pairwise kind or the fold
-closure of a subsetwise one.  With x free too, ``_pair_count`` counts
-the related pairs of a letter table over the same masks.
+For one anchor, ``_related`` gives every kind (regions, related pairs,
+failing ranks and suite witnesses read it): comparable from the order
+rows, every other kind through its letter automaton (``_letter_steps``),
+whose state after a prefix of letters is the compatible-letter mask of
+a pairwise kind or the fold closure of a subsetwise one.  With x free,
+``_pair_count`` counts a letter table's related pairs over those masks.
 """
 
 import itertools

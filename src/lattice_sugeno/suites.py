@@ -109,6 +109,7 @@ def _first_split(lattice: Lattice, vectors: list, kinds: tuple,
             return (a * len(vectors) + b + 1, format_vector(lattice, x),
                     format_vector(lattice, vectors[b]),
                     [b in ys for ys in regions])
+    return None
 
 
 def _same_order(lattice: Lattice) -> list:
@@ -138,6 +139,7 @@ def suite_duality(lattice: Lattice, arity: int,
     ones the suite searches for a divergence and records the outcome
     either way."""
     vectors = _anchor_vectors(lattice, arity, limit)
+    distributive = is_distributive(lattice)
     divergences = 0
     first = None
     if not _dual_agrees(lattice, arity):
@@ -146,13 +148,11 @@ def suite_duality(lattice: Lattice, arity: int,
         both = list(map(int.__and__, g, dual))
         divergences = (_pair_count(g, arity) + _pair_count(dual, arity)
                        - 2 * _pair_count(both, arity))
-        split = _first_split(lattice, vectors, kinds, set.__xor__)
-        if split is not None:
-            _, x, y, verdicts = split
-            first = "x=%s y=%s g=%s dual=%s" % (x, y, *verdicts)
+        _, x, y, verdicts = _first_split(lattice, vectors, kinds, set.__xor__)
+        first = "x=%s y=%s g=%s dual=%s" % (x, y, *verdicts)
     cases = len(vectors) ** 2
     details = []
-    if is_distributive(lattice):
+    if distributive:
         passed = divergences == 0
         details.append("distributive lattice: expecting full agreement")
         if first is not None:
@@ -181,11 +181,10 @@ def suite_four_equivalences(lattice: Lattice, arity: int,
     kinds = (RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE,
              RelationKind.SUBSETWISE_JOIN, RelationKind.SUBSETWISE_MEET)
     # the scan runs only to find the first split the letters promise
-    split = None if _four_kinds_agree(lattice, arity) else _first_split(
-        lattice, vectors, kinds,
-        lambda *regions: set.union(*regions) - set.intersection(*regions))
-    if split is not None:
-        cases, x, y, verdicts = split
+    if not _four_kinds_agree(lattice, arity):
+        cases, x, y, verdicts = _first_split(
+            lattice, vectors, kinds,
+            lambda *regions: set.union(*regions) - set.intersection(*regions))
         return SuiteResult(
             "thm2", False, cases,
             ["conditions split at x=%s y=%s: %s"
@@ -283,10 +282,11 @@ def suite_region_closure(lattice: Lattice, arity: int,
              RelationKind.COMPARABLE)
     # arity 2: closure holds on agreeing letter tables, else breaks at any
     # difference; arity 3: a g-comonotone y outside the union is a witness
-    split = None if arity == 2 and compatibility_table(
-        lattice, kinds[0]) == _same_order(lattice) else _first_split(
-            lattice, vectors, kinds, lambda g, *union: (
-                g ^ set.union(*union) if arity == 2 else g.difference(*union)))
+    closed = arity == 2 and compatibility_table(
+        lattice, RelationKind.G_COMONOTONE) == _same_order(lattice)
+    split = None if closed else _first_split(
+        lattice, vectors, kinds, lambda g, *union: (
+            g ^ set.union(*union) if arity == 2 else g.difference(*union)))
     if split is not None:
         cases, x, y, (g, comonotone, comparable) = split
         if arity == 2:
