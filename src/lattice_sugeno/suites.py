@@ -145,7 +145,7 @@ def suite_duality(lattice: Lattice, arity: int,
     if not _dual_agrees(lattice, arity):
         kinds = RelationKind.G_COMONOTONE, RelationKind.DUAL_G_COMONOTONE
         g, dual = (compatibility_table(lattice, kind) for kind in kinds)
-        both = list(map(int.__and__, g, dual))
+        both = [g_row & dual_row for g_row, dual_row in zip(g, dual)]
         divergences = (_pair_count(g, arity) + _pair_count(dual, arity)
                        - 2 * _pair_count(both, arity))
         _, x, y, verdicts = _first_split(lattice, vectors, kinds, set.__xor__)

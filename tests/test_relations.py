@@ -1425,10 +1425,10 @@ def test_a_broken_row_fails_its_suite(monkeypatch, suite, size, arity, breaks,
     here with the subsetwise-meet one of {(0,0), (0,1), (1,1)} failing.
     example1 at arity 2 reads the g letter table of chain:3, here with
     letters (0,1) and (1,0) made compatible, so that y = (1,0) becomes
-    g-related to x = (0,1) outside the union.  lemmas reads the g letter table of chain:2,
-    where letters (0,0) and (1,0) are comonotone but made incompatible.
-    Each prints the lines the walks it replaced printed under the same
-    breakage."""
+    g-related to x = (0,1) outside the union.  lemmas reads the g letter
+    table of chain:2, where letters (0,0) and (1,0) are comonotone but
+    made incompatible.  Each prints the lines the walks it replaced
+    printed under the same breakage."""
     lattice = ls.chain(size)
     breaks(monkeypatch, lattice)
     result = suite(lattice, arity)
